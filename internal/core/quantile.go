@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/dist"
 )
@@ -24,7 +26,8 @@ import (
 //     P(X_(k) ≤ x | N ≥ k) = P(#{i : included_i ∧ X_i ≤ x} ≥ k) / P(N ≥ k),
 //     where the count is Poisson-binomial with per-tuple success
 //     t_i(x) = p_i·F_i(x). A truncated tail DP tabulates it on a fixed grid
-//     and the result ships as a Histogram — exact up to grid resolution.
+//     (quantile_kernel.go) and the result ships as a Histogram — exact up
+//     to grid resolution.
 //   - Estimator (large windows): each contribution is compressed at Prepare
 //     time into s centered-quantile sketch points of mass p_i/s; the weighted
 //     lower quantile x̂ of the pooled points estimates the value, and the
@@ -70,6 +73,9 @@ type quantileAgg struct {
 	attr string
 	q    float64
 	opts QuantileOptions
+	// pool recycles the finalize's working memory across windows, groups and
+	// the emission workers that run finalizes concurrently.
+	pool sync.Pool
 }
 
 // NewQuantileAgg builds the windowed q-quantile aggregate over the named
@@ -79,14 +85,24 @@ func NewQuantileAgg(attr string, q float64, opts QuantileOptions) UAgg {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		panic(fmt.Sprintf("core: quantile level %g outside [0, 1]", q))
 	}
-	return &quantileAgg{attr: attr, q: q, opts: opts.withDefaults()}
+	a := &quantileAgg{attr: attr, q: q, opts: opts.withDefaults()}
+	a.pool.New = func() any { return new(quantileScratch) }
+	return a
+}
+
+// release returns a finalize's scratch to the pool, dropping what would
+// otherwise pin the window's distributions and sketch points.
+func (a *quantileAgg) release(s *quantileScratch) {
+	clear(s.qcs)
+	clear(s.cont)
+	a.pool.Put(s)
 }
 
 func (a *quantileAgg) Kind() string { return "quantile" }
 func (a *quantileAgg) Attr() string { return a.attr }
 
-// Heavy: the exact path's grid tabulation runs a Poisson-binomial DP per
-// grid edge — worth a worker per group.
+// Heavy: the exact path tabulates a Poisson-binomial DP over a grid — for
+// continuous attributes at every edge — worth a worker per group.
 func (a *quantileAgg) Heavy() bool { return true }
 
 // sketch compresses one attribute distribution to its centered-quantile
@@ -116,11 +132,13 @@ type qContrib struct {
 }
 
 func (a *quantileAgg) Finalize(cs []PartialContrib) []AggOut {
-	qcs := make([]qContrib, len(cs))
+	s := a.pool.Get().(*quantileScratch)
+	defer a.release(s)
+	s.qcs = fit(s.qcs, len(cs))
 	for i, c := range cs {
-		qcs[i] = qContrib{d: c.U.Attr(a.attr), p: c.P, pts: c.Aux}
+		s.qcs[i] = qContrib{d: c.U.Attr(a.attr), p: c.P, pts: c.Aux}
 	}
-	return []AggOut{{D: a.result(qcs)}}
+	return []AggOut{{D: a.fold(s, s.qcs)}}
 }
 
 func (a *quantileAgg) NewAcc() Acc {
@@ -155,77 +173,41 @@ func (a *quantileAcc) Result(dst []AggOut) []AggOut {
 // result is the one fold both execution paths share: contributions in
 // global insertion order in, the quantile's result distribution out.
 func (a *quantileAgg) result(cs []qContrib) dist.Dist {
-	if len(cs) == 0 {
-		return dist.PointMass{V: 0}
-	}
-	var w float64
+	s := a.pool.Get().(*quantileScratch)
+	defer a.release(s)
+	return a.fold(s, cs)
+}
+
+// rank returns the expected population W = Σ p_i and the order-statistic
+// rank k = ⌈q·W⌉ clamped to [1, n]; ok is false when nothing can be ranked.
+func (a *quantileAgg) rank(cs []qContrib) (w float64, k int, ok bool) {
 	for _, c := range cs {
 		w += c.p
 	}
-	if w <= 0 {
-		return dist.PointMass{V: 0}
+	if len(cs) == 0 || w <= 0 {
+		return 0, 0, false
 	}
-	k := int(math.Ceil(a.q*w - 1e-9))
-	if k < 1 {
-		k = 1
-	}
-	if k > len(cs) {
-		k = len(cs)
-	}
-	if len(cs) <= a.opts.MaxExact {
-		return a.exact(cs, w, k)
-	}
-	return a.estimate(cs, w)
+	k = int(math.Ceil(a.q*w - 1e-9))
+	return w, min(max(k, 1), len(cs)), true
 }
 
-// exact tabulates the conditional order-statistic distribution
-// P(X_(k) ≤ x | N ≥ k) on a grid over the combined effective range.
-func (a *quantileAgg) exact(cs []qContrib, w float64, k int) dist.Dist {
-	// P(N ≥ k): the population must reach k for the k-th order statistic to
-	// exist. Below machine scale the conditional is vacuous — report the
-	// sketch quantile as a point answer rather than dividing by ~0.
-	ps := make([]float64, len(cs))
-	for i, c := range cs {
-		ps[i] = c.p
+// fold is result on caller-held scratch. s is working memory only; nothing
+// in the returned distribution aliases it.
+func (a *quantileAgg) fold(s *quantileScratch, cs []qContrib) dist.Dist {
+	w, k, ok := a.rank(cs)
+	if !ok {
+		return dist.PointMass{V: 0}
 	}
-	dp := make([]float64, k+1)
-	pN := pbTail(dp, ps, k)
-	if pN < 1e-12 {
-		x, _ := a.sketchQuantile(cs, w)
-		return dist.PointMass{V: x}
+	if len(cs) <= a.opts.MaxExact {
+		return a.exact(s, cs, w, k)
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, c := range cs {
-		l, h := dist.EffectiveRange(c.d, 1e-6)
-		lo = math.Min(lo, l)
-		hi = math.Max(hi, h)
-	}
-	if !(hi > lo) {
-		return dist.PointMass{V: lo}
-	}
-	g := a.opts.GridPoints
-	ts := make([]float64, len(cs))
-	masses := make([]float64, g)
-	prev := 0.0
-	for e := 1; e <= g; e++ {
-		x := lo + (hi-lo)*float64(e)/float64(g)
-		for i, c := range cs {
-			ts[i] = c.p * c.d.CDF(x)
-		}
-		f := pbTail(dp, ts, k) / pN
-		if f > 1 {
-			f = 1
-		}
-		masses[e-1] = math.Max(0, f-prev)
-		prev = f
-	}
-	return dist.NewHistogram(lo, hi, masses)
+	return a.estimate(s, cs, w)
 }
 
 // estimate is the large-window path: weighted lower quantile of the pooled
 // sketch points, wrapped in the asymptotic normal band.
-func (a *quantileAgg) estimate(cs []qContrib, w float64) dist.Dist {
-	x, ok := a.sketchQuantile(cs, w)
+func (a *quantileAgg) estimate(s *quantileScratch, cs []qContrib, w float64) dist.Dist {
+	x, ok := a.sketchQuantile(s, cs, w)
 	if !ok {
 		return dist.PointMass{V: 0}
 	}
@@ -256,25 +238,32 @@ func (a *quantileAgg) estimate(cs []qContrib, w float64) dist.Dist {
 	return dist.NewNormal(x, sd)
 }
 
+// weightedPoint is one pooled sketch point: a value and its share of the
+// contribution's inclusion probability.
+type weightedPoint struct {
+	x, w float64
+}
+
 // sketchQuantile returns the weighted lower q-quantile of the pooled sketch
 // points: the smallest point whose cumulative weight reaches q·W. Ties and
 // equal values resolve by insertion order (stable sort), so the answer is a
 // deterministic function of the ordered contribution list.
-func (a *quantileAgg) sketchQuantile(cs []qContrib, w float64) (float64, bool) {
-	type wp struct {
-		x, w float64
-	}
-	pts := make([]wp, 0, len(cs)*a.opts.SketchPoints)
+func (a *quantileAgg) sketchQuantile(s *quantileScratch, cs []qContrib, w float64) (float64, bool) {
+	pts := s.pts[:0]
 	for _, c := range cs {
 		pw := c.p / float64(len(c.pts))
 		for _, x := range c.pts {
-			pts = append(pts, wp{x: x, w: pw})
+			pts = append(pts, weightedPoint{x: x, w: pw})
 		}
 	}
+	s.pts = pts
 	if len(pts) == 0 {
 		return 0, false
 	}
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
+	byX := func(a, b weightedPoint) int { return cmp.Compare(a.x, b.x) }
+	if !slices.IsSortedFunc(pts, byX) {
+		slices.SortStableFunc(pts, byX)
+	}
 	target := a.q * w
 	cum := 0.0
 	for _, p := range pts {
@@ -284,29 +273,4 @@ func (a *quantileAgg) sketchQuantile(cs []qContrib, w float64) (float64, bool) {
 		}
 	}
 	return pts[len(pts)-1].x, true
-}
-
-// pbTail returns P(Σ Bernoulli(t_i) ≥ k) for independent trials, k ≥ 1, via
-// the truncated-count DP: dp[j] holds P(count = j) for j < k and dp[k] the
-// absorbed P(count ≥ k). dp is caller-provided scratch of length k+1
-// (resliced and zeroed here) so grid tabulation allocates once.
-func pbTail(dp []float64, ts []float64, k int) float64 {
-	dp = dp[:k+1]
-	for i := range dp {
-		dp[i] = 0
-	}
-	dp[0] = 1
-	for _, t := range ts {
-		if t < 0 {
-			t = 0
-		} else if t > 1 {
-			t = 1
-		}
-		dp[k] += t * dp[k-1]
-		for j := k - 1; j >= 1; j-- {
-			dp[j] = dp[j]*(1-t) + t*dp[j-1]
-		}
-		dp[0] *= 1 - t
-	}
-	return dp[k]
 }

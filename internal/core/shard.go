@@ -56,8 +56,12 @@ type windowAggOp struct {
 // (per-window re-evaluation) form regardless of the incremental
 // configuration: the incremental path's accumulators produce byte-identical
 // output to the rescan path (pinned by the equivalence tests), so the
-// sharded plan is equivalent to both; within a shard each window holds only
-// ~1/p of the stream, which is also what keeps the per-slide rescan cheap.
+// sharded plan is equivalent to both. The rescan is not cheap: every slide
+// re-runs dedup, membership and Prepare over the shard's whole window, so at
+// Range/Slide = 5 each tuple pays them five times — ≈10 % of streamd's CPU
+// under the q3_slide_ckpt benchmark workload (PR 12 profile). ROADMAP
+// "Collapse the parallel paths" removes it by driving shard partials from
+// the delta window.
 func (o *windowAggOp) Shard(p int) stream.ShardPlan {
 	cfg := o.cfg
 	name := o.Name()

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/lineage"
@@ -102,10 +105,13 @@ type UAgg interface {
 	Heavy() bool
 	// NewAcc builds a fresh incremental accumulator.
 	NewAcc() Acc
-	// Prepare runs the per-tuple shard-side work for the partial form.
+	// Finalize folds one group's prepared contributions, in global arrival
+	// order, into the window's result rows — the merge-side half of the
+	// partial form.
 	Finalize(cs []PartialContrib) []AggOut
-	// Prepare returns the prepared distribution and aux data for one
-	// contribution; the spine stamps Seq/U/P.
+	// Prepare runs the per-tuple shard-side work for the partial form: it
+	// returns the prepared distribution and aux data for one contribution;
+	// the spine stamps Seq/U/P.
 	Prepare(u *UTuple, p float64) (d dist.Dist, aux []float64)
 }
 
@@ -207,16 +213,12 @@ func emitFinalized(cfg WindowAggConfig, order []string, groups map[string][]Part
 	build := func(i int) {
 		g := order[i]
 		cs := groups[g]
-		if sortSeq {
-			sort.SliceStable(cs, func(a, b int) bool { return cs[a].Seq < cs[b].Seq })
+		// Already in order when one port contributed the whole group.
+		if sortSeq && !slices.IsSortedFunc(cs, bySeq) {
+			slices.SortStableFunc(cs, bySeq)
 		}
 		rows := cfg.Agg.Finalize(cs)
-		sets := make([]lineage.Set, len(cs))
-		for j := range cs {
-			sets[j] = cs[j].U.Lin
-		}
-		lin := lineage.UnionAll(sets...)
-		outs[i] = assembleRows(g, rows, lin, end, outNames)
+		outs[i] = assembleRows(g, rows, unionLineage(cs), end, outNames)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -236,6 +238,27 @@ func emitFinalized(cfg WindowAggConfig, order []string, groups map[string][]Part
 			emit(t)
 		}
 	}
+}
+
+func bySeq(a, b PartialContrib) int { return cmp.Compare(a.Seq, b.Seq) }
+
+// lineageSets recycles the per-group argument list of the lineage union
+// across groups, windows and the emission workers.
+var lineageSets = sync.Pool{New: func() any { return new([]lineage.Set) }}
+
+// unionLineage is the lineage of one group's output rows: the union over its
+// contributing tuples.
+func unionLineage(cs []PartialContrib) lineage.Set {
+	sp := lineageSets.Get().(*[]lineage.Set)
+	sets := (*sp)[:0]
+	for i := range cs {
+		sets = append(sets, cs[i].U.Lin)
+	}
+	lin := lineage.UnionAll(sets...)
+	clear(sets) // pooled scratch must not pin the window's lineage
+	*sp = sets
+	lineageSets.Put(sp)
+	return lin
 }
 
 // assembleRows builds the output carrier tuples for one group's rows: the
