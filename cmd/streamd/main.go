@@ -92,7 +92,7 @@ func main() {
 	def := server.DefaultQ1Config()
 	mode := flag.String("mode", "server", "server (single-process), worker (cluster worker), or router (cluster front end)")
 	addr := flag.String("addr", "127.0.0.1:9090", "TCP listen address for the JSON-lines protocol")
-	httpAddr := flag.String("http", "", "HTTP listen address for /statsz (empty disables)")
+	httpAddr := flag.String("http", "", "HTTP listen address for /statsz and /debug/pprof/ (empty disables)")
 	query := flag.String("query", "q1", "query plan to serve: q1 (fire code), q2 (flammable co-location), quantile (per-area weight quantile), or topk (top-k dominating)")
 	shards := flag.Int("shards", 2, "shard-parallel instances per eligible box (0 = unsharded; server mode only)")
 	windowMS := flag.Int64("window", int64(def.WindowMS), "q1 window Range in ms")

@@ -21,9 +21,17 @@ import (
 // insertion happen exactly once per tuple (Acc.Add), and each emission
 // touches only cached state: an accumulator Result for groups that changed,
 // a cache hit for groups that did not. The rescan realization remains as
-// the reference semantics and the fallback for window shapes the delta path
-// does not cover; equivalence tests pin byte-identical alerts between the
-// two.
+// the reference semantics and the realization of window shapes the delta
+// path does not cover; equivalence tests pin byte-identical alerts between
+// the two.
+//
+// The same box is the sliding-window partial of a sharded or clustered plan
+// (NewWindowAggPartialOp): in partial mode a group folds each surviving
+// contribution through the aggregate's Prepare, once, into a log of
+// PartialContribs stamped with the carrier's arrival sequence, and every
+// close ships each live group's log to the merge instead of a Result. The
+// admission, dedup, eviction and replay-restore code is shared, so the
+// partial's dedup winners are the unsharded path's by construction.
 //
 // The per-tuple bookkeeping is deliberately map-free on the hot path: a
 // tuple's contributions are recorded in a FIFO deque aligned with the
@@ -46,6 +54,7 @@ type contribRef struct {
 // with the stream window ring and evictions pop the front without a lookup.
 type tupleRec struct {
 	tupID  uint64
+	seq    uint64 // the carrier's arrival sequence (partial mode stamps it)
 	u      *UTuple
 	key    int64
 	hasKey bool
@@ -69,13 +78,26 @@ func (r *tupleRec) addRef(ref contribRef) {
 // lineage and an emission cache: a group untouched since its last emission
 // reuses the cached result rows and lineage set (for CFInvert that skips a
 // whole FFT inversion) — in slide-heavy configurations many groups are
-// unchanged between consecutive slides.
+// unchanged between consecutive slides. In partial mode acc and lins are
+// unused: parts holds the prepared contributions and sent the list last
+// shipped to the merge, which is immutable once shipped.
 type groupState struct {
 	acc   Acc
 	lins  idMultiset
 	dirty bool
 	rows  []AggOut
 	lin   lineage.Set
+
+	parts alog[*PartialContrib]
+	sent  []*PartialContrib
+}
+
+// live is the group's live contribution count.
+func (st *groupState) live() int {
+	if st.acc == nil {
+		return st.parts.liveN
+	}
+	return st.acc.Len()
 }
 
 // refresh re-derives the cached result rows and lineage if the group
@@ -93,6 +115,9 @@ func (st *groupState) refresh() {
 // implicit group "").
 type incWindowAgg struct {
 	cfg WindowAggConfig
+	// partial selects the shard/worker form: prepared contributions out,
+	// finalization left to the merge.
+	partial bool
 
 	states map[string]*groupState
 
@@ -114,6 +139,8 @@ type incWindowAgg struct {
 	}
 	recentNext int
 
+	chunk []PartialContrib // partial mode: contribution storage (newContrib)
+
 	outNames []string          // shared schema of emitted tuples: {attr, "group"}
 	names    []string          // emission scratch
 	outs     [][]*stream.Tuple // emission scratch
@@ -128,7 +155,10 @@ func (b *incWindowAgg) groupFor(name string) *groupState {
 	}
 	st := b.states[name]
 	if st == nil {
-		st = &groupState{acc: b.cfg.Agg.NewAcc()}
+		st = &groupState{}
+		if !b.partial {
+			st.acc = b.cfg.Agg.NewAcc()
+		}
 		b.states[name] = st
 	}
 	b.recent[b.recentNext] = struct {
@@ -143,8 +173,22 @@ func (b *incWindowAgg) groupFor(name string) *groupState {
 // window spec must be a sliding time window (the builder falls back to the
 // rescan box otherwise).
 func newIncWindowAggOp(name string, cfg WindowAggConfig) stream.Operator {
+	b := newIncWindowAgg(cfg, false)
+	return stream.NewDeltaWindowState(name, cfg.Window, b.onSlide, b)
+}
+
+// newIncWindowAggPartialOp builds the delta-driven partial of a sliding
+// window: externally clocked by the partitioner's close punctuations, which
+// it forwards to the merge after each close's partials.
+func newIncWindowAggPartialOp(name string, cfg WindowAggConfig) stream.Operator {
+	b := newIncWindowAgg(cfg, true)
+	return stream.NewExternalDeltaWindowState(name, cfg.Window, b.onSlide, b)
+}
+
+func newIncWindowAgg(cfg WindowAggConfig, partial bool) *incWindowAgg {
 	b := &incWindowAgg{
 		cfg:      cfg,
+		partial:  partial,
 		states:   make(map[string]*groupState),
 		outNames: []string{cfg.Agg.Attr(), "group"},
 	}
@@ -153,7 +197,7 @@ func newIncWindowAggOp(name string, cfg WindowAggConfig) stream.Operator {
 		// a map through its doubling stages re-hashes every resident key.
 		b.byKey = make(map[int64]uint64, 1024)
 	}
-	return stream.NewDeltaWindowState(name, cfg.Window, b.onSlide, b)
+	return b
 }
 
 func (b *incWindowAgg) onSlide(added, evicted []*stream.Tuple, end stream.Time, emit stream.Emit) {
@@ -170,7 +214,7 @@ func (b *incWindowAgg) onSlide(added, evicted []*stream.Tuple, end stream.Time, 
 	// never reaches the recompute path's per-window dedup survivors.
 	batchStart := len(b.recs)
 	for _, t := range added {
-		b.admit(Unwrap(t))
+		b.admit(t)
 	}
 	for i := batchStart; i < len(b.recs); i++ {
 		b.contribute(i)
@@ -219,8 +263,12 @@ func (b *incWindowAgg) withdrawAt(seq uint64) {
 		} else {
 			ref = r.spill[i-len(r.refs)]
 		}
-		ref.st.acc.Remove(ref.handle)
-		ref.st.lins.RemoveIDs(r.u.Lin.IDs())
+		if b.partial {
+			ref.st.parts.remove(ref.handle)
+		} else {
+			ref.st.acc.Remove(ref.handle)
+			ref.st.lins.RemoveIDs(r.u.Lin.IDs())
+		}
 		ref.st.dirty = true
 	}
 	r.nref = 0
@@ -248,9 +296,10 @@ func (b *incWindowAgg) compactRecs() {
 // admit records an arrival and resolves latest-wins dedup. Contributions
 // are NOT added here — contribute does that for the batch's winners once
 // the whole slide has been admitted.
-func (b *incWindowAgg) admit(u *UTuple) {
+func (b *incWindowAgg) admit(t *stream.Tuple) {
+	u := Unwrap(t)
 	seq := b.recBase + uint64(len(b.recs))
-	b.recs = append(b.recs, tupleRec{tupID: u.ID, u: u})
+	b.recs = append(b.recs, tupleRec{tupID: u.ID, seq: t.Seq, u: u})
 	r := &b.recs[len(b.recs)-1]
 	if b.cfg.DedupKey == "" || !u.HasKey(b.cfg.DedupKey) {
 		return // keyless tuples are never deduplicated (mirrors dedupLatest)
@@ -282,9 +331,9 @@ func (b *incWindowAgg) admit(u *UTuple) {
 	b.byKey[key] = seq
 }
 
-// contribute evaluates membership and runs the aggregate's Add for the
-// record at index i if it survived the batch dedup, inserting its
-// contributions into the group states.
+// contribute evaluates membership and runs the aggregate's Add (in partial
+// mode, its Prepare) for the record at index i if it survived the batch
+// dedup, inserting its contributions into the group states.
 func (b *incWindowAgg) contribute(i int) {
 	r := &b.recs[i]
 	if r.lost {
@@ -297,8 +346,16 @@ func (b *incWindowAgg) contribute(i int) {
 			continue
 		}
 		st := b.groupFor(gm.Group)
-		h := st.acc.Add(u, p)
-		st.lins.AddIDs(u.Lin.IDs())
+		var h uint64
+		if b.partial {
+			c := b.newContrib()
+			c.Seq, c.U, c.P = r.seq, u, p
+			c.D, c.Aux = b.cfg.Agg.Prepare(u, p)
+			h = st.parts.add(c)
+		} else {
+			h = st.acc.Add(u, p)
+			st.lins.AddIDs(u.Lin.IDs())
+		}
 		st.dirty = true
 		r.addRef(contribRef{st: st, handle: h})
 	}
@@ -314,7 +371,7 @@ func (b *incWindowAgg) contribute(i int) {
 func (b *incWindowAgg) emitGroups(end stream.Time, emit stream.Emit) {
 	b.names = b.names[:0]
 	for g, st := range b.states {
-		if st.acc.Len() == 0 {
+		if st.live() == 0 {
 			delete(b.states, g)
 			// Drop any cache entry for the deleted state: a later arrival
 			// must re-create the group through the map, not feed a ghost.
@@ -332,6 +389,10 @@ func (b *incWindowAgg) emitGroups(end stream.Time, emit stream.Emit) {
 		return
 	}
 	sort.Strings(b.names)
+	if b.partial {
+		b.emitPartials(end, emit)
+		return
+	}
 	if cap(b.outs) < len(b.names) {
 		b.outs = make([][]*stream.Tuple, len(b.names))
 	}
@@ -353,6 +414,37 @@ func (b *incWindowAgg) emitGroups(end stream.Time, emit stream.Emit) {
 		}
 	}
 }
+
+// emitPartials ships one groupPartial per live group, in group-name order,
+// carrying the group's prepared contributions in arrival (Seq) order. The
+// shipped slice is never mutated afterwards — the merge keeps it by
+// reference — so a group untouched since the previous close re-ships the
+// same one.
+func (b *incWindowAgg) emitPartials(end stream.Time, emit stream.Emit) {
+	for _, g := range b.names {
+		st := b.states[g]
+		if st.dirty || st.sent == nil {
+			st.sent = st.parts.appendLive(make([]*PartialContrib, 0, st.parts.liveN))
+			st.dirty = false
+		}
+		emit(stream.NewTuple(partialSchema, end, &groupPartial{end: end, group: g, contribs: st.sent}))
+	}
+}
+
+// newContrib returns storage for one prepared contribution, carved from a
+// chunk it shares with its neighbours in arrival order — neighbours that
+// leave the window at about the same time, so a chunk outlives its
+// contributions only briefly. The partial ships references to these, never
+// copies.
+func (b *incWindowAgg) newContrib() *PartialContrib {
+	if len(b.chunk) == cap(b.chunk) {
+		b.chunk = make([]PartialContrib, 0, contribChunk)
+	}
+	b.chunk = b.chunk[:len(b.chunk)+1]
+	return &b.chunk[len(b.chunk)-1]
+}
+
+const contribChunk = 64
 
 // runPool runs fn(0..n-1) across the given number of workers, claiming
 // indexes off an atomic counter; workers <= 1 runs inline. Each index is

@@ -163,10 +163,7 @@ func (a *quantileAcc) Remove(h uint64) { a.log.remove(h) }
 func (a *quantileAcc) Len() int        { return a.log.liveN }
 
 func (a *quantileAcc) Result(dst []AggOut) []AggOut {
-	a.scratch = a.scratch[:0]
-	a.log.each(func(_ uint64, c *qContrib) {
-		a.scratch = append(a.scratch, *c)
-	})
+	a.scratch = a.log.appendLive(a.scratch[:0])
 	return append(dst[:0], AggOut{D: a.agg.result(a.scratch)})
 }
 

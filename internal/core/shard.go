@@ -21,13 +21,16 @@ import (
 //     dedup, membership evaluation, and the aggregate's Prepare (gating +
 //     moment extraction for sums, sketching for quantiles and top-k) — and
 //     emits, per window close, its per-group prepared contribution lists
-//     tagged with the partitioner's arrival sequence.
+//     tagged with the partitioner's arrival sequence. Sliding windows run
+//     the unsharded path's delta window (incgroup.go), so each contribution
+//     is prepared once however many slides it lives through; tumbling and
+//     count windows evaluate each window once anyway and use the rescan.
 //   - The merge box collects partials until every shard has forwarded the
-//     window's close punctuation, restores each group's global contribution
-//     order by sequence stamp, and folds with the aggregate's Finalize —
-//     the exact code path the rescan realization uses — so the fold order,
-//     the RNG seeding, and therefore the emitted bytes match the unsharded
-//     plan.
+//     window's close punctuation, merges each group's per-shard lists —
+//     each already in arrival order — back into global arrival order by
+//     sequence stamp, and folds with the aggregate's Finalize — the exact
+//     code path the rescan realization uses — so the fold order, the RNG
+//     seeding, and therefore the emitted bytes match the unsharded plan.
 //
 // Groups are not used for routing because membership is probabilistic: one
 // tuple belongs to several candidate groups, and evaluating membership in
@@ -52,16 +55,7 @@ type windowAggOp struct {
 	cfg WindowAggConfig
 }
 
-// Shard implements PartitionedOp. Shard instances always use the rescan
-// (per-window re-evaluation) form regardless of the incremental
-// configuration: the incremental path's accumulators produce byte-identical
-// output to the rescan path (pinned by the equivalence tests), so the
-// sharded plan is equivalent to both. The rescan is not cheap: every slide
-// re-runs dedup, membership and Prepare over the shard's whole window, so at
-// Range/Slide = 5 each tuple pays them five times — ≈10 % of streamd's CPU
-// under the q3_slide_ckpt benchmark workload (PR 12 profile). ROADMAP
-// "Collapse the parallel paths" removes it by driving shard partials from
-// the delta window.
+// Shard implements PartitionedOp.
 func (o *windowAggOp) Shard(p int) stream.ShardPlan {
 	cfg := o.cfg
 	name := o.Name()
@@ -108,51 +102,31 @@ type aggKindOp struct {
 func (o *aggKindOp) AggKind() string { return o.kind }
 
 // NewWindowAggPartialOp builds one shard (or cluster-worker) instance of a
-// windowed aggregate: an externally clocked window whose close handler runs
-// dedup + membership + Prepare over its slice of the window and emits
-// per-group partials plus the forwarded close punctuations the merge
-// counts.
+// windowed aggregate: an externally clocked window that emits, per close
+// punctuation, one groupPartial per group with live contributions and then
+// forwards the close for the merge to count. Sliding time windows run on
+// the delta window — dedup, membership and Prepare once per tuple — and
+// everything else on the per-window rescan, by the same rule the unsharded
+// box uses.
 func NewWindowAggPartialOp(name string, cfg WindowAggConfig) stream.Operator {
-	inner := stream.NewExternalWindow(name, cfg.Window, func(window []*stream.Tuple, end stream.Time, emit stream.Emit) {
-		if len(window) == 0 {
-			return
-		}
-		survivors := window
-		if cfg.DedupKey != "" {
-			survivors = dedupLatestTuples(window, cfg.DedupKey)
-		}
-		groups := make(map[string]*groupPartial)
-		var order []*groupPartial
-		for _, t := range survivors {
-			u := Unwrap(t)
-			for _, gm := range cfg.memberOf(u) {
-				p := gm.P * u.Exist
-				if p <= 0 {
-					continue
-				}
-				d, aux := cfg.Agg.Prepare(u, p)
-				gp := groups[gm.Group]
-				if gp == nil {
-					gp = &groupPartial{end: end, group: gm.Group}
-					groups[gm.Group] = gp
-					order = append(order, gp)
-				}
-				gp.contribs = append(gp.contribs, PartialContrib{Seq: t.Seq, U: u, P: p, D: d, Aux: aux})
-			}
-		}
-		for _, gp := range order {
-			emit(stream.NewTuple(partialSchema, end, gp))
-		}
-	})
+	var inner stream.Operator
+	if cfg.incremental() {
+		inner = newIncWindowAggPartialOp(name, cfg)
+	} else {
+		inner = stream.NewExternalWindow(name, cfg.Window, windowAggRescan{cfg}.partials)
+	}
 	return &aggKindOp{Operator: inner, kind: cfg.Agg.Kind()}
 }
 
 // groupPartial is one shard's contribution list for one group of one
-// window — the payload flowing from shard instances to the merge.
+// window — the payload flowing from shard instances to the merge. The list
+// holds references in arrival (Seq) order; list and contributions are
+// immutable once emitted, so the merge and later windows' partials share
+// them instead of copying.
 type groupPartial struct {
 	end      stream.Time
 	group    string
-	contribs []PartialContrib
+	contribs []*PartialContrib
 }
 
 // partialSchema carries groupPartial payloads between shard and merge.
@@ -184,8 +158,28 @@ func dedupLatestTuples(window []*stream.Tuple, key string) []*stream.Tuple {
 type mergeWin struct {
 	end    stream.Time
 	closes int
-	groups map[string][]PartialContrib
-	order  []string
+	idx    map[string]int // group name → position in groups
+	groups []mergeGroup   // first-arrival order
+}
+
+// mergeGroup is one group's partials for one window: the contribution list
+// of every partial received for it, by reference. Each list is in arrival
+// (Seq) order.
+type mergeGroup struct {
+	name string
+	runs [][]*PartialContrib
+}
+
+// group returns the window's entry for a group name, adding it on first
+// sight.
+func (w *mergeWin) group(name string) *mergeGroup {
+	i, ok := w.idx[name]
+	if !ok {
+		i = len(w.groups)
+		w.idx[name] = i
+		w.groups = append(w.groups, mergeGroup{name: name})
+	}
+	return &w.groups[i]
 }
 
 // windowAggMerge reunifies shard partials: one window finalizes after its
@@ -196,8 +190,8 @@ type mergeWin struct {
 // names the same window on every port, even when consecutive windows share
 // an end timestamp (count windows over duplicate timestamps, where
 // end-keyed matching would conflate them under channel interleaving).
-// Finalization sorts groups by name and each group's contributions by
-// arrival sequence, then folds with the aggregate's Finalize — the exact
+// Finalization merges each group's partial lists by arrival sequence and
+// folds the groups in name order with the aggregate's Finalize — the exact
 // unsharded emission.
 type windowAggMerge struct {
 	name string
@@ -209,6 +203,10 @@ type windowAggMerge struct {
 	closed []int
 	wins   map[int]*mergeWin
 	next   int // lowest unfinalized window ordinal
+
+	// buf holds the merged contributions of the window being finalized,
+	// reused across windows.
+	buf []PartialContrib
 }
 
 // NewWindowAggMergeOp builds the p-way deterministic merge of a sharded or
@@ -224,7 +222,7 @@ func (o *windowAggMerge) AggKind() string { return o.cfg.Agg.Kind() }
 func (o *windowAggMerge) win(ordinal int) *mergeWin {
 	w := o.wins[ordinal]
 	if w == nil {
-		w = &mergeWin{groups: make(map[string][]PartialContrib)}
+		w = &mergeWin{idx: make(map[string]int)}
 		o.wins[ordinal] = w
 	}
 	return w
@@ -249,22 +247,66 @@ func (o *windowAggMerge) Process(port int, t *stream.Tuple, emit stream.Emit) {
 		return // punctuations end their envelope here
 	}
 	gp := t.Get("__partial").(*groupPartial)
-	w := o.win(o.closed[port])
-	if _, seen := w.groups[gp.group]; !seen {
-		w.order = append(w.order, gp.group)
-	}
-	w.groups[gp.group] = append(w.groups[gp.group], gp.contribs...)
+	g := o.win(o.closed[port]).group(gp.group)
+	g.runs = append(g.runs, gp.contribs)
 }
 
 // finalize emits the completed window through the shared emitFinalized
-// fold: groups in name order, each group's contributions re-sorted into
-// global arrival order.
+// fold. Each group's partial lists are merged by sequence stamp into the
+// merge's reused buffer — sized up front, so the group slices handed to the
+// fold stay valid — which is the one place contributions are copied.
 func (o *windowAggMerge) finalize(ordinal int, w *mergeWin, emit stream.Emit) {
 	delete(o.wins, ordinal)
 	if ordinal >= o.next {
 		o.next = ordinal + 1
 	}
-	emitFinalized(o.cfg, w.order, w.groups, w.end, true, emit)
+	total := 0
+	for i := range w.groups {
+		for _, r := range w.groups[i].runs {
+			total += len(r)
+		}
+	}
+	if cap(o.buf) < total {
+		o.buf = make([]PartialContrib, 0, total)
+	}
+	buf, final := o.buf[:0], make([]finalGroup, 0, len(w.groups))
+	for i := range w.groups {
+		g := &w.groups[i]
+		start := len(buf)
+		buf = mergeBySeq(buf, g.runs)
+		final = append(final, finalGroup{name: g.name, cs: buf[start:len(buf):len(buf)]})
+	}
+	emitFinalized(o.cfg, final, w.end, emit)
+	// Keep the buffer, not what it points at: the window's tuples are
+	// garbage once folded.
+	clear(buf)
+	o.buf = buf[:0]
+}
+
+// mergeBySeq appends the sequence-ordered merge of runs — each already in
+// Seq order — to dst, consuming the run slices. Sequence stamps are unique
+// across runs (a tuple is routed to one shard), so the result is the one
+// global arrival order of the group's contributions.
+func mergeBySeq(dst []PartialContrib, runs [][]*PartialContrib) []PartialContrib {
+	if len(runs) == 1 {
+		for _, c := range runs[0] {
+			dst = append(dst, *c)
+		}
+		return dst
+	}
+	for {
+		best := -1
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || r[0].Seq < runs[best][0].Seq) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return dst
+		}
+		dst = append(dst, *runs[best][0])
+		runs[best] = runs[best][1:]
+	}
 }
 
 // Flush finalizes any windows still pending, in ordinal order — defensive:

@@ -157,7 +157,7 @@ func encodeGroupPartial(w *snap.Writer, gp *groupPartial) error {
 	w.String(gp.group)
 	w.Uvarint(uint64(len(gp.contribs)))
 	for _, c := range gp.contribs {
-		if err := encodeContrib(w, c); err != nil {
+		if err := encodeContrib(w, *c); err != nil {
 			return err
 		}
 	}
@@ -175,14 +175,15 @@ func decodeGroupPartial(r *snap.Reader) (*groupPartial, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	gp.contribs = make([]PartialContrib, 0, n)
+	cs := make([]PartialContrib, 0, n)
 	for i := 0; i < n; i++ {
 		c, err := decodeContrib(r)
 		if err != nil {
 			return nil, err
 		}
-		gp.contribs = append(gp.contribs, c)
+		cs = append(cs, c)
 	}
+	gp.contribs = refs(cs)
 	return gp, nil
 }
 
@@ -360,7 +361,7 @@ func (b *incWindowAgg) RestoreState(data []byte, announced []*stream.Tuple) erro
 	}{}
 	b.recentNext = 0
 	for _, t := range announced {
-		b.admit(Unwrap(t))
+		b.admit(t)
 	}
 	for i := 0; i < len(b.recs); i++ {
 		b.contribute(i)
@@ -502,7 +503,10 @@ func (o *aggKindOp) Restore(data []byte) error {
 const mergeSnapV2 = 2 // v2: generalized contribution layout (partialSnapV2)
 
 // Snapshot implements stream.Snapshotter: per-port close counts plus every
-// pending window's partial contributions, keyed by close ordinal.
+// pending window's partial contributions, keyed by close ordinal. A group's
+// partial lists are written back to back in arrival order, which is also
+// the v2 layout of the merge that concatenated them on arrival; Restore
+// splits the flat list back into arrival-ordered runs.
 func (o *windowAggMerge) Snapshot() ([]byte, error) {
 	w := &snap.Writer{}
 	w.U8(mergeSnapV2)
@@ -522,14 +526,19 @@ func (o *windowAggMerge) Snapshot() ([]byte, error) {
 		w.Varint(int64(ord))
 		w.Varint(int64(win.end))
 		w.Varint(int64(win.closes))
-		w.Uvarint(uint64(len(win.order)))
-		for _, g := range win.order {
-			w.String(g)
-			cs := win.groups[g]
-			w.Uvarint(uint64(len(cs)))
-			for _, c := range cs {
-				if err := encodeContrib(w, c); err != nil {
-					return nil, err
+		w.Uvarint(uint64(len(win.groups)))
+		for _, g := range win.groups {
+			w.String(g.name)
+			n := 0
+			for _, run := range g.runs {
+				n += len(run)
+			}
+			w.Uvarint(uint64(n))
+			for _, run := range g.runs {
+				for _, c := range run {
+					if err := encodeContrib(w, *c); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
@@ -557,7 +566,7 @@ func (o *windowAggMerge) Restore(data []byte) error {
 	}
 	for i := 0; i < nw; i++ {
 		ord := int(r.Varint())
-		win := &mergeWin{groups: make(map[string][]PartialContrib)}
+		win := &mergeWin{idx: make(map[string]int)}
 		win.end = stream.Time(r.Varint())
 		win.closes = int(r.Varint())
 		ng := r.Len()
@@ -565,7 +574,7 @@ func (o *windowAggMerge) Restore(data []byte) error {
 			break
 		}
 		for j := 0; j < ng; j++ {
-			g := r.String()
+			g := win.group(r.String())
 			nc := r.Len()
 			if r.Err() != nil {
 				break
@@ -578,10 +587,26 @@ func (o *windowAggMerge) Restore(data []byte) error {
 				}
 				cs = append(cs, c)
 			}
-			win.order = append(win.order, g)
-			win.groups[g] = cs
+			g.runs = append(g.runs, seqRuns(cs)...)
 		}
 		o.wins[ord] = win
 	}
 	return r.Close()
+}
+
+// seqRuns splits a flat contribution list into its maximal Seq-ascending
+// runs — the per-partial lists a snapshot wrote back to back. Adjacent lists
+// that happen to continue in order come back as one run, which merges
+// identically.
+func seqRuns(cs []PartialContrib) [][]*PartialContrib {
+	all := refs(cs)
+	var runs [][]*PartialContrib
+	start := 0
+	for i := 1; i < len(all); i++ {
+		if all[i].Seq < all[i-1].Seq {
+			runs = append(runs, all[start:i:i])
+			start = i
+		}
+	}
+	return append(runs, all[start:])
 }

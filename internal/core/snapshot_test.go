@@ -175,7 +175,7 @@ func TestGroupPartialCodecRoundTrip(t *testing.T) {
 	gp := &groupPartial{
 		end:   5000,
 		group: "area(3,4)",
-		contribs: []PartialContrib{
+		contribs: []*PartialContrib{
 			{Seq: 11, P: 0.75, D: dist.NewNormal(150, 4), Aux: []float64{1.5, -2}, U: u},
 			{Seq: 12, P: 1, D: dist.PointMass{V: 0}, U: NewUTuple(901, []string{"weight"}, []dist.Dist{dist.PointMass{V: 1}})},
 		},

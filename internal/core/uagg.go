@@ -1,10 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"runtime"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/dist"
@@ -156,30 +155,45 @@ func NewWindowAggOp(name string, cfg WindowAggConfig) stream.Operator {
 	return &windowAggOp{Operator: newWindowAggInner(name, cfg), cfg: cfg}
 }
 
+// incremental reports whether the window runs on the delta window: sliding
+// time windows do unless Recompute pins the per-window evaluation. The
+// unsharded box and the shard/worker partial share this rule, so each
+// window shape has exactly one production realization of each.
+func (cfg *WindowAggConfig) incremental() bool {
+	return cfg.Window.Slide > 0 && !cfg.Recompute
+}
+
 // newWindowAggInner builds the unsharded realization: incremental for
 // sliding time windows, rescan otherwise.
 func newWindowAggInner(name string, cfg WindowAggConfig) stream.Operator {
-	if cfg.Window.Slide > 0 && !cfg.Recompute {
+	if cfg.incremental() {
 		return newIncWindowAggOp(name, cfg)
 	}
-	return stream.NewWindow(name, cfg.Window, func(window []*stream.Tuple, end stream.Time, emit stream.Emit) {
-		rescanWindowAgg(cfg, window, end, emit)
-	})
+	return stream.NewWindow(name, cfg.Window, windowAggRescan{cfg}.finalize)
 }
 
-// rescanWindowAgg is the recompute realization of one window close: dedup,
-// membership, Prepare per contribution, then the same per-group Finalize
-// fold the shard merge runs — reference semantics by construction.
-func rescanWindowAgg(cfg WindowAggConfig, window []*stream.Tuple, end stream.Time, emit stream.Emit) {
+// windowAggRescan is the per-window evaluation of a windowed aggregate:
+// every close runs dedup, membership and Prepare over the window's tuples.
+// It realizes tumbling and count windows, and sliding windows under
+// Recompute — the reference semantics the delta path is pinned against.
+// finalize folds the window in place (the unsharded box); partials ships the
+// prepared groups to a merge (a shard or cluster-worker instance), which
+// folds them with the same emitFinalized.
+type windowAggRescan struct{ cfg WindowAggConfig }
+
+// prepare returns the window's groups in first-contribution order, each
+// group's contributions in arrival order.
+func (r windowAggRescan) prepare(window []*stream.Tuple) []finalGroup {
 	if len(window) == 0 {
-		return
+		return nil
 	}
+	cfg := &r.cfg
 	survivors := window
 	if cfg.DedupKey != "" {
 		survivors = dedupLatestTuples(window, cfg.DedupKey)
 	}
-	groups := make(map[string][]PartialContrib)
-	var order []string
+	idx := make(map[string]int)
+	var groups []finalGroup
 	for _, t := range survivors {
 		u := Unwrap(t)
 		for _, gm := range cfg.memberOf(u) {
@@ -188,37 +202,59 @@ func rescanWindowAgg(cfg WindowAggConfig, window []*stream.Tuple, end stream.Tim
 				continue
 			}
 			d, aux := cfg.Agg.Prepare(u, p)
-			if _, seen := groups[gm.Group]; !seen {
-				order = append(order, gm.Group)
+			i, seen := idx[gm.Group]
+			if !seen {
+				i = len(groups)
+				idx[gm.Group] = i
+				groups = append(groups, finalGroup{name: gm.Group})
 			}
-			groups[gm.Group] = append(groups[gm.Group], PartialContrib{Seq: t.Seq, U: u, P: p, D: d, Aux: aux})
+			groups[i].cs = append(groups[i].cs, PartialContrib{Seq: t.Seq, U: u, P: p, D: d, Aux: aux})
 		}
 	}
-	emitFinalized(cfg, order, groups, end, false, emit)
+	return groups
 }
 
-// emitFinalized folds and emits each group's rows in group-name order. The
-// contributions must already be in global arrival order unless sortSeq asks
-// for the merge-side re-sort by sequence stamp. For heavy aggregates the
-// per-group folds fan out across a worker pool; emission stays sequential
-// in name order, so output is deterministic regardless of scheduling.
-func emitFinalized(cfg WindowAggConfig, order []string, groups map[string][]PartialContrib,
-	end stream.Time, sortSeq bool, emit stream.Emit) {
-	if len(order) == 0 {
+func (r windowAggRescan) finalize(window []*stream.Tuple, end stream.Time, emit stream.Emit) {
+	emitFinalized(r.cfg, r.prepare(window), end, emit)
+}
+
+func (r windowAggRescan) partials(window []*stream.Tuple, end stream.Time, emit stream.Emit) {
+	for _, g := range r.prepare(window) {
+		emit(stream.NewTuple(partialSchema, end, &groupPartial{end: end, group: g.name, contribs: refs(g.cs)}))
+	}
+}
+
+// refs lists references to the elements of cs, in order.
+func refs(cs []PartialContrib) []*PartialContrib {
+	out := make([]*PartialContrib, len(cs))
+	for i := range cs {
+		out[i] = &cs[i]
+	}
+	return out
+}
+
+// finalGroup is one group's contributions for a window fold, in global
+// arrival order.
+type finalGroup struct {
+	name string
+	cs   []PartialContrib
+}
+
+// emitFinalized folds and emits each group's rows in group-name order
+// (sorting groups in place). For heavy aggregates the per-group folds fan
+// out across a worker pool; emission stays sequential in name order, so
+// output is deterministic regardless of scheduling.
+func emitFinalized(cfg WindowAggConfig, groups []finalGroup, end stream.Time, emit stream.Emit) {
+	if len(groups) == 0 {
 		return
 	}
-	sort.Strings(order)
+	slices.SortFunc(groups, func(a, b finalGroup) int { return strings.Compare(a.name, b.name) })
 	outNames := []string{cfg.Agg.Attr(), "group"}
-	outs := make([][]*stream.Tuple, len(order))
+	outs := make([][]*stream.Tuple, len(groups))
 	build := func(i int) {
-		g := order[i]
-		cs := groups[g]
-		// Already in order when one port contributed the whole group.
-		if sortSeq && !slices.IsSortedFunc(cs, bySeq) {
-			slices.SortStableFunc(cs, bySeq)
-		}
-		rows := cfg.Agg.Finalize(cs)
-		outs[i] = assembleRows(g, rows, unionLineage(cs), end, outNames)
+		g := &groups[i]
+		rows := cfg.Agg.Finalize(g.cs)
+		outs[i] = assembleRows(g.name, rows, unionLineage(g.cs), end, outNames)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -226,21 +262,19 @@ func emitFinalized(cfg WindowAggConfig, order []string, groups map[string][]Part
 		// union and tuple assembly; the pool pays off for the cheap moment
 		// strategies too once there are enough groups (it is the serial tail
 		// that would otherwise cap shard scaling).
-		if cfg.Agg.Heavy() || len(order) >= 8 {
+		if cfg.Agg.Heavy() || len(groups) >= 8 {
 			workers = runtime.GOMAXPROCS(0)
 		} else {
 			workers = 1
 		}
 	}
-	runPool(workers, len(order), build)
+	runPool(workers, len(groups), build)
 	for _, ts := range outs {
 		for _, t := range ts {
 			emit(t)
 		}
 	}
 }
-
-func bySeq(a, b PartialContrib) int { return cmp.Compare(a.Seq, b.Seq) }
 
 // lineageSets recycles the per-group argument list of the lineage union
 // across groups, windows and the emission workers.
@@ -349,6 +383,16 @@ func (l *alog[E]) compact() {
 		l.base += uint64(l.head)
 		l.head = 0
 	}
+}
+
+// appendLive appends the live entries to dst in insertion order.
+func (l *alog[E]) appendLive(dst []E) []E {
+	for i := l.head; i < len(l.entries); i++ {
+		if !l.entries[i].dead {
+			dst = append(dst, l.entries[i].v)
+		}
+	}
+	return dst
 }
 
 // each visits the live entries in insertion order with their handles.

@@ -213,7 +213,7 @@ func (r *Ring) Spread() map[string]float64 {
 		return nil
 	}
 	shares := map[string]float64{}
-	const full = float64(1 << 63) * 2
+	const full = float64(1<<63) * 2
 	for i, p := range r.points {
 		prev := r.points[(i+len(r.points)-1)%len(r.points)].hash
 		span := p.hash - prev // wraps correctly in uint64 arithmetic

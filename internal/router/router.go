@@ -54,7 +54,8 @@ import (
 type Config struct {
 	// Addr is the client-facing TCP listen address (":0" picks a port).
 	Addr string
-	// HTTPAddr, when non-empty, serves GET /statsz.
+	// HTTPAddr, when non-empty, serves GET /statsz and the runtime profiles
+	// under /debug/pprof/.
 	HTTPAddr string
 	// Workers are the worker addresses; index i is logical slot i.
 	Workers []string
@@ -483,6 +484,7 @@ func New(cfg Config) (*Router, error) {
 		r.httpLn = httpLn
 		mux := http.NewServeMux()
 		mux.HandleFunc("/statsz", r.handleStatsz)
+		server.MountPprof(mux)
 		srv := &http.Server{Handler: mux}
 		r.wg.Add(1)
 		go func() {

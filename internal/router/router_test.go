@@ -74,7 +74,13 @@ func wireTrace(t testing.TB, objects, events int) []server.Msg {
 func offlineAlertLines(t testing.TB, msgs []server.Msg, cfg uop.Q1Config) []string {
 	t.Helper()
 	cfg.Shards = 0
-	c := uop.BuildQ1(cfg).Compile()
+	return offlineLines(t, msgs, uop.BuildQ1(cfg))
+}
+
+// offlineLines is offlineAlertLines for any single-source query.
+func offlineLines(t testing.TB, msgs []server.Msg, q *uop.Query) []string {
+	t.Helper()
+	c := q.Compile()
 	var lines []string
 	collect := func(ts []*stream.Tuple) {
 		for _, tp := range ts {
@@ -109,7 +115,13 @@ type cluster struct {
 
 func startCluster(t *testing.T, n int, qcfg uop.Q1Config, mut func(*Config)) *cluster {
 	t.Helper()
-	plan, err := uop.BuildQ1(qcfg).Cluster()
+	return startClusterQuery(t, n, uop.BuildQ1(qcfg), mut)
+}
+
+// startClusterQuery is startCluster for any clusterable query.
+func startClusterQuery(t *testing.T, n int, q *uop.Query, mut func(*Config)) *cluster {
+	t.Helper()
+	plan, err := q.Cluster()
 	if err != nil {
 		t.Fatalf("Cluster(): %v", err)
 	}
@@ -493,9 +505,9 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{Addr: "127.0.0.1:0", Workers: []string{"127.0.0.1:1"}},             // no plan
-		{Addr: "127.0.0.1:0", Plan: plan},                                    // no workers
-		{Plan: plan, Workers: []string{"127.0.0.1:1"}},                       // no addr
+		{Addr: "127.0.0.1:0", Workers: []string{"127.0.0.1:1"}},                                   // no plan
+		{Addr: "127.0.0.1:0", Plan: plan},                                                         // no workers
+		{Plan: plan, Workers: []string{"127.0.0.1:1"}},                                            // no addr
 		{Addr: "127.0.0.1:0", Plan: plan, Workers: []string{"127.0.0.1:1"}, Weights: []int{1, 2}}, // weight arity
 	}
 	for i, cfg := range bad {

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,7 +26,8 @@ type Config struct {
 	// Addr is the TCP listen address for the JSON-lines protocol
 	// (host:port; ":0" picks a free port — tests use this).
 	Addr string
-	// HTTPAddr, when non-empty, serves GET /statsz on a second listener.
+	// HTTPAddr, when non-empty, serves GET /statsz and the runtime profiles
+	// under /debug/pprof/ on a second listener.
 	HTTPAddr string
 	// NewPlan compiles one fresh diagram per engine epoch (required).
 	// Q1Plan/Q2Plan build the standard factories.
@@ -169,6 +171,7 @@ func New(cfg Config) (*Server, error) {
 		s.httpLn = httpLn
 		mux := http.NewServeMux()
 		mux.HandleFunc("/statsz", s.handleStatsz)
+		MountPprof(mux)
 		srv := &http.Server{Handler: mux}
 		s.wg.Add(1)
 		go func() {
@@ -184,6 +187,17 @@ func New(cfg Config) (*Server, error) {
 
 // Addr returns the protocol listener's address (for ":0" configs).
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
+
+// MountPprof serves the runtime profiles of net/http/pprof — CPU, heap,
+// goroutines, execution trace — under /debug/pprof/ on mux, so a profile
+// of a running daemon or router is one HTTP GET on its -http listener.
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
 
 // HTTPAddr returns the /statsz listener's address, or nil.
 func (s *Server) HTTPAddr() net.Addr {

@@ -289,12 +289,12 @@ func TestServerMalformedLines(t *testing.T) {
 	c := dialServer(t, s)
 	bad := []string{
 		`this is not json`,
-		`{"kind":"tuple","t_ms":100}`,                                                  // no attrs
-		`{"kind":"tuple","t_ms":100,"attrs":{"x":[1,-2],"weight":140}}`,                // negative std
-		`{"kind":"tuple","t_ms":100,"attrs":{"x":{"not":"an attr"},"weight":140}}`,     // wrong attr shape
-		`{"kind":"tuple","t_ms":-5,"attrs":{"x":1,"weight":140}}`,                      // negative time
-		`{"kind":"tuple","source":"nonexistent","t_ms":100,"attrs":{"x":1}}`,           // unknown source
-		`{"kind":"frobnicate"}`,                                                        // unknown kind
+		`{"kind":"tuple","t_ms":100}`, // no attrs
+		`{"kind":"tuple","t_ms":100,"attrs":{"x":[1,-2],"weight":140}}`,            // negative std
+		`{"kind":"tuple","t_ms":100,"attrs":{"x":{"not":"an attr"},"weight":140}}`, // wrong attr shape
+		`{"kind":"tuple","t_ms":-5,"attrs":{"x":1,"weight":140}}`,                  // negative time
+		`{"kind":"tuple","source":"nonexistent","t_ms":100,"attrs":{"x":1}}`,       // unknown source
+		`{"kind":"frobnicate"}`, // unknown kind
 	}
 	for _, line := range bad {
 		c.sendRaw(line)

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,8 +35,44 @@ type Store interface {
 // makes the bytes durable before the name moves, and the directory fsync
 // makes the name move itself durable — so a crash at any point leaves
 // either the old complete file or the new complete file.
+//
+// Each file wraps its blob in an envelope — payload length and CRC-32C —
+// so a file the protocol cannot protect (truncated by a full disk, bit-rotted,
+// edited by hand) fails Get with ErrCorruptFile instead of handing a decoder
+// bytes that might parse as the wrong state.
 type FileStore struct {
 	dir string
+}
+
+// ErrCorruptFile is the base error Get returns for a checkpoint file whose
+// envelope does not check out.
+var ErrCorruptFile = errors.New("server: corrupt checkpoint file")
+
+// envelope: u64 payload length, u32 CRC-32C of the payload (little endian),
+// then the payload.
+const envelopeHeader = 12
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func seal(data []byte) []byte {
+	out := make([]byte, envelopeHeader, envelopeHeader+len(data))
+	binary.LittleEndian.PutUint64(out, uint64(len(data)))
+	binary.LittleEndian.PutUint32(out[8:], crc32.Checksum(data, castagnoli))
+	return append(out, data...)
+}
+
+func unseal(file []byte) ([]byte, error) {
+	if len(file) < envelopeHeader {
+		return nil, fmt.Errorf("%w: %d bytes, shorter than its header", ErrCorruptFile, len(file))
+	}
+	payload := file[envelopeHeader:]
+	if n := binary.LittleEndian.Uint64(file); n != uint64(len(payload)) {
+		return nil, fmt.Errorf("%w: header says %d payload bytes, file holds %d", ErrCorruptFile, n, len(payload))
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(file[8:]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptFile)
+	}
+	return payload, nil
 }
 
 // NewFileStore opens (creating if needed) a checkpoint directory.
@@ -58,7 +97,7 @@ func (s *FileStore) Put(epoch int, data []byte) error {
 		return fmt.Errorf("server: checkpoint temp: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := tmp.Write(seal(data)); err != nil {
 		tmp.Close()
 		return fmt.Errorf("server: checkpoint write: %w", err)
 	}
@@ -88,11 +127,16 @@ func (s *FileStore) syncDir() error {
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store; a file whose envelope does not check out is an
+// ErrCorruptFile error.
 func (s *FileStore) Get(epoch int) ([]byte, error) {
-	data, err := os.ReadFile(s.path(epoch))
+	file, err := os.ReadFile(s.path(epoch))
 	if err != nil {
 		return nil, fmt.Errorf("server: checkpoint read: %w", err)
+	}
+	data, err := unseal(file)
+	if err != nil {
+		return nil, fmt.Errorf("epoch %d: %w", epoch, err)
 	}
 	return data, nil
 }

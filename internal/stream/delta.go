@@ -19,6 +19,9 @@ type deltaWindowOp struct {
 	name string
 	spec WindowSpec
 	fn   DeltaWindowFunc
+	// external slides on the close punctuations of a Partition box instead
+	// of its own clock (see NewExternalDeltaWindowState).
+	external bool
 
 	// ring[head:] are the retained tuples in arrival order; entries before
 	// newStart have been announced as added, entries at or after it are
@@ -57,6 +60,17 @@ func NewDeltaWindow(name string, spec WindowSpec, fn DeltaWindowFunc) Operator {
 func (o *deltaWindowOp) Name() string { return o.name }
 
 func (o *deltaWindowOp) Process(_ int, t *Tuple, emit Emit) {
+	if o.external {
+		if c, ok := controlOf(t); ok {
+			if c.kind == ctlClose {
+				o.closeSlide(c.end, emit)
+			}
+			emit(t) // forward the punctuation to the merge
+			return
+		}
+		o.admit(t)
+		return
+	}
 	if !o.started {
 		o.started = true
 		o.winStart = t.TS
@@ -66,6 +80,12 @@ func (o *deltaWindowOp) Process(_ int, t *Tuple, emit Emit) {
 		o.closeSlide(end, emit)
 		o.winStart = end
 	}
+	o.admit(t)
+}
+
+// admit appends an arrival to the ring, noting whether it breaks timestamp
+// order.
+func (o *deltaWindowOp) admit(t *Tuple) {
 	if len(o.ring) > o.head && t.TS < o.ring[len(o.ring)-1].TS {
 		o.sorted = false
 	}
@@ -148,6 +168,9 @@ func (o *deltaWindowOp) compact() {
 // rescan window's flush: every retained tuple appears in each remaining
 // window it belongs to, and the trailing all-evicted slide is not fired.
 func (o *deltaWindowOp) Flush(emit Emit) {
+	if o.external {
+		return // the partitioner's Flush broadcasts the final closes
+	}
 	for o.head < len(o.ring) {
 		end := o.winStart + o.spec.Slide
 		lo := end - o.spec.Duration

@@ -140,3 +140,152 @@ func TestDeltaWindowRejectsNonSliding(t *testing.T) {
 		}()
 	}
 }
+
+// clockedInput runs in through a one-shard clocked partition and returns
+// what a shard instance behind it receives: the stamped data tuples with the
+// broadcast close punctuations interleaved, final flush closes included.
+func clockedInput(spec WindowSpec, in []*Tuple) []*Tuple {
+	part := NewPartition("part", 1, PartitionSpec{Clock: &spec})
+	var out []*Tuple
+	emit := func(t *Tuple) { out = append(out, t) }
+	for _, t := range in {
+		part.Process(0, t, emit)
+	}
+	part.Flush(emit)
+	return out
+}
+
+// TestExternalDeltaWindowMatchesExternalWindow: driven by the same close
+// punctuations, the externally clocked delta window's reconstructed
+// contents equal the external rescan window's at every close — stragglers,
+// empty slides and a slide gap wider than the range included — and both
+// forward exactly the punctuations they receive.
+func TestExternalDeltaWindowMatchesExternalWindow(t *testing.T) {
+	s := NewSchema("v")
+	cases := []struct {
+		name string
+		spec WindowSpec
+		tss  []Time
+	}{
+		{"basic", WindowSpec{Duration: 10, Slide: 5}, []Time{0, 2, 6, 8, 12, 14}},
+		{"stragglers", WindowSpec{Duration: 10, Slide: 5}, []Time{0, 7, 3, 9, 2, 14, 8, 21, 16, 30}},
+		{"empty-slides", WindowSpec{Duration: 4, Slide: 2}, []Time{0, 1, 20, 21, 40}},
+		{"gap-wider-than-range", WindowSpec{Duration: 2, Slide: 5}, []Time{0, 1, 3, 6, 8, 12, 2}},
+		{"dense", WindowSpec{Duration: 5, Slide: 1}, []Time{0, 0, 1, 1, 2, 3, 3, 4, 7, 9, 9, 10, 11, 15}},
+	}
+	render := func(ids []uint64, end Time) string { return fmt.Sprintf("@%d%v", end, ids) }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var in []*Tuple
+			for i, ts := range tc.tss {
+				in = append(in, NewTuple(s, ts, float64(i)))
+			}
+			seq := clockedInput(tc.spec, in)
+
+			var ref []string
+			refOp := NewExternalWindow("ref", tc.spec, func(win []*Tuple, end Time, _ Emit) {
+				ids := make([]uint64, len(win))
+				for i, tp := range win {
+					ids[i] = tp.ID
+				}
+				ref = append(ref, render(ids, end))
+			})
+			var got []string
+			var live []*Tuple
+			c := &deltaSumConsumer{}
+			op := NewExternalDeltaWindowState("delta", tc.spec, func(added, evicted []*Tuple, end Time, _ Emit) {
+				for _, ev := range evicted {
+					for i, tp := range live {
+						if tp.ID == ev.ID {
+							live = append(live[:i], live[i+1:]...)
+							break
+						}
+					}
+				}
+				live = append(live, added...)
+				ids := make([]uint64, len(live))
+				for i, tp := range live {
+					ids[i] = tp.ID
+				}
+				got = append(got, render(ids, end))
+			}, c)
+			refFwd := feedOp(refOp, seq, true)
+			gotFwd := feedOp(op, seq, true)
+			if fmt.Sprint(got) != fmt.Sprint(ref) {
+				t.Errorf("external delta window diverges:\nref: %v\ngot: %v", ref, got)
+			}
+			if len(refFwd) != len(gotFwd) || len(gotFwd) == 0 {
+				t.Fatalf("forwarded %d punctuations, external window %d", len(gotFwd), len(refFwd))
+			}
+			for i := range gotFwd {
+				if !IsControl(gotFwd[i]) || gotFwd[i] != refFwd[i] {
+					t.Fatalf("forwarded output %d is not the received punctuation", i)
+				}
+			}
+		})
+	}
+}
+
+// TestExternalDeltaWindowSnapshot: the externally clocked delta window
+// restores byte-identically at every cut of its punctuated input, and its
+// blob carries its own version byte, so neither a shard instance's rescan
+// window blob nor a self-clocked delta blob — both of which start with
+// version 1 — can be decoded as its layout, nor its blob as theirs.
+func TestExternalDeltaWindowSnapshot(t *testing.T) {
+	spec := WindowSpec{Duration: 2000, Slide: 1000}
+	seq := clockedInput(spec, windowInput())
+	mkOp := func() Operator {
+		c := &deltaSumConsumer{}
+		return NewExternalDeltaWindowState("dw", spec, c.onSlide, c)
+	}
+	data := func(ts []*Tuple) []*Tuple {
+		var out []*Tuple
+		for _, t := range ts {
+			if !IsControl(t) {
+				out = append(out, t)
+			}
+		}
+		return out
+	}
+	ref := renderOuts(data(feedOp(mkOp(), seq, true)))
+	if ref == "" {
+		t.Fatal("reference emitted nothing")
+	}
+	for cut := 0; cut <= len(seq); cut++ {
+		a := mkOp()
+		prefix := feedOp(a, seq[:cut], false)
+		blob, err := a.(Snapshotter).Snapshot()
+		if err != nil {
+			t.Fatalf("cut %d: snapshot: %v", cut, err)
+		}
+		b := mkOp()
+		if err := b.(Snapshotter).Restore(blob); err != nil {
+			t.Fatalf("cut %d: restore: %v", cut, err)
+		}
+		if got := renderOuts(data(prefix)) + renderOuts(data(feedOp(b, seq[cut:], true))); got != ref {
+			t.Fatalf("cut %d diverges:\nref:\n%s\ngot:\n%s", cut, ref, got)
+		}
+	}
+
+	ext := NewExternalWindow("dw", spec, sumWindow)
+	feedOp(ext, seq[:6], false)
+	extBlob, _ := ext.(Snapshotter).Snapshot()
+	c := &deltaSumConsumer{}
+	self := NewDeltaWindowState("dw", spec, c.onSlide, c)
+	feedOp(self, windowInput()[:6], false)
+	selfBlob, _ := self.(Snapshotter).Snapshot()
+	if extBlob[0] != 1 || selfBlob[0] != 1 {
+		t.Fatalf("foreign blobs start with %d and %d, want version 1", extBlob[0], selfBlob[0])
+	}
+	for name, blob := range map[string][]byte{"external window": extBlob, "self-clocked delta window": selfBlob} {
+		if err := mkOp().(Snapshotter).Restore(blob); err == nil {
+			t.Errorf("%s blob restored into an external delta window", name)
+		}
+	}
+	a := mkOp()
+	feedOp(a, seq[:6], false)
+	own, _ := a.(Snapshotter).Snapshot()
+	if err := self.(Snapshotter).Restore(own); err == nil {
+		t.Error("external delta blob restored into a self-clocked delta window")
+	}
+}

@@ -18,9 +18,9 @@ type countingOp struct {
 	flushed   int
 }
 
-func (o *countingOp) Name() string                   { return o.name }
+func (o *countingOp) Name() string                    { return o.name }
 func (o *countingOp) Process(_ int, t *Tuple, e Emit) { o.processed++; e(t) }
-func (o *countingOp) Flush(Emit)                     { o.flushed++ }
+func (o *countingOp) Flush(Emit)                      { o.flushed++ }
 
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()

@@ -431,14 +431,44 @@ func NewDeltaWindowState(name string, spec WindowSpec, fn DeltaWindowFunc, st De
 	return op
 }
 
-const deltaSnapV1 = 1
+// NewExternalDeltaWindowState is NewDeltaWindowState driven by close
+// punctuations instead of its own clock — the delta counterpart of
+// NewExternalWindow, for shard instances behind a Partition box. Each
+// close slides the window to the punctuation's end (evict, announce, call
+// fn) and is then forwarded downstream; data tuples are only buffered, and
+// Flush is a no-op because the partitioner's Flush broadcasts the final
+// closes. The partitioner emits every close before the tuple that
+// triggered it, so the buffered tuples always precede the closing end and
+// fn's window is exactly NewExternalWindow's.
+func NewExternalDeltaWindowState(name string, spec WindowSpec, fn DeltaWindowFunc, st DeltaConsumerState) Operator {
+	op := NewDeltaWindowState(name, spec, fn, st).(*deltaWindowOp)
+	op.external = true
+	return op
+}
+
+// Delta-window snapshot versions. An externally clocked window writes its
+// own version byte, so a blob from another window realization — an
+// internally clocked delta window, or a shard instance's windowOp blob,
+// whose windowSnapV1 byte the delta layout would otherwise accept —
+// fails to restore instead of decoding as the wrong layout.
+const (
+	deltaSnapV1         = 1
+	deltaExternalSnapV1 = 2
+)
+
+func (o *deltaWindowOp) snapVersion() uint8 {
+	if o.external {
+		return deltaExternalSnapV1
+	}
+	return deltaSnapV1
+}
 
 // Snapshot implements Snapshotter: boundary state, the live ring (dead
 // prefix dropped, announce boundary kept relative), and the consumer's
 // own blob.
 func (o *deltaWindowOp) Snapshot() ([]byte, error) {
 	w := &snap.Writer{}
-	w.U8(deltaSnapV1)
+	w.U8(o.snapVersion())
 	encodeSpec(w, o.spec)
 	w.Bool(o.started)
 	w.Varint(int64(o.winStart))
@@ -462,7 +492,7 @@ func (o *deltaWindowOp) Snapshot() ([]byte, error) {
 // Restore implements Snapshotter.
 func (o *deltaWindowOp) Restore(data []byte) error {
 	r := snap.NewReader(data)
-	if v := r.U8(); v != deltaSnapV1 && r.Err() == nil {
+	if v := r.U8(); v != o.snapVersion() && r.Err() == nil {
 		r.Fail("delta window snapshot version %d", v)
 	}
 	checkSpec(r, o.spec, o.name)

@@ -313,7 +313,7 @@ func TestNewAggCheckpointRestoreByteIdentical(t *testing.T) {
 func TestUngroupedSpineAggregates(t *testing.T) {
 	lts, w := seededTrace(t, 30, 200, 0)
 	q := From("locations").
-		Window(5 * stream.Second).
+		Window(5*stream.Second).
 		DedupLatest("tag").
 		Quantile("x", 0.5, core.QuantileOptions{}).
 		Having(Greater(0, 0.05))
