@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cf"
 	"repro/internal/dist"
+	"repro/internal/rng"
 	"repro/internal/stream"
 )
 
@@ -132,17 +134,37 @@ type groupPartial struct {
 // partialSchema carries groupPartial payloads between shard and merge.
 var partialSchema = stream.NewSchema("__partial")
 
-// momentDist caches Mean/Variance computed where the contribution was built
-// (the shard instance), so the merge's cumulant fold for the moment
-// strategies touches no distribution internals — the values are the same
-// float64s the unsharded fold would compute, just computed in parallel.
+// momentDist is a moment strategy's prepared contribution: the value v
+// gated by Bernoulli(p), with the gated Mean/Variance computed where the
+// contribution was built (the shard instance) by cf.GatedCumulants — the
+// same float64s BernoulliGate(v, p).Mean()/Variance() give. The cumulant
+// fold reads only those, so the gate mixture is never built on the fold
+// path; every other method, and the codec, materialises BernoulliGate(v, p)
+// on demand and answers exactly as the eager gate would.
 type momentDist struct {
-	dist.Dist
+	v              dist.Dist
+	p              float64
 	mean, variance float64
 }
 
-func (m momentDist) Mean() float64     { return m.mean }
-func (m momentDist) Variance() float64 { return m.variance }
+// newMomentDist gates v by p without building the gate mixture.
+func newMomentDist(v dist.Dist, p float64) momentDist {
+	c := cf.GatedCumulants(v.Mean(), v.Variance(), p)
+	return momentDist{v: v, p: p, mean: c.K1, variance: c.K2}
+}
+
+// gated is the Bernoulli gate mixture this value stands for.
+func (m momentDist) gated() dist.Dist { return BernoulliGate(m.v, m.p) }
+
+func (m momentDist) Mean() float64              { return m.mean }
+func (m momentDist) Variance() float64          { return m.variance }
+func (m momentDist) Std() float64               { return m.gated().Std() }
+func (m momentDist) PDF(x float64) float64      { return m.gated().PDF(x) }
+func (m momentDist) CDF(x float64) float64      { return m.gated().CDF(x) }
+func (m momentDist) Quantile(q float64) float64 { return m.gated().Quantile(q) }
+func (m momentDist) Sample(g *rng.RNG) float64  { return m.gated().Sample(g) }
+func (m momentDist) CF(t float64) complex128    { return m.gated().CF(t) }
+func (m momentDist) Support() (lo, hi float64)  { return m.gated().Support() }
 
 // dedupLatestTuples is dedupLatest over carrier tuples (the sequence stamp
 // lives on the stream.Tuple); it shares the dedupLatestBy implementation,

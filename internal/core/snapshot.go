@@ -48,11 +48,13 @@ func init() {
 			m := d.(momentDist)
 			w.F64(m.mean)
 			w.F64(m.variance)
-			return dist.Encode(w, m.Dist)
+			return dist.Encode(w, m.gated())
 		},
 		func(r *snap.Reader) (dist.Dist, error) {
-			m := momentDist{mean: r.F64(), variance: r.F64()}
-			m.Dist = dist.Decode(r)
+			// The gate is already folded into the decoded mixture, so p = 1
+			// and re-encoding writes the same bytes.
+			m := momentDist{mean: r.F64(), variance: r.F64(), p: 1}
+			m.v = dist.Decode(r)
 			return m, r.Err()
 		},
 	)

@@ -182,7 +182,9 @@ func newWindowAggInner(name string, cfg WindowAggConfig) stream.Operator {
 type windowAggRescan struct{ cfg WindowAggConfig }
 
 // prepare returns the window's groups in first-contribution order, each
-// group's contributions in arrival order.
+// group's contributions in arrival order. A first pass assigns groups and
+// counts contributions, so every group's contributions are then prepared
+// into a full-capacity slice of one exactly sized backing array.
 func (r windowAggRescan) prepare(window []*stream.Tuple) []finalGroup {
 	if len(window) == 0 {
 		return nil
@@ -194,21 +196,45 @@ func (r windowAggRescan) prepare(window []*stream.Tuple) []finalGroup {
 	}
 	idx := make(map[string]int)
 	var groups []finalGroup
-	for _, t := range survivors {
+	var counts []int
+	members := make([][]GroupMass, len(survivors))
+	var slots []int32 // group of each contribution, in arrival order
+	for k, t := range survivors {
 		u := Unwrap(t)
-		for _, gm := range cfg.memberOf(u) {
-			p := gm.P * u.Exist
-			if p <= 0 {
+		members[k] = cfg.memberOf(u)
+		for _, gm := range members[k] {
+			if gm.P*u.Exist <= 0 {
 				continue
 			}
-			d, aux := cfg.Agg.Prepare(u, p)
 			i, seen := idx[gm.Group]
 			if !seen {
 				i = len(groups)
 				idx[gm.Group] = i
 				groups = append(groups, finalGroup{name: gm.Group})
+				counts = append(counts, 0)
 			}
-			groups[i].cs = append(groups[i].cs, PartialContrib{Seq: t.Seq, U: u, P: p, D: d, Aux: aux})
+			counts[i]++
+			slots = append(slots, int32(i))
+		}
+	}
+	backing := make([]PartialContrib, len(slots))
+	off := 0
+	for i, n := range counts {
+		groups[i].cs = backing[off : off : off+n]
+		off += n
+	}
+	next := 0
+	for k, t := range survivors {
+		u := Unwrap(t)
+		for _, gm := range members[k] {
+			p := gm.P * u.Exist
+			if p <= 0 {
+				continue
+			}
+			d, aux := cfg.Agg.Prepare(u, p)
+			g := &groups[slots[next]]
+			next++
+			g.cs = append(g.cs, PartialContrib{Seq: t.Seq, U: u, P: p, D: d, Aux: aux})
 		}
 	}
 	return groups
@@ -409,8 +435,9 @@ func (l *alog[E]) each(fn func(handle uint64, v *E)) {
 // --- the gated sum, rebased on the spine ---
 
 // sumAgg is the existing gated-sum aggregate expressed as a UAgg: Prepare
-// and Finalize reuse the exact pre-refactor arithmetic (BernoulliGate +
-// momentDist caching shard-side, the shared Sum fold merge-side), and the
+// and Finalize reuse the exact pre-refactor arithmetic (BernoulliGate, or for
+// the moment strategies its moments via momentDist, shard-side; the shared
+// Sum fold merge-side), and the
 // accumulator wraps SumState unchanged — so the rebase is byte-identical by
 // construction, and the golden pin holds it there.
 type sumAgg struct {
@@ -433,11 +460,10 @@ func (a *sumAgg) NewAcc() Acc {
 }
 
 func (a *sumAgg) Prepare(u *UTuple, p float64) (dist.Dist, []float64) {
-	d := BernoulliGate(u.Attr(a.attr), p)
 	if !heavyResult(a.strat) {
-		d = momentDist{Dist: d, mean: d.Mean(), variance: d.Variance()}
+		return newMomentDist(u.Attr(a.attr), p), nil
 	}
-	return d, nil
+	return BernoulliGate(u.Attr(a.attr), p), nil
 }
 
 func (a *sumAgg) Finalize(cs []PartialContrib) []AggOut {

@@ -164,13 +164,20 @@ func TestScalabilityLadder(t *testing.T) {
 		Events:         60,
 		Seed:           11,
 	}
-	rows := RunScalability(cfg)
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
+	// The ordering is asserted on wall-clock rates, which a busy machine
+	// can depress for one variant mid-run; each variant keeps its best of
+	// three runs, so only a slowdown lasting all three can fail the test.
 	byName := map[string]ScalabilityRow{}
-	for _, r := range rows {
-		byName[r.Variant] = r
+	for run := 0; run < 3; run++ {
+		rows := RunScalability(cfg)
+		if len(rows) != 4 {
+			t.Fatalf("rows = %d", len(rows))
+		}
+		for _, r := range rows {
+			if best, ok := byName[r.Variant]; !ok || r.EventsPerSec > best.EventsPerSec {
+				byName[r.Variant] = r
+			}
+		}
 	}
 	joint := byName["joint (naive)"]
 	fact := byName["factorized"]

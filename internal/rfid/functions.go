@@ -2,7 +2,9 @@ package rfid
 
 import (
 	"math"
+	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/dist"
 )
@@ -14,9 +16,7 @@ func AreaID(x, y Feet) string {
 	return areaName(int(math.Floor(x)), int(math.Floor(y)))
 }
 
-// areaName renders "A<x>_<y>" without fmt: AreaMasses names a cell per
-// tuple per intersected area, which made Sprintf the single hottest
-// call of the uncertain GROUP BY under wire-rate ingest.
+// areaName renders "A<x>_<y>" without fmt.
 func areaName(xi, yi int) string {
 	var buf [2 * strconv.IntSize]byte
 	b := append(buf[:0], 'A')
@@ -26,39 +26,108 @@ func areaName(xi, yi int) string {
 	return string(b)
 }
 
+// areaNameCap bounds the interned cell names: a floor has far fewer cells
+// than this, and past it names are built per call, so a stream of hostile
+// coordinates cannot grow the table.
+const areaNameCap = 1 << 16
+
+// areaNames interns the names AppendAreaMasses hands out, one string per
+// cell for the life of the process.
+var areaNames = newNameTable(areaNameCap)
+
+// nameTable interns areaName strings keyed by cell. It is safe for
+// concurrent use (shard instances share one membership function) and holds
+// at most max names.
+type nameTable struct {
+	mu  sync.RWMutex
+	m   map[uint64]string
+	max int
+}
+
+func newNameTable(max int) *nameTable {
+	return &nameTable{m: make(map[uint64]string), max: max}
+}
+
+// name returns areaName(xi, yi), interned while the table has room.
+func (t *nameTable) name(xi, yi int) string {
+	if xi != int(int32(xi)) || yi != int(int32(yi)) {
+		return areaName(xi, yi)
+	}
+	k := uint64(uint32(xi))<<32 | uint64(uint32(yi))
+	t.mu.RLock()
+	s, ok := t.m[k]
+	full := len(t.m) >= t.max
+	t.mu.RUnlock()
+	if ok {
+		return s
+	}
+	s = areaName(xi, yi)
+	if full {
+		return s
+	}
+	t.mu.Lock()
+	if old, ok := t.m[k]; ok {
+		s = old
+	} else if len(t.m) < t.max {
+		t.m[k] = s
+	}
+	t.mu.Unlock()
+	return s
+}
+
+// len reports how many names the table holds.
+func (t *nameTable) len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.m)
+}
+
 // AreaOfDist maps an uncertain location to the area of its mean — the MAP
 // assignment used by the fast path of the uncertain GROUP BY. The full
-// probabilistic assignment (mass per area cell) is AreaMasses.
+// probabilistic assignment (mass per area cell) is AppendAreaMasses.
 func AreaOfDist(x, y dist.Dist) string {
 	return AreaID(x.Mean(), y.Mean())
 }
 
-// AreaMass is one candidate area with the probability the object is in it.
-type AreaMass struct {
-	Area string
-	P    float64
-}
+// cellScratch is how many cells per axis AppendAreaMasses keeps on the
+// stack; a location spread wider spills to the heap.
+const cellScratch = 16
 
-// AreaMasses enumerates the floor cells the uncertain location intersects
-// (within ±3σ) with the probability mass of each: P(cell) = (F_x(x1)−F_x(x0))
-// × (F_y(y1)−F_y(y0)) under the (axis-independent) location distribution.
-// Cells below minMass are dropped.
-func AreaMasses(x, y dist.Dist, minMass float64) []AreaMass {
+// AppendAreaMasses enumerates the floor cells the uncertain location
+// (x·scale, y·scale) intersects (within ±3σ) with the probability mass of
+// each: P(cell) = (F_x(x1)−F_x(x0)) × (F_y(y1)−F_y(y0)) under the
+// (axis-independent) location distribution. Cells below minMass (default
+// 0.01) are dropped. Each surviving cell is appended to dst as mk(name, P),
+// x-major, and dst grows at most once.
+//
+// The scaled axes are dist.Scale(x, scale) and dist.Scale(y, scale); Normal
+// axes are scaled in place rather than boxed, and each cell edge's CDF is
+// evaluated once and carried to the next cell, so the masses are the same
+// float64s the cell-by-cell difference gives.
+func AppendAreaMasses[M any](dst []M, x, y dist.Dist, scale, minMass float64, mk func(area string, p float64) M) []M {
 	if minMass <= 0 {
 		minMass = 0.01
 	}
-	xCells := axisCells(x)
-	yCells := axisCells(y)
-	var out []AreaMass
-	for _, xc := range xCells {
-		for _, yc := range yCells {
-			p := xc.p * yc.p
-			if p >= minMass {
-				out = append(out, AreaMass{Area: areaName(xc.i, yc.i), P: p})
+	var xbuf, ybuf [cellScratch]cellMass
+	xs := axisCells(xbuf[:0], x, scale)
+	ys := axisCells(ybuf[:0], y, scale)
+	n := 0
+	for _, xc := range xs {
+		for _, yc := range ys {
+			if xc.p*yc.p >= minMass {
+				n++
 			}
 		}
 	}
-	return out
+	dst = slices.Grow(dst, n)
+	for _, xc := range xs {
+		for _, yc := range ys {
+			if p := xc.p * yc.p; p >= minMass {
+				dst = append(dst, mk(areaNames.name(xc.i, yc.i), p))
+			}
+		}
+	}
+	return dst
 }
 
 type cellMass struct {
@@ -66,19 +135,34 @@ type cellMass struct {
 	p float64
 }
 
-func axisCells(d dist.Dist) []cellMass {
-	mu := d.Mean()
-	sd := math.Sqrt(d.Variance())
+// axisCells appends the cells of one axis of dist.Scale(d, scale) holding
+// more than 1e-6 of its mass.
+func axisCells(dst []cellMass, d dist.Dist, scale float64) []cellMass {
+	if n, ok := d.(dist.Normal); ok && scale != 0 {
+		if scale != 1 {
+			n = n.ScaleShift(scale, 0)
+		}
+		return appendCells(dst, n.Mean(), math.Sqrt(n.Variance()), n.CDF)
+	}
+	d = dist.Scale(d, scale)
+	return appendCells(dst, d.Mean(), math.Sqrt(d.Variance()), d.CDF)
+}
+
+func appendCells(dst []cellMass, mu, sd float64, cdf func(float64) float64) []cellMass {
 	lo := int(math.Floor(mu - 3*sd))
 	hi := int(math.Floor(mu + 3*sd))
-	var out []cellMass
-	for i := lo; i <= hi; i++ {
-		p := d.CDF(float64(i+1)) - d.CDF(float64(i))
-		if p > 1e-6 {
-			out = append(out, cellMass{i: i, p: p})
-		}
+	if lo > hi {
+		return dst
 	}
-	return out
+	edge := cdf(float64(lo))
+	for i := lo; i <= hi; i++ {
+		next := cdf(float64(i + 1))
+		if p := next - edge; p > 1e-6 {
+			dst = append(dst, cellMass{i: i, p: p})
+		}
+		edge = next
+	}
+	return dst
 }
 
 // Weight returns the registered weight (pounds) for a tag — Q1's

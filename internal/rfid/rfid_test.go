@@ -196,7 +196,7 @@ func TestAreaFunctions(t *testing.T) {
 	if AreaOfDist(x, y) != "A3_9" {
 		t.Error("AreaOfDist wrong")
 	}
-	masses := AreaMasses(x, y, 0.01)
+	masses := AppendAreaMasses(nil, x, y, 1, 0.01, newAreaMass)
 	var total float64
 	found := false
 	for _, m := range masses {
@@ -212,7 +212,7 @@ func TestAreaFunctions(t *testing.T) {
 		t.Errorf("area masses sum to %g > 1", total)
 	}
 	// A wide distribution spreads over many cells.
-	wide := AreaMasses(dist.NewNormal(0, 3), dist.NewNormal(0, 3), 0.001)
+	wide := AppendAreaMasses(nil, dist.NewNormal(0, 3), dist.NewNormal(0, 3), 1, 0.001, newAreaMass)
 	if len(wide) < 9 {
 		t.Errorf("wide location covers %d cells", len(wide))
 	}

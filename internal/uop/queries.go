@@ -93,17 +93,13 @@ type Q1Alert struct {
 // the grouped reference queries: the uncertain location, rescaled into
 // grouping-cell units, spread over the cells it intersects.
 func areaMember(areaFt, minMass float64) core.Membership {
+	scale := 1 / areaFt
 	return func(u *core.UTuple) []core.GroupMass {
-		x := dist.Scale(u.Attr("x"), 1/areaFt)
-		y := dist.Scale(u.Attr("y"), 1/areaFt)
-		ms := rfid.AreaMasses(x, y, minMass)
-		out := make([]core.GroupMass, len(ms))
-		for i, m := range ms {
-			out[i] = core.GroupMass{Group: m.Area, P: m.P}
-		}
-		return out
+		return rfid.AppendAreaMasses(nil, u.Attr("x"), u.Attr("y"), scale, minMass, groupMass)
 	}
 }
+
+func groupMass(area string, p float64) core.GroupMass { return core.GroupMass{Group: area, P: p} }
 
 // q1Member is Q1's group assignment, kept as the config-shaped wrapper.
 func q1Member(cfg Q1Config) core.Membership {

@@ -257,3 +257,48 @@ func TestShardedSlidingAllocs(t *testing.T) {
 		t.Errorf("%.1f allocs and %.0f B per tuple, budget 50 and 7500", allocs, bytes)
 	}
 }
+
+// TestQ1PushAllocs pins the engine-spine allocation budget of Q1 — tumbling,
+// unsharded, CFApprox, the daemon's configuration — so the membership kernel
+// and the lazy moment gate cannot quietly regrow their per-tuple garbage.
+// Like the benchmark ledger's uop.push_q1 row it pushes already wrapped wire
+// tuples into a plan compiled outside the measured span.
+func TestQ1PushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// The benchmark's trace shape: a large floor, event time compressed 8×.
+	lts, w := seededTrace(t, 3000, 300, 0)
+	ts := make([]*stream.Tuple, len(lts))
+	for i, lt := range lts {
+		u := core.NewUTuple(lt.T/8, []string{"x", "y", "z", "weight"}, []dist.Dist{
+			dist.NewNormal(lt.X.Mean(), lt.X.Std()), dist.NewNormal(lt.Y.Mean(), lt.Y.Std()),
+			dist.NewNormal(lt.Z.Mean(), lt.Z.Std()), dist.PointMass{V: w.Weight(lt.TagID)},
+		})
+		u.SetKey("tag", lt.TagID)
+		ts[i] = core.Wrap(u)
+	}
+	cfg := Q1Config{WindowMS: 5 * stream.Second, ThresholdLbs: 200, AreaFt: 10,
+		Strategy: core.CFApprox, MinAlertProb: 0.5}
+	run := func(c *Compiled) {
+		for _, tu := range ts {
+			c.PushTuple("locations", tu)
+		}
+		c.Close()
+	}
+	run(BuildQ1(cfg).Compile()) // warm pools and the interned area names
+	c := BuildQ1(cfg).Compile()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run(c)
+	runtime.ReadMemStats(&after)
+	n := float64(len(ts))
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%d tuples: %.2f allocs, %.0f B per tuple", len(ts), allocs, bytes)
+	if allocs > 3.5 || bytes > 400 {
+		t.Errorf("%.2f allocs and %.0f B per tuple, budget 3.5 and 400", allocs, bytes)
+	}
+}
