@@ -138,13 +138,16 @@ type WindowAggConfig struct {
 }
 
 // memberOf resolves the membership function: the configured one, or the
-// implicit single-group assignment for ungrouped aggregates.
+// implicit single-group assignment for ungrouped aggregates. Callers only
+// read the result, so the single group is one shared slice.
 func (cfg *WindowAggConfig) memberOf(u *UTuple) []GroupMass {
 	if cfg.Member != nil {
 		return cfg.Member(u)
 	}
-	return []GroupMass{{Group: "", P: 1}}
+	return ungrouped
 }
+
+var ungrouped = []GroupMass{{Group: "", P: 1}}
 
 // NewWindowAggOp builds the generalized windowed aggregate box. Sliding
 // time windows take the incremental delta path automatically unless
@@ -435,11 +438,11 @@ func (l *alog[E]) each(fn func(handle uint64, v *E)) {
 // --- the gated sum, rebased on the spine ---
 
 // sumAgg is the existing gated-sum aggregate expressed as a UAgg: Prepare
-// and Finalize reuse the exact pre-refactor arithmetic (BernoulliGate, or for
-// the moment strategies its moments via momentDist, shard-side; the shared
-// Sum fold merge-side), and the
-// accumulator wraps SumState unchanged — so the rebase is byte-identical by
-// construction, and the golden pin holds it there.
+// and Finalize reuse the exact pre-refactor arithmetic (shard-side the
+// BernoulliGate, or for the moment strategies its moments via momentDist;
+// merge-side the shared Sum fold), and the accumulator wraps SumState
+// unchanged — so the rebase is byte-identical by construction, and the
+// golden pin holds it there.
 type sumAgg struct {
 	attr  string
 	strat Strategy

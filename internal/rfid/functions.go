@@ -139,9 +139,7 @@ type cellMass struct {
 // more than 1e-6 of its mass.
 func axisCells(dst []cellMass, d dist.Dist, scale float64) []cellMass {
 	if n, ok := d.(dist.Normal); ok && scale != 0 {
-		if scale != 1 {
-			n = n.ScaleShift(scale, 0)
-		}
+		n = n.ScaleShift(scale, 0)
 		return appendCells(dst, n.Mean(), math.Sqrt(n.Variance()), n.CDF)
 	}
 	d = dist.Scale(d, scale)
@@ -151,9 +149,6 @@ func axisCells(dst []cellMass, d dist.Dist, scale float64) []cellMass {
 func appendCells(dst []cellMass, mu, sd float64, cdf func(float64) float64) []cellMass {
 	lo := int(math.Floor(mu - 3*sd))
 	hi := int(math.Floor(mu + 3*sd))
-	if lo > hi {
-		return dst
-	}
 	edge := cdf(float64(lo))
 	for i := lo; i <= hi; i++ {
 		next := cdf(float64(i + 1))
