@@ -308,9 +308,9 @@ func BenchmarkQ1SyncVsChan(b *testing.B) {
 
 // BenchmarkSlidingWindowIncremental is the incremental-aggregation
 // headline: sliding Q1 (Range 5 s) at several window/slide ratios, the
-// per-slide recompute path versus the delta-maintained path (per-group
-// SumState accumulators fed by window deltas, membership and gating
-// evaluated once per tuple, parallel per-group emission). The recompute
+// per-slide recompute path versus the delta-maintained path (per-group sum
+// accumulators fed by window deltas, membership and gating evaluated once
+// per tuple). The recompute
 // cost per tuple grows with Range/Slide; the incremental cost does not —
 // the gap is the point. allocs/op tracks the window-path allocation win.
 func BenchmarkSlidingWindowIncremental(b *testing.B) {

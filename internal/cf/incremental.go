@@ -3,16 +3,15 @@
 // cumulants of independent contributions are additive — so a sliding window
 // can maintain them under insertions and evictions instead of re-scanning
 // every input per slide (§5.1: "the computation cost for the result
-// distribution is almost zero"). This file provides the three pieces the
+// distribution is almost zero"). This file provides the pieces the
 // incremental aggregation path composes:
 //
-//   - Cumulants: the (κ1, κ2) pair with O(1) additive updates.
+//   - Cumulants: the (κ1, κ2) pair.
 //   - GatedCumulants: the closed-form moments of a Bernoulli-gated
 //     contribution, bit-for-bit identical to constructing the gate mixture
 //     and reading its moments (so incremental and recompute paths agree
 //     byte-for-byte, not approximately).
-//   - PaneStack: two-stacks sliding aggregation of cumulant panes — exact
-//     eviction with no floating-point subtraction, for FIFO windows.
+//   - GaussianFromCumulants: the cumulant-matched result distribution.
 package cf
 
 import (
@@ -27,20 +26,6 @@ import (
 type Cumulants struct {
 	K1 float64 // mean
 	K2 float64 // variance
-}
-
-// Plus returns the cumulants of the sum of two independent contributions
-// (cumulants are additive). Field order matters for bit-reproducibility:
-// the receiver is the accumulated prefix, the argument the new term, so a
-// left-to-right fold over contributions reproduces the exact rounding of
-// SumMoments' accumulation loop.
-func (c Cumulants) Plus(o Cumulants) Cumulants {
-	return Cumulants{K1: c.K1 + o.K1, K2: c.K2 + o.K2}
-}
-
-// CumulantsOf reads a distribution's first two cumulants.
-func CumulantsOf(d dist.Dist) Cumulants {
-	return Cumulants{K1: d.Mean(), K2: d.Variance()}
 }
 
 // GatedCumulants returns the cumulants of X·B where B ~ Bernoulli(p) and X
@@ -89,116 +74,4 @@ func GaussianFromCumulants(c Cumulants) dist.Normal {
 		v = 1e-18
 	}
 	return dist.NewNormal(c.K1, math.Sqrt(v))
-}
-
-// PaneStack is a two-stacks sliding-window aggregator over cumulant panes:
-// Push appends the newest contribution, Pop evicts the oldest, Total reads
-// the aggregate of everything currently held — all O(1) amortized, and with
-// no floating-point subtraction anywhere. A running sum that evicts by
-// subtracting (total −= evicted) accumulates cancellation drift over long
-// streams; the two-stacks scheme only ever adds, so every Total is a sum of
-// exactly the live contributions.
-//
-// The price is a fixed combination order: Total groups the live window as
-// front-suffix + back-prefix rather than one left-to-right fold, so results
-// can differ from a fresh refold in the last ulp (they agree to ~1 ulp per
-// term, never drifting with stream length). Callers that need bit-identical
-// agreement with a fold-order reference refold instead (see
-// core.SumState); callers that need drift-free speed use this.
-type PaneStack struct {
-	// front holds the older half, oldest on top; each entry stores the
-	// aggregate of itself and everything below it pushed later (i.e. the
-	// aggregate of the stack from this element down).
-	front []paneEntry
-	// back holds newer contributions in arrival order with a running
-	// left-to-right aggregate.
-	back    []Cumulants
-	backAgg Cumulants
-}
-
-type paneEntry struct {
-	val Cumulants
-	agg Cumulants // fold of this element and all younger front elements
-}
-
-// Len is the number of live contributions.
-func (s *PaneStack) Len() int { return len(s.front) + len(s.back) }
-
-// Push appends the newest contribution.
-func (s *PaneStack) Push(c Cumulants) {
-	s.back = append(s.back, c)
-	s.backAgg = s.backAgg.Plus(c)
-}
-
-// Pop evicts the oldest live contribution and returns it; it panics on an
-// empty stack.
-func (s *PaneStack) Pop() Cumulants {
-	if len(s.front) == 0 {
-		s.flip()
-	}
-	top := s.front[len(s.front)-1]
-	s.front = s.front[:len(s.front)-1]
-	return top.val
-}
-
-// flip moves the back queue onto the front stack, reversing order so the
-// oldest element ends on top, and resets the back aggregate exactly (a
-// fresh zero, not a subtraction).
-func (s *PaneStack) flip() {
-	if len(s.back) == 0 {
-		panic("cf: PaneStack.Pop on empty stack")
-	}
-	acc := Cumulants{}
-	for i := len(s.back) - 1; i >= 0; i-- {
-		acc = s.back[i].Plus(acc)
-		s.front = append(s.front, paneEntry{val: s.back[i], agg: acc})
-	}
-	s.back = s.back[:0]
-	s.backAgg = Cumulants{}
-}
-
-// Total returns the aggregate cumulants of all live contributions.
-func (s *PaneStack) Total() Cumulants {
-	if len(s.front) == 0 {
-		return s.backAgg
-	}
-	return s.front[len(s.front)-1].agg.Plus(s.backAgg)
-}
-
-// Reset discards all state.
-func (s *PaneStack) Reset() {
-	s.front = s.front[:0]
-	s.back = s.back[:0]
-	s.backAgg = Cumulants{}
-}
-
-// Save returns the live contributions split exactly as the internal stacks
-// hold them: front bottom-to-top, back in arrival order. The split point is
-// history-dependent (it moves at each flip), so durable snapshots must
-// preserve it — rebuilding a stack by re-pushing the live window would put
-// everything in back and change Total's combination order, perturbing the
-// last ulp relative to an uninterrupted run.
-func (s *PaneStack) Save() (front, back []Cumulants) {
-	front = make([]Cumulants, len(s.front))
-	for i, e := range s.front {
-		front[i] = e.val
-	}
-	back = append([]Cumulants(nil), s.back...)
-	return front, back
-}
-
-// Load rebuilds the stack from Save's slices, recomputing the cached
-// aggregates with the same folds flip and Push perform over the same
-// values — so every subsequent Total is bit-identical to the saved
-// stack's.
-func (s *PaneStack) Load(front, back []Cumulants) {
-	s.Reset()
-	acc := Cumulants{}
-	for _, v := range front {
-		acc = v.Plus(acc)
-		s.front = append(s.front, paneEntry{val: v, agg: acc})
-	}
-	for _, v := range back {
-		s.Push(v)
-	}
 }

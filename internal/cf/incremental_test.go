@@ -71,92 +71,3 @@ func TestGaussianFromCumulantsMatchesApproxSum(t *testing.T) {
 		t.Errorf("degenerate sigma = %g", pm.Std())
 	}
 }
-
-// TestPaneStackSlidingExact drives the two-stacks aggregator through a long
-// sliding-window simulation with exactly representable values, where
-// floating-point addition is exact: every Total must equal the true sum of
-// the live window exactly. (A subtract-based running sum would also be
-// exact here; the inexact-value drift comparison is the next test.)
-func TestPaneStackSlidingExact(t *testing.T) {
-	var s PaneStack
-	var live []Cumulants
-	g := rng.New(11)
-	for i := 0; i < 5000; i++ {
-		c := Cumulants{K1: float64(g.Intn(1 << 20)), K2: float64(g.Intn(1 << 20))}
-		s.Push(c)
-		live = append(live, c)
-		for len(live) > 64 {
-			got := s.Pop()
-			if got != live[0] {
-				t.Fatalf("step %d: Pop = %+v, want %+v", i, got, live[0])
-			}
-			live = live[1:]
-		}
-		var want Cumulants
-		for _, c := range live {
-			want.K1 += c.K1
-			want.K2 += c.K2
-		}
-		if tot := s.Total(); tot.K1 != want.K1 || tot.K2 != want.K2 {
-			t.Fatalf("step %d: Total = %+v, want %+v (len %d)", i, tot, want, s.Len())
-		}
-		if s.Len() != len(live) {
-			t.Fatalf("step %d: Len = %d, want %d", i, s.Len(), len(live))
-		}
-	}
-}
-
-// TestPaneStackNoSubtractDrift compares the two eviction disciplines on
-// adversarial magnitudes: a running sum that evicts by subtraction is left
-// with pure cancellation noise once a huge transient contribution passes
-// through the window, while the two-stacks total — which only ever adds
-// live contributions — stays at refold accuracy.
-func TestPaneStackNoSubtractDrift(t *testing.T) {
-	var s PaneStack
-	var running float64
-	var live []float64
-	push := func(v float64) {
-		s.Push(Cumulants{K1: v})
-		running += v
-		live = append(live, v)
-	}
-	pop := func() {
-		c := s.Pop()
-		running -= c.K1
-		live = live[1:]
-	}
-	// Small steady-state values around a short-lived 1e18 spike.
-	for i := 0; i < 32; i++ {
-		push(1.0 / 3)
-	}
-	push(1e18)
-	for i := 0; i < 64; i++ {
-		push(1.0 / 3)
-		pop()
-		pop()
-		push(1.0 / 3)
-	}
-	var refold float64
-	for _, v := range live {
-		refold += v
-	}
-	paneErr := math.Abs(s.Total().K1 - refold)
-	runErr := math.Abs(running - refold)
-	if paneErr > 1e-9*math.Abs(refold) {
-		t.Errorf("pane total drifted: |err| = %g on refold %g", paneErr, refold)
-	}
-	if runErr < 1 {
-		t.Errorf("expected the subtract-based running sum to lose the small terms entirely "+
-			"(got err %g); if this starts passing, the drift rationale in the docs is stale", runErr)
-	}
-}
-
-func TestPaneStackPopEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Pop on empty PaneStack should panic")
-		}
-	}()
-	var s PaneStack
-	s.Pop()
-}

@@ -58,97 +58,6 @@ func NewSelectOp(name string, sel func(*UTuple) *UTuple) stream.Operator {
 	})
 }
 
-// NewSumOp builds a windowed aggregation box summing the named uncertain
-// attribute with the given strategy. Each window emits one derived tuple
-// carrying the full result distribution. Sliding time windows take the
-// incremental delta path automatically (per-tuple O(1) maintenance instead
-// of a per-slide rescan); tumbling and count windows recompute per window,
-// where a rescan is the natural cost.
-func NewSumOp(name string, spec stream.WindowSpec, attr string, strat Strategy, opts AggOptions) stream.Operator {
-	if spec.Slide > 0 {
-		return newIncSumOp(name, spec, attr, strat, opts)
-	}
-	return NewSumRescanOp(name, spec, attr, strat, opts)
-}
-
-// NewSumRescanOp is the recompute form of NewSumOp: every window emission
-// re-aggregates the full buffer. It is the reference the incremental path
-// is tested against and the benchmark baseline.
-func NewSumRescanOp(name string, spec stream.WindowSpec, attr string, strat Strategy, opts AggOptions) stream.Operator {
-	return stream.NewWindow(name, spec, func(window []*stream.Tuple, end stream.Time, emit stream.Emit) {
-		if len(window) == 0 {
-			return
-		}
-		us := make([]*UTuple, len(window))
-		for i, t := range window {
-			us[i] = Unwrap(t)
-		}
-		result := SumTuples(us, attr, strat, opts)
-		result.TS = end
-		emit(Wrap(result))
-	})
-}
-
-// GroupSumOpConfig parameterizes the probabilistic GROUP BY box.
-type GroupSumOpConfig struct {
-	// Window is the (tumbling/sliding/count) window policy.
-	Window stream.WindowSpec
-	// DedupKey, when set, keeps only the latest tuple per certain key
-	// within each window before grouping — one contribution per object per
-	// window (a reader reports a tag many times in 5 s; the latest
-	// posterior has seen strictly more evidence).
-	DedupKey string
-	// Attr is the summed uncertain attribute.
-	Attr string
-	// Member assigns tuples to candidate groups with probabilities.
-	Member Membership
-	// Strategy/Agg select the aggregation algorithm.
-	Strategy Strategy
-	Agg      AggOptions
-	// Recompute forces the rescan path even for window shapes the
-	// incremental path covers — the reference semantics, and the baseline
-	// arm of the incremental-aggregation benchmarks.
-	Recompute bool
-	// Workers bounds the per-group worker pool of the incremental path's
-	// emission (0 = GOMAXPROCS, 1 = sequential). Output order is group-name
-	// order regardless.
-	Workers int
-}
-
-// NewGroupSumOp builds the probabilistic GROUP BY box (Q1's shape) on the
-// stream engine: windows per spec, membership-weighted group sums, one
-// output tuple per group with the group name attached as an attribute tag.
-func NewGroupSumOp(name string, spec stream.WindowSpec, attr string, member Membership, strat Strategy, opts AggOptions) stream.Operator {
-	return NewGroupSumWindowOp(name, GroupSumOpConfig{
-		Window: spec, Attr: attr, Member: member, Strategy: strat, Agg: opts,
-	})
-}
-
-// WindowAgg converts the sum-specific configuration to the generalized
-// windowed-aggregate configuration the spine runs on.
-func (cfg GroupSumOpConfig) WindowAgg() WindowAggConfig {
-	return WindowAggConfig{
-		Window:    cfg.Window,
-		DedupKey:  cfg.DedupKey,
-		Member:    cfg.Member,
-		Agg:       NewSumAgg(cfg.Attr, cfg.Strategy, cfg.Agg),
-		Recompute: cfg.Recompute,
-		Workers:   cfg.Workers,
-	}
-}
-
-// NewGroupSumWindowOp is NewGroupSumOp with the full configuration surface
-// (per-key dedup, aggregation options, incremental/recompute selection) —
-// sum sugar over NewWindowAggOp. Sliding time windows take the incremental
-// delta path automatically — per-group SumState accumulators fed by window
-// deltas, with membership and gating evaluated once per tuple instead of
-// once per slide — unless cfg.Recompute pins the rescan path. Both paths
-// produce byte-identical output on the same input (equivalence tests pin
-// this).
-func NewGroupSumWindowOp(name string, cfg GroupSumOpConfig) stream.Operator {
-	return NewWindowAggOp(name, cfg.WindowAgg())
-}
-
 // dedupLatest keeps, per certain key, only the latest tuple (later arrival
 // wins timestamp ties), preserving arrival order of the survivors. Tuples
 // missing the key are never deduplicated: each one survives (and, in the
@@ -187,7 +96,7 @@ func dedupLatestBy[T comparable](xs []T, key string, utuple func(T) *UTuple) []T
 // groupedSchema extends the carrier schema with the group key.
 var groupedSchema = stream.NewSchema("u", "group")
 
-// GroupOf reads the group key from a NewGroupSumOp output tuple.
+// GroupOf reads the group key from a windowed-aggregate output tuple.
 func GroupOf(t *stream.Tuple) string { return t.Str("group") }
 
 // NewJoinOp builds a probabilistic co-location join box over the stream

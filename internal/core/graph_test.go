@@ -34,7 +34,9 @@ func TestGraphPipelineEndToEnd(t *testing.T) {
 	sel := g.AddBox(NewSelectOp("hot", func(u *UTuple) *UTuple {
 		return SelectGreater(u, "temp", 50, 0.01)
 	}))
-	sum := g.AddBox(NewSumOp("sum5", stream.WindowSpec{Count: 5}, "temp", CFApprox, AggOptions{}))
+	sum := g.AddBox(NewWindowAggOp("sum5", WindowAggConfig{
+		Window: stream.WindowSpec{Count: 5}, Agg: NewSumAgg("temp", CFApprox, AggOptions{}),
+	}))
 	sink := &stream.Collect{}
 	sb := g.AddBox(sink)
 	g.Connect(sel, sum, 0)
@@ -71,7 +73,9 @@ func TestGraphGroupSumOp(t *testing.T) {
 		}
 		return []GroupMass{{Group: "east", P: 1}}
 	}
-	gs := g.AddBox(NewGroupSumOp("bygroup", stream.WindowSpec{Count: 4}, "w", member, CFInvert, AggOptions{}))
+	gs := g.AddBox(NewWindowAggOp("bygroup", WindowAggConfig{
+		Window: stream.WindowSpec{Count: 4}, Member: member, Agg: NewSumAgg("w", CFInvert, AggOptions{}),
+	}))
 	sink := &stream.Collect{}
 	sb := g.AddBox(sink)
 	g.Connect(gs, sb, 0)

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cf"
-	"repro/internal/dist"
 	"repro/internal/lineage"
 	"repro/internal/stream"
 )
@@ -397,13 +395,9 @@ func (b *incWindowAgg) emitGroups(end stream.Time, emit stream.Emit) {
 		b.outs = make([][]*stream.Tuple, len(b.names))
 	}
 	outs := b.outs[:len(b.names)]
-	workers := b.cfg.Workers
-	if workers <= 0 {
-		if b.cfg.Agg.Heavy() {
-			workers = runtime.GOMAXPROCS(0)
-		} else {
-			workers = 1
-		}
+	workers := 1
+	if b.cfg.Agg.Heavy() {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	runPool(workers, len(b.names), func(i int) {
 		outs[i] = b.buildGroup(b.names[i], end)
@@ -491,158 +485,89 @@ func (b *incWindowAgg) buildGroup(g string, end stream.Time) []*stream.Tuple {
 	return assembleRows(g, st.rows, st.lin, end, b.outNames)
 }
 
-// incSum is the incremental ungrouped windowed SUM box state. The moment
-// strategies ride a two-stacks cf.PaneStack — O(1) per emission with no
-// subtract drift (the window is pure FIFO here: no dedup, so no middle
-// removals) — while the remaining strategies pool the gated distributions
-// via distState exactly like the grouped path. Lineage over the window is
-// maintained as the same sorted multiset the grouped path uses.
-type incSum struct {
-	attr     string
-	strat    Strategy
-	opts     AggOptions
-	outNames []string
-
-	moment bool
-	stack  cf.PaneStack
-	// order mirrors the stack's live contributions front-to-back and backs
-	// the straggler rebuild.
-	order []sumEntry
-	head  int
-
-	state SumState // pooled path (nil on the moment path)
-	lins  idMultiset
+// idMultiset maintains a sorted multiset of base-tuple ids — the
+// incrementally-maintained lineage of a window aggregate. Contributions
+// insert their parents' lineage ids on Add and withdraw them on eviction or
+// dedup-replace; Snapshot materializes the current union as a lineage.Set
+// with a single copy, replacing the per-emission sort-and-dedup that made
+// every slide pay O(k log k) per group.
+//
+// Tuple ids are allocated monotonically and windows evict oldest-first, so
+// the common case is a deque: new ids append at the back, evicted ids pop
+// at the front — both O(1). Out-of-order inserts and mid-removals (derived
+// lineage, stragglers, dedup-replace) fall back to a memmove.
+type idMultiset struct {
+	ids    []uint64
+	counts []uint32
+	head   int
 }
 
-type sumEntry struct {
-	id     uint64 // tuple ID
-	handle uint64 // accumulator handle (pooled path)
-	u      *UTuple
-	c      cf.Cumulants
-}
-
-// newIncSumOp builds the delta-driven ungrouped sum box.
-func newIncSumOp(name string, spec stream.WindowSpec, attr string, strat Strategy, opts AggOptions) stream.Operator {
-	s := &incSum{attr: attr, strat: strat, opts: opts, outNames: []string{attr}}
-	switch strat {
-	case CFApprox, CLT:
-		s.moment = true
-	default:
-		s.state = NewSumState(strat, opts)
-	}
-	return stream.NewDeltaWindowState(name, spec, s.onSlide, s)
-}
-
-func (s *incSum) onSlide(added, evicted []*stream.Tuple, end stream.Time, emit stream.Emit) {
-	if len(evicted) > 0 {
-		s.evictAll(evicted)
-	}
-	for _, t := range added {
-		u := Unwrap(t)
-		d := u.Attr(s.attr)
-		e := sumEntry{id: t.ID, u: u}
-		if s.moment {
-			e.c = cf.GatedCumulants(d.Mean(), d.Variance(), u.Exist)
-			s.stack.Push(e.c)
+// search returns the position of id in ids[head:] (absolute index).
+func (m *idMultiset) search(id uint64) int {
+	lo, hi := m.head, len(m.ids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.ids[mid] < id {
+			lo = mid + 1
 		} else {
-			e.handle = s.state.Add(d, u.Exist)
+			hi = mid
 		}
-		s.order = append(s.order, e)
-		s.lins.AddIDs(u.Lin.IDs())
 	}
-	if len(s.order) == s.head {
-		return
-	}
-	var sum dist.Dist
-	if s.moment {
-		sum = cf.GaussianFromCumulants(s.stack.Total())
-	} else {
-		sum = s.state.Result()
-	}
-	out := &UTuple{
-		TS:    end,
-		ID:    stream.NextTupleID(),
-		names: s.outNames,
-		attrs: []dist.Dist{sum},
-		Exist: 1,
-		Lin:   s.lins.Snapshot(),
-	}
-	w := stream.NewTuple(utupleSchema, end, out)
-	w.ID = out.ID
-	emit(w)
+	return lo
 }
 
-// evictAll removes the departed tuples. The common case is a clean FIFO
-// prefix (timestamps nondecreasing), a sequence of O(1) pops; a straggler
-// eviction from the middle falls back to filtering the order and — on the
-// moment path — rebuilding the pane stack from the survivors (exact either
-// way; the rebuild is just a refold).
-func (s *incSum) evictAll(evicted []*stream.Tuple) {
-	fifo := true
-	for i, t := range evicted {
-		j := s.head + i
-		if j >= len(s.order) || s.order[j].id != t.ID {
-			fifo = false
-			break
-		}
-	}
-	if fifo {
-		for range evicted {
-			e := s.order[s.head]
-			if s.moment {
-				s.stack.Pop()
-			} else {
-				s.state.Remove(e.handle)
-			}
-			s.lins.RemoveIDs(e.u.Lin.IDs())
-			s.order[s.head] = sumEntry{}
-			s.head++
-		}
-		s.compact()
-		return
-	}
-	gone := make(map[uint64]bool, len(evicted))
-	for _, t := range evicted {
-		gone[t.ID] = true
-	}
-	w := s.head
-	for i := s.head; i < len(s.order); i++ {
-		e := s.order[i]
-		if gone[e.id] {
-			if !s.moment {
-				s.state.Remove(e.handle)
-			}
-			s.lins.RemoveIDs(e.u.Lin.IDs())
+// AddIDs inserts each id (counting duplicates).
+func (m *idMultiset) AddIDs(ids []uint64) {
+	for _, id := range ids {
+		if n := len(m.ids); n == m.head || id > m.ids[n-1] {
+			m.ids = append(m.ids, id)
+			m.counts = append(m.counts, 1)
 			continue
 		}
-		s.order[w] = e
-		w++
-	}
-	for i := w; i < len(s.order); i++ {
-		s.order[i] = sumEntry{}
-	}
-	s.order = s.order[:w]
-	if s.moment {
-		s.stack.Reset()
-		for i := s.head; i < len(s.order); i++ {
-			s.stack.Push(s.order[i].c)
+		i := m.search(id)
+		if i < len(m.ids) && m.ids[i] == id {
+			m.counts[i]++
+			continue
 		}
+		m.ids = append(m.ids, 0)
+		copy(m.ids[i+1:], m.ids[i:])
+		m.ids[i] = id
+		m.counts = append(m.counts, 0)
+		copy(m.counts[i+1:], m.counts[i:])
+		m.counts[i] = 1
 	}
-	s.compact()
 }
 
-func (s *incSum) compact() {
-	if s.head == len(s.order) {
-		s.order = s.order[:0]
-		s.head = 0
-		return
-	}
-	if s.head > 64 && s.head*2 >= len(s.order) {
-		n := copy(s.order, s.order[s.head:])
-		for i := n; i < len(s.order); i++ {
-			s.order[i] = sumEntry{}
+// RemoveIDs withdraws each id, dropping it once its count reaches zero.
+func (m *idMultiset) RemoveIDs(ids []uint64) {
+	for _, id := range ids {
+		i := m.search(id)
+		if i >= len(m.ids) || m.ids[i] != id {
+			continue // unknown id: tolerated, like a stale Acc.Remove handle
 		}
-		s.order = s.order[:n]
-		s.head = 0
+		m.counts[i]--
+		if m.counts[i] > 0 {
+			continue
+		}
+		if i == m.head {
+			m.head++
+			if m.head == len(m.ids) {
+				m.ids = m.ids[:0]
+				m.counts = m.counts[:0]
+				m.head = 0
+			} else if m.head > 64 && m.head*2 >= len(m.ids) {
+				n := copy(m.ids, m.ids[m.head:])
+				copy(m.counts, m.counts[m.head:])
+				m.ids = m.ids[:n]
+				m.counts = m.counts[:n]
+				m.head = 0
+			}
+			continue
+		}
+		m.ids = append(m.ids[:i], m.ids[i+1:]...)
+		m.counts = append(m.counts[:i], m.counts[i+1:]...)
 	}
 }
+
+// Snapshot returns the distinct ids as a lineage set (one copy, no sort).
+func (m *idMultiset) Snapshot() lineage.Set { return lineage.FromSorted(m.ids[m.head:]) }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func runGroupOp(op stream.Operator, us []*UTuple) string {
 // level: the incremental delta-driven group-sum box and the rescan box must
 // produce byte-identical emissions — same windows, same groups, same
 // distributions to the last bit — across strategies, dedup, stragglers and
-// worker counts.
+// the parallel per-group emission heavy strategies fan out to.
 func TestIncGroupSumMatchesRescan(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -76,25 +77,27 @@ func TestIncGroupSumMatchesRescan(t *testing.T) {
 		opts       AggOptions
 		dedup      string
 		stragglers bool
-		workers    int
+		procs      int // GOMAXPROCS, which sizes the emission pool of heavy strategies
 	}{
 		{name: "cfapprox", strat: CFApprox},
 		{name: "cfapprox-dedup", strat: CFApprox, dedup: "tag"},
 		{name: "cfapprox-dedup-stragglers", strat: CFApprox, dedup: "tag", stragglers: true},
-		{name: "cfapprox-parallel", strat: CFApprox, dedup: "tag", workers: 4},
+		{name: "cfinvert-parallel", strat: CFInvert, opts: AggOptions{GridN: 256}, dedup: "tag", procs: 4},
 		{name: "clt", strat: CLT, dedup: "tag"},
 		{name: "cfinvert", strat: CFInvert, opts: AggOptions{GridN: 256}, dedup: "tag"},
 		{name: "histogram-sampling", strat: HistogramSampling, opts: AggOptions{Samples: 200}, dedup: "tag"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
 			us := groupWorkload(300, 77, tc.stragglers)
 			spec := stream.WindowSpec{Duration: 5000, Slide: 1000}
 			mk := func(recompute bool) stream.Operator {
-				return NewGroupSumWindowOp("γΣ", GroupSumOpConfig{
-					Window: spec, DedupKey: tc.dedup, Attr: "weight",
-					Member: testMember, Strategy: tc.strat, Agg: tc.opts,
-					Recompute: recompute, Workers: tc.workers,
+				return NewWindowAggOp("γΣ", WindowAggConfig{
+					Window: spec, DedupKey: tc.dedup, Member: testMember,
+					Agg: NewSumAgg("weight", tc.strat, tc.opts), Recompute: recompute,
 				})
 			}
 			ref := runGroupOp(mk(true), us)
@@ -130,9 +133,9 @@ func TestIncGroupSumDedupEvictionInterplay(t *testing.T) {
 	}
 	spec := stream.WindowSpec{Duration: 3000, Slide: 1000}
 	mk := func(recompute bool) stream.Operator {
-		return NewGroupSumWindowOp("γΣ", GroupSumOpConfig{
-			Window: spec, DedupKey: "tag", Attr: "weight",
-			Member: testMember, Strategy: CFApprox, Recompute: recompute,
+		return NewWindowAggOp("γΣ", WindowAggConfig{
+			Window: spec, DedupKey: "tag", Member: testMember,
+			Agg: NewSumAgg("weight", CFApprox, AggOptions{}), Recompute: recompute,
 		})
 	}
 	ref := runGroupOp(mk(true), us)
@@ -158,11 +161,9 @@ func runSumOp(op stream.Operator, us []*UTuple) []dist.Dist {
 	return out
 }
 
-// TestIncSumMatchesRescan covers the ungrouped incremental sum. The pooled
-// strategies are bit-identical; the moment strategies run on the two-stacks
-// pane state, whose combination order may differ from the rescan fold in
-// the last ulps — the tolerance is ulp-scale, far below any reported
-// confidence.
+// TestIncSumMatchesRescan covers the ungrouped sum, the spine's single
+// implicit group: the incremental box refolds exactly what the rescan folds,
+// so every strategy is bit-identical.
 func TestIncSumMatchesRescan(t *testing.T) {
 	us := groupWorkload(250, 99, true)
 	spec := stream.WindowSpec{Duration: 4000, Slide: 800}
@@ -170,30 +171,27 @@ func TestIncSumMatchesRescan(t *testing.T) {
 		name  string
 		strat Strategy
 		opts  AggOptions
-		exact bool
 	}{
-		{"cfapprox", CFApprox, AggOptions{}, false},
-		{"clt", CLT, AggOptions{}, false},
-		{"cfinvert", CFInvert, AggOptions{GridN: 256}, true},
+		{"cfapprox", CFApprox, AggOptions{}},
+		{"clt", CLT, AggOptions{}},
+		{"cfinvert", CFInvert, AggOptions{GridN: 256}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runSumOp(NewSumRescanOp("Σ", spec, "weight", tc.strat, tc.opts), us)
-			got := runSumOp(NewSumOp("Σ", spec, "weight", tc.strat, tc.opts), us)
+			mk := func(recompute bool) stream.Operator {
+				return NewWindowAggOp("γΣ", WindowAggConfig{
+					Window: spec, Agg: NewSumAgg("weight", tc.strat, tc.opts), Recompute: recompute,
+				})
+			}
+			ref := runSumOp(mk(true), us)
+			got := runSumOp(mk(false), us)
 			if len(ref) == 0 || len(got) != len(ref) {
 				t.Fatalf("emissions: ref %d, got %d", len(ref), len(got))
 			}
 			for i := range ref {
 				rm, gm := ref[i].Mean(), got[i].Mean()
 				rv, gv := ref[i].Variance(), got[i].Variance()
-				if tc.exact {
-					if rm != gm || rv != gv {
-						t.Fatalf("window %d: (%.17g, %.17g) != (%.17g, %.17g)", i, gm, gv, rm, rv)
-					}
-					continue
-				}
-				if math.Abs(rm-gm) > 1e-9*math.Max(1, math.Abs(rm)) ||
-					math.Abs(rv-gv) > 1e-9*math.Max(1, rv) {
-					t.Fatalf("window %d: (%g, %g) vs (%g, %g)", i, gm, gv, rm, rv)
+				if rm != gm || rv != gv {
+					t.Fatalf("window %d: (%.17g, %.17g) != (%.17g, %.17g)", i, gm, gv, rm, rv)
 				}
 			}
 		})

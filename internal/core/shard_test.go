@@ -45,12 +45,11 @@ func renderGrouped(ts []*stream.Tuple) string {
 // across shard counts, with dedup replacement and straggler arrivals in the
 // stream.
 func TestGroupSumShardPlanMatchesUnsharded(t *testing.T) {
-	cfg := GroupSumOpConfig{
+	cfg := WindowAggConfig{
 		Window:   stream.WindowSpec{Duration: 10},
 		DedupKey: "tag",
-		Attr:     "weight",
 		Member:   shardTestMember,
-		Strategy: CFApprox,
+		Agg:      NewSumAgg("weight", CFApprox, AggOptions{}),
 	}
 	feedTuples := func() []*stream.Tuple {
 		var ts []*stream.Tuple
@@ -74,7 +73,7 @@ func TestGroupSumShardPlanMatchesUnsharded(t *testing.T) {
 
 	unsharded := func() string {
 		g := stream.NewGraph()
-		box := g.AddBox(NewGroupSumWindowOp("γ", cfg))
+		box := g.AddBox(NewWindowAggOp("γ", cfg))
 		sink := &stream.Collect{}
 		sb := g.AddBox(sink)
 		g.Connect(box, sb, 0)
@@ -89,7 +88,7 @@ func TestGroupSumShardPlanMatchesUnsharded(t *testing.T) {
 	}
 
 	for _, p := range []int{1, 2, 3, 5} {
-		op := NewGroupSumWindowOp("γ", cfg).(PartitionedOp)
+		op := NewWindowAggOp("γ", cfg).(PartitionedOp)
 		plan := op.Shard(p)
 		g := stream.NewGraph()
 		part := g.AddBox(stream.NewPartition("part", p, plan.Partition))
@@ -122,12 +121,11 @@ func TestGroupSumShardPlanMatchesUnsharded(t *testing.T) {
 // by end time — under the channel executor one shard's closes for two
 // same-end windows may both arrive before another shard's first.
 func TestGroupSumShardPlanCountWindowDuplicateTS(t *testing.T) {
-	cfg := GroupSumOpConfig{
+	cfg := WindowAggConfig{
 		Window:   stream.WindowSpec{Count: 4},
 		DedupKey: "tag",
-		Attr:     "weight",
 		Member:   shardTestMember,
-		Strategy: CFApprox,
+		Agg:      NewSumAgg("weight", CFApprox, AggOptions{}),
 	}
 	feedTuples := func() []*stream.Tuple {
 		var ts []*stream.Tuple
@@ -139,7 +137,7 @@ func TestGroupSumShardPlanCountWindowDuplicateTS(t *testing.T) {
 	}
 	unsharded := func() string {
 		g := stream.NewGraph()
-		box := g.AddBox(NewGroupSumWindowOp("γ", cfg))
+		box := g.AddBox(NewWindowAggOp("γ", cfg))
 		sink := &stream.Collect{}
 		sb := g.AddBox(sink)
 		g.Connect(box, sb, 0)
@@ -157,7 +155,7 @@ func TestGroupSumShardPlanCountWindowDuplicateTS(t *testing.T) {
 		// a few times to give a mismatched close-to-window pairing every
 		// chance to show up.
 		for round := 0; round < 5; round++ {
-			op := NewGroupSumWindowOp("γ", cfg).(PartitionedOp)
+			op := NewWindowAggOp("γ", cfg).(PartitionedOp)
 			plan := op.Shard(p)
 			g := stream.NewGraph()
 			part := g.AddBox(stream.NewPartition("part", p, plan.Partition))

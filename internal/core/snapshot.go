@@ -4,32 +4,25 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cf"
 	"repro/internal/dist"
 	"repro/internal/lineage"
 	"repro/internal/snap"
 	"repro/internal/stream"
 )
 
-// Durable-state codecs for the uncertain-tuple layer. Three kinds of state
+// Durable-state codecs for the uncertain-tuple layer. Two kinds of state
 // live here:
 //
 //   - Values flowing inside stream tuples (*UTuple carriers, shard
 //     partials) register codecs with the stream tuple codec, so window
 //     buffers and merge queues serialize transparently.
-//   - SumState accumulators serialize their live contributions directly
-//     (versioned, insertion order preserved) — the round-trip property
-//     tests pin that a restored accumulator's Result() is bit-identical.
-//   - The incremental window consumers (incWindowAgg, incSum) restore by
-//     REPLAY: their accumulators, dedup maps, reference counts and lineage
-//     multisets are fully derivable from the window ring the delta-window
-//     operator snapshots, so RestoreState re-runs admission and
-//     contribution over the restored residents without emitting. Replay
-//     reproduces the live-contribution insertion order (arrival order of
-//     the announced residents) and therefore the exact Result() bits; the
-//     only state NOT derivable that way — the two-stacks pane split of the
-//     ungrouped moment path, whose combination order is history-dependent
-//     — is serialized verbatim alongside.
+//   - The incremental window consumer (incWindowAgg) restores by REPLAY:
+//     its accumulators, dedup map, reference counts and lineage multisets
+//     are fully derivable from the window ring the delta-window operator
+//     snapshots, so RestoreState re-runs admission and contribution over
+//     the restored residents without emitting. Replay reproduces the
+//     live-contribution insertion order (arrival order of the announced
+//     residents) and therefore the exact Result() bits.
 
 func init() {
 	stream.RegisterSchema(utupleSchema)
@@ -230,95 +223,6 @@ func decodeContrib(r *snap.Reader) (PartialContrib, error) {
 	return c, r.Err()
 }
 
-// --- SumState ---
-
-const (
-	momentStateSnapV1 = 1
-	distStateSnapV1   = 1
-)
-
-// Snapshot implements SumState: the live gated cumulants in insertion
-// order.
-func (s *momentState) Snapshot() ([]byte, error) {
-	w := &snap.Writer{}
-	w.U8(momentStateSnapV1)
-	w.Uvarint(uint64(s.log.liveN))
-	for i := s.log.head; i < len(s.log.entries); i++ {
-		e := &s.log.entries[i]
-		if e.dead {
-			continue
-		}
-		w.F64(e.c.K1)
-		w.F64(e.c.K2)
-	}
-	return w.Bytes(), nil
-}
-
-// Restore implements SumState. Handles are renumbered (the log restarts at
-// zero with the live survivors only); callers re-acquire handles by
-// re-adding, as the replay-based consumer restores do. The running totals
-// are refolded from the survivors — they may differ from the pre-crash
-// totals by accumulated eviction rounding, which is within their
-// monitoring-only contract; Result() refolds and is exact.
-func (s *momentState) Restore(data []byte) error {
-	r := snap.NewReader(data)
-	if v := r.U8(); v != momentStateSnapV1 && r.Err() == nil {
-		r.Fail("moment state snapshot version %d", v)
-	}
-	n := r.Len()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.log = entryLog{}
-	s.run = cf.Cumulants{}
-	for i := 0; i < n; i++ {
-		c := cf.Cumulants{K1: r.F64(), K2: r.F64()}
-		s.run.K1 += c.K1
-		s.run.K2 += c.K2
-		s.log.add(stateEntry{c: c})
-	}
-	return r.Close()
-}
-
-// Snapshot implements SumState: the live gated distributions in insertion
-// order.
-func (s *distState) Snapshot() ([]byte, error) {
-	w := &snap.Writer{}
-	w.U8(distStateSnapV1)
-	w.Uvarint(uint64(s.log.liveN))
-	for i := s.log.head; i < len(s.log.entries); i++ {
-		e := &s.log.entries[i]
-		if e.dead {
-			continue
-		}
-		if err := dist.Encode(w, e.d); err != nil {
-			return nil, err
-		}
-	}
-	return w.Bytes(), nil
-}
-
-// Restore implements SumState; handles are renumbered as for momentState.
-func (s *distState) Restore(data []byte) error {
-	r := snap.NewReader(data)
-	if v := r.U8(); v != distStateSnapV1 && r.Err() == nil {
-		r.Fail("dist state snapshot version %d", v)
-	}
-	n := r.Len()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.log = entryLog{}
-	for i := 0; i < n; i++ {
-		d := dist.Decode(r)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		s.log.add(stateEntry{d: d})
-	}
-	return r.Close()
-}
-
 // --- incremental windowed aggregate (replay restore) ---
 
 const incGroupSnapV1 = 1
@@ -369,92 +273,6 @@ func (b *incWindowAgg) RestoreState(data []byte, announced []*stream.Tuple) erro
 		b.contribute(i)
 	}
 	return nil
-}
-
-// --- incremental ungrouped sum (replay restore + pane-stack split) ---
-
-const incSumSnapV1 = 1
-
-// SnapshotState implements stream.DeltaConsumerState: the entries, lineage
-// and pooled accumulator are derivable from the residents, but the moment
-// path's two-stacks split point is not — it is serialized verbatim (see
-// cf.PaneStack.Save).
-func (s *incSum) SnapshotState() ([]byte, error) {
-	w := &snap.Writer{}
-	w.U8(incSumSnapV1)
-	w.Bool(s.moment)
-	if s.moment {
-		front, back := s.stack.Save()
-		encodeCumulants(w, front)
-		encodeCumulants(w, back)
-	}
-	return w.Bytes(), nil
-}
-
-// RestoreState implements stream.DeltaConsumerState by replay, then — on
-// the moment path — overwriting the pane stack with the saved split.
-func (s *incSum) RestoreState(data []byte, announced []*stream.Tuple) error {
-	r := snap.NewReader(data)
-	if v := r.U8(); v != incSumSnapV1 && r.Err() == nil {
-		r.Fail("incremental sum snapshot version %d", v)
-	}
-	if moment := r.Bool(); moment != s.moment && r.Err() == nil {
-		r.Fail("incremental sum snapshot strategy class mismatch")
-	}
-	var front, back []cf.Cumulants
-	if s.moment {
-		front = decodeCumulants(r)
-		back = decodeCumulants(r)
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-	s.order = s.order[:0]
-	s.head = 0
-	s.lins = idMultiset{}
-	if s.state != nil {
-		s.state = NewSumState(s.strat, s.opts)
-	}
-	for _, t := range announced {
-		u := Unwrap(t)
-		d := u.Attr(s.attr)
-		e := sumEntry{id: t.ID, u: u}
-		if s.moment {
-			e.c = cf.GatedCumulants(d.Mean(), d.Variance(), u.Exist)
-		} else {
-			e.handle = s.state.Add(d, u.Exist)
-		}
-		s.order = append(s.order, e)
-		s.lins.AddIDs(u.Lin.IDs())
-	}
-	if s.moment {
-		if len(front)+len(back) != len(s.order) {
-			return fmt.Errorf("core: pane stack holds %d contributions, window %d",
-				len(front)+len(back), len(s.order))
-		}
-		s.stack.Load(front, back)
-	}
-	return nil
-}
-
-func encodeCumulants(w *snap.Writer, cs []cf.Cumulants) {
-	w.Uvarint(uint64(len(cs)))
-	for _, c := range cs {
-		w.F64(c.K1)
-		w.F64(c.K2)
-	}
-}
-
-func decodeCumulants(r *snap.Reader) []cf.Cumulants {
-	n := r.Len()
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	cs := make([]cf.Cumulants, n)
-	for i := range cs {
-		cs[i] = cf.Cumulants{K1: r.F64(), K2: r.F64()}
-	}
-	return cs
 }
 
 // --- windowed-aggregate box handle ---

@@ -1,92 +1,13 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/lineage"
-	"repro/internal/rng"
 	"repro/internal/snap"
 	"repro/internal/stream"
 )
-
-// TestSumStateSnapshotRoundTrip drives an accumulator through a random
-// insert/evict/replace workload, snapshots it mid-stream, restores into a
-// fresh accumulator, and requires the restored Result to match the original
-// bit for bit — then keeps feeding both and requires they stay in lockstep,
-// since recovery resumes live streams, not frozen ones.
-func TestSumStateSnapshotRoundTrip(t *testing.T) {
-	for _, strat := range []Strategy{CFApprox, CLT, CFInvert} {
-		t.Run(strat.String(), func(t *testing.T) {
-			g := rng.New(37)
-			opts := AggOptions{GridN: 256}
-			st := NewSumState(strat, opts)
-			var ids []uint64
-			for step := 0; step < 120; step++ {
-				if len(ids) > 0 && g.Float64() < 0.35 {
-					st.Remove(ids[0])
-					ids = ids[1:]
-					continue
-				}
-				d := dist.NewNormal(g.Normal(50, 20), math.Abs(g.Normal(0, 5))+0.1)
-				ids = append(ids, st.Add(d, g.Float64()))
-			}
-
-			blob, err := st.Snapshot()
-			if err != nil {
-				t.Fatalf("Snapshot: %v", err)
-			}
-			re := NewSumState(strat, opts)
-			if err := re.Restore(blob); err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			if re.Len() != st.Len() {
-				t.Fatalf("restored Len = %d, want %d", re.Len(), st.Len())
-			}
-			compare := func(ctx string) {
-				t.Helper()
-				a, b := st.Result(), re.Result()
-				if a.Mean() != b.Mean() || a.Variance() != b.Variance() || a.CDF(60) != b.CDF(60) {
-					t.Fatalf("%s: restored Result diverges: mean %.17g vs %.17g, var %.17g vs %.17g",
-						ctx, a.Mean(), b.Mean(), a.Variance(), b.Variance())
-				}
-			}
-			compare("at snapshot")
-
-			// Both accumulators keep receiving the identical suffix.
-			for step := 0; step < 40; step++ {
-				d := dist.NewNormal(g.Normal(40, 10), 2.5)
-				p := g.Float64()
-				st.Add(d, p)
-				re.Add(d, p)
-			}
-			compare("after post-restore inserts")
-		})
-	}
-}
-
-// TestSumStateRestoreRejectsCorruption: truncated and version-bumped blobs
-// must fail loudly, never restore a half-empty accumulator.
-func TestSumStateRestoreRejectsCorruption(t *testing.T) {
-	for _, strat := range []Strategy{CFApprox, CFInvert} {
-		st := NewSumState(strat, AggOptions{GridN: 64})
-		st.Add(dist.NewNormal(5, 1), 0.9)
-		st.Add(dist.PointMass{V: 2}, 0.5)
-		blob, err := st.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := NewSumState(strat, AggOptions{GridN: 64}).Restore(blob[:len(blob)-3]); err == nil {
-			t.Errorf("%v: truncated blob restored without error", strat)
-		}
-		bad := append([]byte{}, blob...)
-		bad[0] = 42
-		if err := NewSumState(strat, AggOptions{GridN: 64}).Restore(bad); err == nil {
-			t.Errorf("%v: version-bumped blob restored without error", strat)
-		}
-	}
-}
 
 // utupleRoundTrip encodes and decodes one uncertain tuple.
 func utupleRoundTrip(t *testing.T, u *UTuple) *UTuple {

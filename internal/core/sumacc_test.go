@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -25,17 +24,23 @@ type gatedInput struct {
 	p  float64
 }
 
-// TestSumStateMatchesRecompute drives both accumulators through a random
+// sumInput wraps one attribute value as the tuple a sum accumulator reads.
+func sumInput(d dist.Dist) *UTuple { return NewUTuple(0, []string{"v"}, []dist.Dist{d}) }
+
+// sumResult is the accumulator's one result distribution.
+func sumResult(acc Acc) dist.Dist { return acc.Result(nil)[0].D }
+
+// TestSumStateMatchesRecompute drives the sum accumulator through a random
 // insert/evict/replace workload and checks Result against a fresh recompute
 // over the surviving contributions after every step — bit-identical for the
-// moment state, and for the pooled state too (it reruns the same strategy
-// over the same ordered inputs).
+// moment strategies' refold, and for the pooled strategies too (they rerun
+// the same strategy over the same ordered inputs).
 func TestSumStateMatchesRecompute(t *testing.T) {
 	for _, strat := range []Strategy{CFApprox, CLT, CFInvert} {
 		t.Run(strat.String(), func(t *testing.T) {
 			g := rng.New(21)
 			opts := AggOptions{GridN: 256}
-			st := NewSumState(strat, opts)
+			acc := NewSumAgg("v", strat, opts).NewAcc()
 			var live []gatedInput
 			for step := 0; step < 400; step++ {
 				switch {
@@ -44,20 +49,20 @@ func TestSumStateMatchesRecompute(t *testing.T) {
 						d: dist.NewNormal(g.Normal(50, 20), math.Abs(g.Normal(0, 5))+0.1),
 						p: g.Float64(),
 					}
-					in.id = st.Add(in.d, in.p)
+					in.id = acc.Add(sumInput(in.d), in.p)
 					live = append(live, in)
 				case g.Float64() < 0.7:
 					// FIFO eviction.
-					st.Remove(live[0].id)
+					acc.Remove(live[0].id)
 					live = live[1:]
 				default:
 					// Keyed replace: remove from the middle.
 					i := g.Intn(len(live))
-					st.Remove(live[i].id)
+					acc.Remove(live[i].id)
 					live = append(live[:i], live[i+1:]...)
 				}
-				if st.Len() != len(live) {
-					t.Fatalf("step %d: Len = %d, want %d", step, st.Len(), len(live))
+				if acc.Len() != len(live) {
+					t.Fatalf("step %d: Len = %d, want %d", step, acc.Len(), len(live))
 				}
 				if len(live) == 0 {
 					continue
@@ -65,7 +70,7 @@ func TestSumStateMatchesRecompute(t *testing.T) {
 				if step%7 != 0 { // Result is emission-time; don't call every step for CFInvert
 					continue
 				}
-				got := st.Result()
+				got := sumResult(acc)
 				want := recomputeRef(live, strat, opts)
 				if gm, wm := got.Mean(), want.Mean(); gm != wm {
 					t.Fatalf("step %d: mean %.17g != recompute %.17g", step, gm, wm)
@@ -81,58 +86,81 @@ func TestSumStateMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestMomentStateRunningCumulants checks the O(1) running totals track the
-// deterministic refold to rounding noise (they may differ in final ulps
-// after evictions — that is exactly why Result refolds).
-func TestMomentStateRunningCumulants(t *testing.T) {
-	g := rng.New(23)
-	st := NewSumState(CFApprox, AggOptions{}).(*momentState)
-	var live []gatedInput
-	for step := 0; step < 2000; step++ {
-		in := gatedInput{d: dist.NewNormal(g.Normal(100, 30), 5), p: g.Float64()}
-		in.id = st.Add(in.d, in.p)
-		live = append(live, in)
-		for len(live) > 50 {
-			st.Remove(live[0].id)
-			live = live[1:]
-		}
-	}
-	run := st.RunningCumulants()
-	want := st.Result()
-	if math.Abs(run.K1-want.Mean()) > 1e-6*math.Abs(want.Mean()) {
-		t.Errorf("running K1 %.17g far from refold %.17g", run.K1, want.Mean())
-	}
-	if math.Abs(run.K2-want.Variance()) > 1e-6*want.Variance() {
-		t.Errorf("running K2 %.17g far from refold %.17g", run.K2, want.Variance())
-	}
-}
-
-// TestEntryLogCompaction exercises the absolute-sequence bookkeeping across
-// the compaction thresholds.
+// TestEntryLogCompaction exercises the accumulator log's absolute-sequence
+// bookkeeping across the compaction thresholds.
 func TestEntryLogCompaction(t *testing.T) {
-	st := NewSumState(CFApprox, AggOptions{}).(*momentState)
-	d := dist.PointMass{V: 1}
+	acc := NewSumAgg("v", CFApprox, AggOptions{}).NewAcc()
+	u := sumInput(dist.PointMass{V: 1})
 	// Long FIFO churn forces repeated compactions.
 	var handles []uint64
 	for i := 0; i < 1000; i++ {
-		handles = append(handles, st.Add(d, 1))
+		handles = append(handles, acc.Add(u, 1))
 		if i >= 10 {
-			st.Remove(handles[i-10])
+			acc.Remove(handles[i-10])
 		}
 	}
-	if st.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", st.Len())
+	if acc.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", acc.Len())
 	}
-	if got := st.Result().Mean(); got != 10 {
+	if got := sumResult(acc).Mean(); got != 10 {
 		t.Errorf("Result mean = %g, want 10", got)
 	}
-	if len(st.log.entries) > 64+10 {
-		t.Errorf("entry log not compacted: %d entries for 10 live", len(st.log.entries))
+	if n := len(acc.(*sumAcc).log.entries); n > 64+10 {
+		t.Errorf("entry log not compacted: %d entries for 10 live", n)
 	}
 	// Removing unknown ids is a no-op.
-	st.Remove(99999)
-	if st.Len() != 10 {
-		t.Errorf("unknown Remove changed Len to %d", st.Len())
+	acc.Remove(99999)
+	if acc.Len() != 10 {
+		t.Errorf("unknown Remove changed Len to %d", acc.Len())
+	}
+}
+
+// TestSumAccAllocs pins the sum accumulator's allocation counts in a warm
+// sliding window of 40 live contributions: per contribution one Add and one
+// Remove, per emission one Result. The moment strategies allocate nothing
+// per contribution and box one Normal per emission; CFInvert builds the
+// gate mixture per contribution and runs one inversion per emission. The
+// counts are those of the accumulator this one replaced.
+func TestSumAccAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		strat             Strategy
+		opts              AggOptions
+		perContrib, perEm float64
+	}{
+		{CFApprox, AggOptions{}, 0, 1},
+		{CLT, AggOptions{}, 0, 1},
+		{CFInvert, AggOptions{GridN: 256}, 3, 5},
+	} {
+		us := make([]*UTuple, 96)
+		for i := range us {
+			us[i] = sumInput(dist.NewNormal(100+float64(i), 3))
+		}
+		acc := NewSumAgg("v", tc.strat, tc.opts).NewAcc()
+		handles := make([]uint64, 0, 4096)
+		next := 0
+		step := func() {
+			next++
+			handles = append(handles, acc.Add(us[next%len(us)], 0.25+0.25*float64(next%3)))
+			if len(handles) > 40 {
+				acc.Remove(handles[0])
+				handles = handles[1:]
+			}
+		}
+		for i := 0; i < 500; i++ { // warm the log past its compaction threshold
+			step()
+		}
+		handles = append(make([]uint64, 0, 4096), handles...) // room for the measured steps
+		perContrib := testing.AllocsPerRun(1000, step)
+		dst := acc.Result(nil)
+		perEm := testing.AllocsPerRun(50, func() { dst = acc.Result(dst) })
+		t.Logf("%v: %v allocs per Add+Remove, %v per Result", tc.strat, perContrib, perEm)
+		if perContrib > tc.perContrib || perEm > tc.perEm {
+			t.Errorf("%v: %v allocs per Add+Remove, %v per Result; budget %v and %v",
+				tc.strat, perContrib, perEm, tc.perContrib, tc.perEm)
+		}
 	}
 }
 
@@ -178,19 +206,5 @@ func TestCountReusesBuffer(t *testing.T) {
 	}
 	if allocsLarge > 16 {
 		t.Errorf("Count allocates %g times per call", allocsLarge)
-	}
-}
-
-func TestNewSumStateStrategySelection(t *testing.T) {
-	for strat, want := range map[Strategy]string{
-		CFApprox:          "*core.momentState",
-		CLT:               "*core.momentState",
-		CFInvert:          "*core.distState",
-		CFApproxGMM:       "*core.distState",
-		HistogramSampling: "*core.distState",
-	} {
-		if got := fmt.Sprintf("%T", NewSumState(strat, AggOptions{})); got != want {
-			t.Errorf("NewSumState(%v) = %s, want %s", strat, got, want)
-		}
 	}
 }

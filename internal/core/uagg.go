@@ -6,25 +6,23 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/cf"
 	"repro/internal/dist"
 	"repro/internal/lineage"
 	"repro/internal/stream"
 )
 
-// This file is the pluggable windowed-aggregate spine (PR 10): the
-// handle-addressed per-window state pattern PR 3 built for gated sums,
-// refactored into a first-class abstraction so new uncertain aggregates
-// (streaming quantiles, probabilistic top-k dominating) ride every layer the
-// sum already does — incremental delta maintenance, Shards(n) partials with
-// a deterministic merge, RunLive, checkpoint/restore, and cluster
-// part-streams — without forking the spine per operator.
+// This file is the pluggable windowed-aggregate spine: every windowed
+// uncertain aggregate — the gated sum, streaming quantiles, probabilistic
+// top-k dominating, grouped or not — rides the same layers: incremental
+// delta maintenance, Shards(n) partials with a deterministic merge, RunLive,
+// checkpoint/restore, and cluster part-streams.
 //
 // An aggregate supplies three things:
 //
 //   - An Acc: the incremental accumulator (Add/Remove by handle, Result),
-//     fed by the delta-window path. Its determinism contract matches
-//     SumState's: Result depends only on the live contributions and their
-//     insertion order.
+//     fed by the delta-window path. Result depends only on the live
+//     contributions and their insertion order.
 //   - A Prepare/Finalize pair: the mergeable partial form. Prepare runs the
 //     per-tuple heavy work (gating, moment extraction, sketching) where the
 //     tuple is — a shard instance, a cluster worker — and Finalize folds the
@@ -48,7 +46,7 @@ type AggOut struct {
 }
 
 // Acc is a windowed aggregate's incremental accumulator: handle-addressed
-// insertion and withdrawal, exactly the SumState pattern. Result must depend
+// insertion and withdrawal. Result must depend
 // only on the live contributions and their insertion order, and must equal
 // the Finalize fold over the same contributions in the same order — the
 // equivalence tests pin byte-identical alerts between the two paths.
@@ -114,8 +112,7 @@ type UAgg interface {
 	Prepare(u *UTuple, p float64) (d dist.Dist, aux []float64)
 }
 
-// WindowAggConfig parameterizes the generalized windowed-aggregate box —
-// the superset of GroupSumOpConfig with the aggregate pluggable.
+// WindowAggConfig parameterizes the windowed-aggregate box.
 type WindowAggConfig struct {
 	// Window is the (tumbling/sliding/count) window policy.
 	Window stream.WindowSpec
@@ -133,8 +130,6 @@ type WindowAggConfig struct {
 	// Recompute forces the rescan path even for window shapes the
 	// incremental path covers.
 	Recompute bool
-	// Workers bounds the per-group emission worker pool (0 = auto).
-	Workers int
 }
 
 // memberOf resolves the membership function: the configured one, or the
@@ -285,17 +280,13 @@ func emitFinalized(cfg WindowAggConfig, groups []finalGroup, end stream.Time, em
 		rows := cfg.Agg.Finalize(g.cs)
 		outs[i] = assembleRows(g.name, rows, unionLineage(g.cs), end, outNames)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		// A finalize runs once per window and includes the fold, the lineage
-		// union and tuple assembly; the pool pays off for the cheap moment
-		// strategies too once there are enough groups (it is the serial tail
-		// that would otherwise cap shard scaling).
-		if cfg.Agg.Heavy() || len(groups) >= 8 {
-			workers = runtime.GOMAXPROCS(0)
-		} else {
-			workers = 1
-		}
+	// A finalize runs once per window and includes the fold, the lineage
+	// union and tuple assembly; the pool pays off for the cheap moment
+	// strategies too once there are enough groups (it is the serial tail
+	// that would otherwise cap shard scaling).
+	workers := 1
+	if cfg.Agg.Heavy() || len(groups) >= 8 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	runPool(workers, len(groups), build)
 	for _, ts := range outs {
@@ -350,10 +341,10 @@ func assembleRows(g string, rows []AggOut, lin lineage.Set, end stream.Time, out
 	return ts
 }
 
-// alog is the generic insertion-ordered entry store behind the new
-// accumulators: a grow-at-the-back slice with a dead prefix, handles as
+// alog is the insertion-ordered entry store behind the accumulators and the
+// partial logs: a grow-at-the-back slice with a dead prefix, handles as
 // absolute sequence numbers kept valid across compaction by a base offset —
-// the entryLog pattern (sumstate.go), generic over the entry payload.
+// O(1) add and remove with no hashing on the per-tuple path.
 type alog[E any] struct {
 	entries []aentry[E]
 	head    int    // first possibly-live entry
@@ -435,14 +426,16 @@ func (l *alog[E]) each(fn func(handle uint64, v *E)) {
 	}
 }
 
-// --- the gated sum, rebased on the spine ---
+// --- the gated sum ---
 
-// sumAgg is the existing gated-sum aggregate expressed as a UAgg: Prepare
-// and Finalize reuse the exact pre-refactor arithmetic (shard-side the
-// BernoulliGate, or for the moment strategies its moments via momentDist;
-// merge-side the shared Sum fold), and the accumulator wraps SumState
-// unchanged — so the rebase is byte-identical by construction, and the
-// golden pin holds it there.
+// sumAgg is the gated SUM: each contribution is the attribute Bernoulli-gated
+// by its probability, and a window's result is the strategy's sum over the
+// gated contributions in arrival order. Prepare builds the gate shard-side
+// (for the moment strategies only its moments, via momentDist), Finalize
+// folds the prepared gates with the shared Sum, and the accumulator runs the
+// same arithmetic over the same contributions in the same order — so the
+// incremental, rescan, sharded and clustered plans emit the same bits, and
+// the golden pin holds them there.
 type sumAgg struct {
 	attr  string
 	strat Strategy
@@ -454,16 +447,18 @@ func NewSumAgg(attr string, strat Strategy, opts AggOptions) UAgg {
 	return &sumAgg{attr: attr, strat: strat, opts: opts}
 }
 
+// momentStrategy reports whether a sum strategy reads only the first two
+// cumulants of its inputs: its result is a refold of cached cumulants, not
+// an FFT inversion, a fit or a sampling run.
+func momentStrategy(s Strategy) bool { return s == CFApprox || s == CLT }
+
 func (a *sumAgg) Kind() string { return "sum" }
 func (a *sumAgg) Attr() string { return a.attr }
-func (a *sumAgg) Heavy() bool  { return heavyResult(a.strat) }
-
-func (a *sumAgg) NewAcc() Acc {
-	return &sumAcc{attr: a.attr, st: NewSumState(a.strat, a.opts)}
-}
+func (a *sumAgg) Heavy() bool  { return !momentStrategy(a.strat) }
+func (a *sumAgg) NewAcc() Acc  { return &sumAcc{agg: a} }
 
 func (a *sumAgg) Prepare(u *UTuple, p float64) (dist.Dist, []float64) {
-	if !heavyResult(a.strat) {
+	if momentStrategy(a.strat) {
 		return newMomentDist(u.Attr(a.attr), p), nil
 	}
 	return BernoulliGate(u.Attr(a.attr), p), nil
@@ -477,17 +472,60 @@ func (a *sumAgg) Finalize(cs []PartialContrib) []AggOut {
 	return []AggOut{{D: Sum(ds, a.strat, a.opts)}}
 }
 
-// sumAcc adapts SumState to the Acc interface; the attribute extraction it
-// adds is the same call the incremental box made inline pre-refactor.
+// sumAcc is the gated sum's accumulator. The moment strategies cache each
+// contribution's closed-form gated cumulants at Add (cf.GatedCumulants, bit-
+// identical to the gate mixture's moments) and Result refolds them left to
+// right — the fold SumMoments runs over the same contributions, hence the
+// same bits; a running total would drift from it by ulps under eviction's
+// subtraction. Every other strategy caches the BernoulliGate distribution
+// and Result pools the live gates into one Sum call per emission: one
+// product-CF inversion or fit, or the sampling baselines' seeded draws,
+// exactly as the rescan path runs them.
 type sumAcc struct {
-	attr string
-	st   SumState
+	agg  *sumAgg
+	log  alog[sumEntry]
+	pool []dist.Dist // Result scratch for the pooled strategies
 }
 
-func (a *sumAcc) Add(u *UTuple, p float64) uint64 { return a.st.Add(u.Attr(a.attr), p) }
-func (a *sumAcc) Remove(h uint64)                 { a.st.Remove(h) }
-func (a *sumAcc) Len() int                        { return a.st.Len() }
+// sumEntry is one live contribution: its gated cumulants (moment
+// strategies) or its gated distribution (every other strategy).
+type sumEntry struct {
+	c cf.Cumulants
+	d dist.Dist
+}
+
+func (a *sumAcc) Add(u *UTuple, p float64) uint64 {
+	v := u.Attr(a.agg.attr)
+	if momentStrategy(a.agg.strat) {
+		return a.log.add(sumEntry{c: cf.GatedCumulants(v.Mean(), v.Variance(), p)})
+	}
+	return a.log.add(sumEntry{d: BernoulliGate(v, p)})
+}
+
+func (a *sumAcc) Remove(h uint64) { a.log.remove(h) }
+func (a *sumAcc) Len() int        { return a.log.liveN }
 
 func (a *sumAcc) Result(dst []AggOut) []AggOut {
-	return append(dst[:0], AggOut{D: a.st.Result()})
+	return append(dst[:0], AggOut{D: a.sum()})
+}
+
+func (a *sumAcc) sum() dist.Dist {
+	live := a.log.entries[a.log.head:]
+	if momentStrategy(a.agg.strat) {
+		var total cf.Cumulants
+		for i := range live {
+			if !live[i].dead {
+				total.K1 += live[i].v.c.K1
+				total.K2 += live[i].v.c.K2
+			}
+		}
+		return cf.GaussianFromCumulants(total)
+	}
+	a.pool = a.pool[:0]
+	for i := range live {
+		if !live[i].dead {
+			a.pool = append(a.pool, live[i].v.d)
+		}
+	}
+	return Sum(a.pool, a.agg.strat, a.agg.opts)
 }

@@ -42,8 +42,8 @@ func ClusterPort(i int) string { return fmt.Sprintf("worker%d", i) }
 
 // Cluster splits the query chain for cluster execution, or explains why it
 // cannot run clustered. Eligible chains are single-source, join-free, and
-// consist of exactly one keyed windowed group aggregate followed by only
-// stateless stages:
+// consist of exactly one windowed aggregate followed by only stateless
+// stages:
 //
 //   - A stage before the aggregate would filter or rewrite tuples ahead of
 //     the window clock, but the router's clock must observe precisely the

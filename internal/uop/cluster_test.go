@@ -156,11 +156,6 @@ func TestClusterRejectsIneligibleChains(t *testing.T) {
 			"requires a windowed aggregate",
 		},
 		{
-			"ungrouped sum",
-			From("locations").Window(cfg.WindowMS).Sum("weight", cfg.Strategy, cfg.Agg),
-			"requires a windowed aggregate",
-		},
-		{
 			"unconsumed window",
 			From("locations").Window(cfg.WindowMS),
 			"without a consuming aggregate",

@@ -1,6 +1,7 @@
 package uop
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,10 +11,10 @@ import (
 
 // The tests in this file pin the incremental-aggregation acceptance
 // criterion: on a sliding-window Q1 over a seeded T-operator trace, the
-// delta-maintained path (per-group SumState fed by window deltas) must
-// produce byte-identical alerts to the per-slide recompute path, under both
-// the synchronous Push executor and the channel-parallel RunChan — and with
-// parallel per-group emission enabled.
+// delta-maintained path (per-group sum accumulators fed by window deltas)
+// must produce byte-identical alerts to the per-slide recompute path, under
+// both the synchronous Push executor and the channel-parallel RunChan — and
+// with parallel per-group emission, which the heavy strategies fan out to.
 
 func slidingQ1Config(slide stream.Time) Q1Config {
 	return Q1Config{
@@ -27,30 +28,30 @@ func slidingQ1Config(slide stream.Time) Q1Config {
 }
 
 func TestSlidingQ1IncrementalMatchesRecompute(t *testing.T) {
+	// CFInvert emits through a pool of GOMAXPROCS workers; four of them
+	// exercise the parallel emission on any host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	lts, w := seededTrace(t, 60, 400, 0)
 	for _, slide := range []stream.Time{1 * stream.Second, 2500 * stream.Millisecond} {
-		cfg := slidingQ1Config(slide)
-		rec := cfg
-		rec.Recompute = true
-		ref := formatQ1(RunQ1(lts, w, rec))
-		if ref == "" {
-			t.Fatal("recompute reference produced no alerts; test inputs too light")
-		}
-		if got := formatQ1(RunQ1(lts, w, cfg)); got != ref {
-			t.Errorf("slide=%d: incremental Push diverges from recompute:\nref:\n%s\ngot:\n%s",
-				slide, ref, got)
-		}
-		// Parallel per-group emission must not change output or order.
-		par := cfg
-		par.Workers = 4
-		if got := formatQ1(RunQ1(lts, w, par)); got != ref {
-			t.Errorf("slide=%d: parallel emission diverges from recompute:\nref:\n%s\ngot:\n%s",
-				slide, ref, got)
-		}
-		for _, buffer := range []int{1, 64} {
-			if got := formatQ1(RunQ1Chan(lts, w, par, buffer)); got != ref {
-				t.Errorf("slide=%d: incremental RunChan(buffer=%d) diverges:\nref:\n%s\ngot:\n%s",
-					slide, buffer, ref, got)
+		for _, strat := range []core.Strategy{core.CFApprox, core.CFInvert} {
+			cfg := slidingQ1Config(slide)
+			cfg.Strategy = strat
+			cfg.Agg = core.AggOptions{GridN: 256}
+			rec := cfg
+			rec.Recompute = true
+			ref := formatQ1(RunQ1(lts, w, rec))
+			if ref == "" {
+				t.Fatal("recompute reference produced no alerts; test inputs too light")
+			}
+			if got := formatQ1(RunQ1(lts, w, cfg)); got != ref {
+				t.Errorf("slide=%d %v: incremental Push diverges from recompute:\nref:\n%s\ngot:\n%s",
+					slide, strat, ref, got)
+			}
+			for _, buffer := range []int{1, 64} {
+				if got := formatQ1(RunQ1Chan(lts, w, cfg, buffer)); got != ref {
+					t.Errorf("slide=%d %v: incremental RunChan(buffer=%d) diverges:\nref:\n%s\ngot:\n%s",
+						slide, strat, buffer, ref, got)
+				}
 			}
 		}
 	}

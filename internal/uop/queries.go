@@ -37,9 +37,6 @@ type Q1Config struct {
 	// Recompute pins the per-window rescan path (the reference semantics)
 	// even for sliding windows; the benchmark baseline.
 	Recompute bool
-	// Workers bounds the incremental path's per-group emission pool
-	// (0 = GOMAXPROCS, 1 = sequential).
-	Workers int
 	// Shards >= 1 compiles the diagram shard-parallel: the keyed group
 	// aggregate runs as that many data-parallel instances (hash of the tag
 	// dedup key) and the stateless stages replicate round-robin, with
@@ -119,9 +116,6 @@ func BuildQ1(cfg Q1Config) *Query {
 		GroupBy(q1Member(cfg))
 	if cfg.Recompute {
 		q = q.Recompute()
-	}
-	if cfg.Workers != 0 {
-		q = q.EmitWorkers(cfg.Workers)
 	}
 	return q.
 		Sum("weight", cfg.Strategy, cfg.Agg).

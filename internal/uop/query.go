@@ -28,13 +28,12 @@ type Query struct {
 	left, right *Query
 	makeOp      func() stream.Operator
 
-	// Pending clauses accumulated by Window/DedupLatest/GroupBy/Recompute/
-	// EmitWorkers and consumed by the next aggregate stage.
+	// Pending clauses accumulated by Window/DedupLatest/GroupBy/Recompute
+	// and consumed by the next aggregate stage.
 	win       *stream.WindowSpec
 	dedup     string
 	member    core.Membership
 	recompute bool
-	workers   int
 	// shards, when >= 1, is inherited by every downstream stage: Compile
 	// rewrites each eligible box into that many shard instances behind a
 	// Partition/Merge pair (see the build cases for eligibility).
@@ -68,7 +67,7 @@ func (q *Query) stage(makeOp func() stream.Operator) *Query {
 	return &Query{
 		parent: q, makeOp: makeOp, aggAttr: q.aggAttr,
 		win: q.win, dedup: q.dedup, member: q.member,
-		recompute: q.recompute, workers: q.workers, shards: q.shards,
+		recompute: q.recompute, shards: q.shards,
 	}
 }
 
@@ -79,8 +78,7 @@ func (q *Query) stage(makeOp func() stream.Operator) *Query {
 // and a merge box that reunifies shard outputs deterministically, so alerts
 // stay byte-identical to the unsharded plan. n <= 0 disables the rewrite;
 // n == 1 still builds the sharded topology (useful for exercising the
-// protocol). Stateful boxes without a declared partition key (the ungrouped
-// windowed SUM) stay single-instance.
+// protocol).
 func (q *Query) Shards(n int) *Query {
 	return q.with(func(c *Query) { c.shards = n })
 }
@@ -134,67 +132,34 @@ func (q *Query) Recompute() *Query {
 	return q.with(func(c *Query) { c.recompute = true })
 }
 
-// EmitWorkers bounds the incremental group aggregate's per-group emission
-// worker pool (0 = GOMAXPROCS, 1 = sequential); output stays in group-name
-// order regardless.
-func (q *Query) EmitWorkers(n int) *Query {
-	return q.with(func(c *Query) { c.workers = n })
-}
-
-// Sum materializes the pending Window/DedupLatest/GroupBy clauses into an
-// aggregation box summing the named uncertain attribute. With a GroupBy it
-// compiles to the probabilistic GROUP BY box; without one, to a plain
-// windowed sum.
+// Sum materializes the pending Window/DedupLatest/GroupBy clauses into a
+// windowed gated SUM over the named uncertain attribute: per window (and
+// group, if any) one output tuple carrying the sum's full distribution.
 func (q *Query) Sum(attr string, strat core.Strategy, opts core.AggOptions) *Query {
-	if q.win == nil {
-		panic("uop: Sum requires a preceding Window")
-	}
-	win, dedup, member := *q.win, q.dedup, q.member
-	recompute, workers := q.recompute, q.workers
-	if member == nil && dedup != "" {
-		panic("uop: DedupLatest without GroupBy is not supported")
-	}
-	s := q.stage(func() stream.Operator {
-		if member == nil {
-			if recompute {
-				return core.NewSumRescanOp(fmt.Sprintf("Σ(%s)", attr), win, attr, strat, opts)
-			}
-			return core.NewSumOp(fmt.Sprintf("Σ(%s)", attr), win, attr, strat, opts)
-		}
-		return UGroupWindow(fmt.Sprintf("γΣ(%s)", attr), core.GroupSumOpConfig{
-			Window: win, DedupKey: dedup, Attr: attr,
-			Member: member, Strategy: strat, Agg: opts,
-			Recompute: recompute, Workers: workers,
-		})
-	})
-	s.aggAttr = attr
-	s.win, s.dedup, s.member = nil, "", nil // clauses consumed
-	s.recompute, s.workers = false, 0
-	return s
+	return q.windowAgg("Σ", attr, attr,
+		func() core.UAgg { return core.NewSumAgg(attr, strat, opts) })
 }
 
-// windowAgg materializes the pending clauses into a generalized windowed
-// aggregate stage on the pluggable spine: verb and label render the box
-// name, aggAttr is the output attribute Having reads. Unlike Sum — whose
-// ungrouped form predates the spine and keeps its dedicated box — every
-// combination of GroupBy/DedupLatest is legal here: without a GroupBy the
-// aggregate runs over the implicit single group "".
+// windowAgg materializes the pending clauses into a windowed aggregate stage
+// on the pluggable spine: verb and label render the box name, aggAttr is the
+// output attribute Having reads. Every combination of GroupBy/DedupLatest is
+// legal: without a GroupBy the aggregate runs over the implicit single
+// group "".
 func (q *Query) windowAgg(verb, label, aggAttr string, agg func() core.UAgg) *Query {
 	if q.win == nil {
 		panic("uop: " + verb + " requires a preceding Window")
 	}
-	win, dedup, member := *q.win, q.dedup, q.member
-	recompute, workers := q.recompute, q.workers
+	win, dedup, member, recompute := *q.win, q.dedup, q.member, q.recompute
 	name := fmt.Sprintf("γ%s(%s)", verb, label)
 	s := q.stage(func() stream.Operator {
 		return UWindowAgg(name, core.WindowAggConfig{
 			Window: win, DedupKey: dedup, Member: member,
-			Agg: agg(), Recompute: recompute, Workers: workers,
+			Agg: agg(), Recompute: recompute,
 		})
 	})
 	s.aggAttr = aggAttr
 	s.win, s.dedup, s.member = nil, "", nil // clauses consumed
-	s.recompute, s.workers = false, 0
+	s.recompute = false
 	return s
 }
 
@@ -303,10 +268,10 @@ func (q *Query) Compile() *Compiled {
 //
 // With Shards(n >= 1) set on a node, the box is rewritten shard-parallel:
 //
-//   - operators declaring a partition key (core.PartitionedOp — the
-//     window+dedup+group-sum box, whose per-key state never crosses keys)
-//     expand to their ShardPlan: key-hash Partition, n shard instances, and
-//     the operator's deterministic merge;
+//   - partitionable operators (core.PartitionedOp — the windowed-aggregate
+//     box, whose per-key state never crosses keys) expand to their
+//     ShardPlan: key-hash (or, without a dedup key, round-robin) Partition,
+//     n shard instances, and the operator's deterministic merge;
 //   - stateless boxes (stream.StatelessOp — selects/filters) replicate
 //     round-robin behind a sequence-ordered merge that restores the
 //     pre-partition stream order exactly;
@@ -314,7 +279,7 @@ func (q *Query) Compile() *Compiled {
 //     port 1 (loc_equals has no certain equi-key, so every pair must still
 //     meet in exactly one shard; a certain-key equi-join would hash both
 //     ports), reunified by a union;
-//   - everything else (sources, keyless stateful boxes) stays single.
+//   - everything else (sources) stays single.
 func (q *Query) build(g *stream.Graph, sources map[string]*stream.Box, memo map[*Query]*stream.Box) *stream.Box {
 	if b, ok := memo[q]; ok {
 		return b

@@ -63,6 +63,13 @@ func slidingAggCases() []slidingCase {
 		{"topk", func(s int, sp stream.WindowSpec, rc bool) *Query {
 			return q(s, sp, rc).TopKDominating([]string{"x", "y"}, 2, core.TopKOptions{Label: "tag"}).Having(allRows)
 		}},
+		{"sum-ungrouped", func(s int, sp stream.WindowSpec, rc bool) *Query {
+			q := From("locations").Shards(s).WindowSpec(sp).DedupLatest("tag")
+			if rc {
+				q = q.Recompute()
+			}
+			return q.Sum("weight", core.CFApprox, core.AggOptions{}).Having(allRows)
+		}},
 	}
 }
 
@@ -126,8 +133,9 @@ func liveU(t *testing.T, q *Query, us []*core.UTuple) string {
 
 // TestShardedSlidingByteIdentical: sharded sliding plans — delta partials
 // behind the run-merging merge — emit the %.17g bytes of the unsharded
-// incremental plan and of the Recompute plan, for sum (CFApprox, CFInvert),
-// quantile and top-k, P ∈ {1, 2, 4, 7}, under Push, RunChan and RunLive.
+// incremental plan and of the Recompute plan, for sum (CFApprox, CFInvert,
+// ungrouped), quantile and top-k, P ∈ {1, 2, 4, 7}, under Push, RunChan and
+// RunLive.
 func TestShardedSlidingByteIdentical(t *testing.T) {
 	lts, w := seededTrace(t, 40, 160, 0)
 	for _, tc := range slidingAggCases() {
@@ -160,38 +168,45 @@ func TestShardedSlidingByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedSlidingCheckpointEveryTuple: a two-shard sliding quantile
-// checkpointed at every tuple boundary — partials mid-slide, the merge
-// holding windows only one shard has closed — and restored into a fresh plan
-// continues byte-identically.
+// TestShardedSlidingCheckpointEveryTuple: a two-shard sliding quantile, and a
+// two-shard ungrouped sliding sum, checkpointed at every tuple boundary —
+// partials mid-slide, the merge holding windows only one shard has closed —
+// and restored into a fresh plan continue byte-identically.
 func TestShardedSlidingCheckpointEveryTuple(t *testing.T) {
 	lts, w := seededTrace(t, 20, 40, 0)
-	mk := func() *Query { return slidingAggCases()[2].build(2, slidingShapes[0].spec, false) }
-	ref := pushU(mk(), slidingTrace(lts, w))
-	if ref == "" {
-		t.Fatal("reference produced no alerts")
-	}
-	us := slidingTrace(lts, w)
-	for cut := 0; cut <= len(us); cut++ {
-		c1 := mk().Compile()
-		for _, u := range us[:cut] {
-			c1.Push("locations", u)
+	for _, tc := range slidingAggCases() {
+		if tc.name != "quantile" && tc.name != "sum-ungrouped" {
+			continue
 		}
-		pre := formatUAlerts(c1.Results())
-		blob, err := c1.Checkpoint()
-		if err != nil {
-			t.Fatalf("cut %d: checkpoint: %v", cut, err)
-		}
-		c2 := mk().Compile()
-		if err := c2.RestoreFrom(blob); err != nil {
-			t.Fatalf("cut %d: restore: %v", cut, err)
-		}
-		for _, u := range us[cut:] {
-			c2.Push("locations", u)
-		}
-		if got := pre + formatUAlerts(c2.Close()); got != ref {
-			t.Fatalf("cut %d: recovered alerts diverge at line %d", cut, firstDiffLine(ref, got))
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() *Query { return tc.build(2, slidingShapes[0].spec, false) }
+			ref := pushU(mk(), slidingTrace(lts, w))
+			if ref == "" {
+				t.Fatal("reference produced no alerts")
+			}
+			us := slidingTrace(lts, w)
+			for cut := 0; cut <= len(us); cut++ {
+				c1 := mk().Compile()
+				for _, u := range us[:cut] {
+					c1.Push("locations", u)
+				}
+				pre := formatUAlerts(c1.Results())
+				blob, err := c1.Checkpoint()
+				if err != nil {
+					t.Fatalf("cut %d: checkpoint: %v", cut, err)
+				}
+				c2 := mk().Compile()
+				if err := c2.RestoreFrom(blob); err != nil {
+					t.Fatalf("cut %d: restore: %v", cut, err)
+				}
+				for _, u := range us[cut:] {
+					c2.Push("locations", u)
+				}
+				if got := pre + formatUAlerts(c2.Close()); got != ref {
+					t.Fatalf("cut %d: recovered alerts diverge at line %d", cut, firstDiffLine(ref, got))
+				}
+			}
+		})
 	}
 }
 

@@ -8,14 +8,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/rfid"
 	"repro/internal/stream"
 )
 
 // The tests in this file pin the PR 10 acceptance criterion for the new
 // pluggable aggregates (streaming quantiles, probabilistic top-k
-// dominating): identical alert bytes across every execution mode the gated
-// sum supports — synchronous Push, channel-parallel RunChan, the continuous
+// dominating, and the ungrouped sum that joined them on the spine):
+// identical alert bytes across every execution mode the grouped sum
+// supports — synchronous Push, channel-parallel RunChan, the continuous
 // live executor, incremental vs rescan realizations, in-process sharding,
 // checkpoint/restore at mid-window split points, and the cluster split.
 
@@ -59,6 +61,16 @@ func uaggCases() []uaggCase {
 			return base(s, sl, rc).
 				TopKDominating([]string{"x", "y"}, 2, core.TopKOptions{Label: "tag"}).
 				Having(Greater(0.5, 0.2))
+		}},
+		{"sum-ungrouped", func(s int, sl stream.Time, rc bool) *Query {
+			q := From("locations").
+				Shards(s).
+				WindowSpec(stream.WindowSpec{Duration: 5 * stream.Second, Slide: sl}).
+				DedupLatest("tag")
+			if rc {
+				q = q.Recompute()
+			}
+			return q.Sum("weight", core.CFApprox, core.AggOptions{}).Having(Greater(0, 0.2))
 		}},
 	}
 }
@@ -309,34 +321,78 @@ func TestNewAggCheckpointRestoreByteIdentical(t *testing.T) {
 
 // TestUngroupedSpineAggregates: without a GroupBy the spine runs the
 // aggregate over the implicit single group "" — output tuples carry the
-// empty group column and alerts flow through Having unchanged.
+// empty group column, alerts flow through Having unchanged, and the sliding
+// incremental path matches its rescan byte for byte, with and without
+// DedupLatest.
 func TestUngroupedSpineAggregates(t *testing.T) {
 	lts, w := seededTrace(t, 30, 200, 0)
-	q := From("locations").
-		Window(5*stream.Second).
-		DedupLatest("tag").
-		Quantile("x", 0.5, core.QuantileOptions{}).
-		Having(Greater(0, 0.05))
-	got := pushAlerts(q, lts, w)
-	if got == "" {
-		t.Fatal("ungrouped quantile produced no alerts")
+	for _, tc := range []struct {
+		name  string
+		dedup bool
+		agg   func(*Query) *Query
+	}{
+		{"quantile", true, func(q *Query) *Query { return q.Quantile("x", 0.5, core.QuantileOptions{}) }},
+		{"sum", true, func(q *Query) *Query { return q.Sum("weight", core.CFApprox, core.AggOptions{}) }},
+		{"sum-no-dedup", false, func(q *Query) *Query { return q.Sum("weight", core.CLT, core.AggOptions{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := func(spec stream.WindowSpec) *Query {
+				q := From("locations").WindowSpec(spec)
+				if tc.dedup {
+					q = q.DedupLatest("tag")
+				}
+				return q
+			}
+			got := pushAlerts(tc.agg(src(stream.WindowSpec{Duration: 5 * stream.Second})).Having(Greater(0, 0.05)), lts, w)
+			if got == "" {
+				t.Fatal("ungrouped aggregate produced no alerts")
+			}
+			for _, line := range strings.Split(strings.TrimSuffix(got, "\n"), "\n") {
+				if !strings.Contains(line, "||") { // empty group column
+					t.Fatalf("ungrouped alert carries a group: %q", line)
+				}
+			}
+			sliding := stream.WindowSpec{Duration: 5 * stream.Second, Slide: stream.Second}
+			inc := pushAlerts(tc.agg(src(sliding)), lts, w)
+			rc := pushAlerts(tc.agg(src(sliding).Recompute()), lts, w)
+			if inc != rc {
+				t.Errorf("ungrouped sliding %s: incremental vs rescan diverge at line %d", tc.name, firstDiffLine(rc, inc))
+			}
+		})
 	}
-	for _, line := range strings.Split(strings.TrimSuffix(got, "\n"), "\n") {
-		if !strings.Contains(line, "||") { // empty group column
-			t.Fatalf("ungrouped alert carries a group: %q", line)
+}
+
+// TestUngroupedSumSkipsImpossibleWindow: a window in which no tuple can exist
+// (every Exist is 0) has no contribution, so it emits no row — as a grouped
+// window without contributions does — under Push, Recompute and Shards(2).
+func TestUngroupedSumSkipsImpossibleWindow(t *testing.T) {
+	reading := func(ts stream.Time, exist float64) *core.UTuple {
+		u := core.NewUTuple(ts, []string{"weight"}, []dist.Dist{dist.NewNormal(10, 1)})
+		u.Exist = exist
+		return u
+	}
+	// Window [0 s, 1 s) holds only impossible readings, [1 s, 2 s) one
+	// possible reading among impossible ones.
+	us := []*core.UTuple{reading(100, 0), reading(600, 0), reading(1200, 0.5), reading(1700, 0)}
+	spec := stream.WindowSpec{Duration: stream.Second, Slide: stream.Second}
+	for _, tc := range []struct {
+		name string
+		q    *Query
+	}{
+		{"push", From("s").WindowSpec(spec)},
+		{"recompute", From("s").WindowSpec(spec).Recompute()},
+		{"shards=2", From("s").Shards(2).WindowSpec(spec)},
+	} {
+		c := tc.q.Sum("weight", core.CFApprox, core.AggOptions{}).Compile()
+		for _, u := range us {
+			c.Push("s", u)
 		}
-	}
-	// And byte-identical across the incremental path.
-	qi := From("locations").
-		WindowSpec(stream.WindowSpec{Duration: 5 * stream.Second, Slide: stream.Second}).
-		DedupLatest("tag").
-		Quantile("x", 0.5, core.QuantileOptions{})
-	qr := From("locations").
-		WindowSpec(stream.WindowSpec{Duration: 5 * stream.Second, Slide: stream.Second}).
-		DedupLatest("tag").
-		Recompute().
-		Quantile("x", 0.5, core.QuantileOptions{})
-	if inc, rc := pushAlerts(qi, lts, w), pushAlerts(qr, lts, w); inc != rc {
-		t.Errorf("ungrouped sliding quantile: incremental vs rescan diverge:\ninc:\n%s\nrc:\n%s", inc, rc)
+		out := c.Close()
+		if len(out) != 1 {
+			t.Fatalf("%s: %d rows, want 1 (the window with a possible reading):\n%s", tc.name, len(out), formatUAlerts(out))
+		}
+		if m := core.Unwrap(out[0]).Attr("weight").Mean(); m != 5 {
+			t.Errorf("%s: sum mean %g, want 5", tc.name, m)
+		}
 	}
 }

@@ -63,17 +63,11 @@ func UJoinProb(name string, rangeMS stream.Time, locAttrs []string, tol, minProb
 	return core.NewJoinOp(name, rangeMS, locAttrs, tol, minProb)
 }
 
-// UGroupWindow builds the windowed probabilistic GROUP BY + SUM box (Q1's
-// shape): one output tuple per group per window, stamped with the window
-// end, the group key in the "group" column.
-func UGroupWindow(name string, cfg core.GroupSumOpConfig) stream.Operator {
-	return core.NewGroupSumWindowOp(name, cfg)
-}
-
-// UWindowAgg builds a windowed aggregate box for any pluggable uncertain
-// aggregate (quantile, top-k dominating, or a custom core.UAgg) on the same
-// spine UGroupWindow rides: grouped output tuples per window, incremental
-// maintenance for sliding windows, shardable and clusterable.
+// UWindowAgg builds the windowed aggregate box for any pluggable uncertain
+// aggregate (sum, quantile, top-k dominating, or a custom core.UAgg): one
+// output tuple per group (per rank, for top-k) per window, stamped with the
+// window end, the group key in the "group" column; incremental maintenance
+// for sliding windows, shardable and clusterable.
 func UWindowAgg(name string, cfg core.WindowAggConfig) stream.Operator {
 	return core.NewWindowAggOp(name, cfg)
 }
