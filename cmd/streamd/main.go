@@ -27,7 +27,7 @@
 //	        [-data-dir DIR] [-checkpoint-every DUR] [-once]
 //	        [-workers ADDR,ADDR,...] [-slots N] [-replicas N] [-vnodes N]
 //	        [-weights W,W,...] [-ping-every DUR] [-join ROUTER_ADDR]
-//	        [-proto json|bin]
+//	        [-proto bin]
 //
 // With -data-dir set the daemon is crash-safe: it checkpoints the running
 // plan's durable state (window buffers, accumulators, lineage) to
@@ -50,7 +50,10 @@
 // protocol above — alerts are byte-identical to a single-process run. With
 // -replicas 2 every tuple is dual-written to the owner's ring successor,
 // and -checkpoint-every drives cluster checkpoints so a killed worker fails
-// over from snapshot + replay tail. See DESIGN.md "Cluster execution".
+// over from snapshot + replay tail. Router↔worker tuples, closes and
+// partials travel as bwire binary frames; -proto accepts only "bin" and
+// goes in the next change to the repository benchmark, which still passes
+// it. See DESIGN.md "Cluster execution".
 //
 // A worker started with -join ROUTER_ADDR offers itself to a running
 // router's client port and joins the ring at the next epoch-aligned cut —
@@ -116,10 +119,10 @@ func main() {
 	weightsFlag := flag.String("weights", "", "router mode: comma-separated per-worker ring weights (arity must match -workers)")
 	pingEvery := flag.Duration("ping-every", time.Second, "router mode: worker liveness-probe cadence (0 disables)")
 	joinAddr := flag.String("join", "", "worker mode: router client address to offer this worker to (rolling join)")
-	proto := flag.String("proto", "json", "router mode: router↔worker link protocol, json or bin (clients negotiate per message either way)")
+	proto := flag.String("proto", "bin", "router mode: router↔worker link protocol; only bin is accepted (clients negotiate per message either way)")
 	flag.Parse()
-	if *proto != "json" && *proto != "bin" {
-		fatalf(2, "unknown -proto %q (want json or bin)", *proto)
+	if *proto != "bin" {
+		fatalf(2, "-proto %q not supported: router↔worker links speak only bin", *proto)
 	}
 
 	// The threshold and min-prob flags default for q1; q2 falls back to its
@@ -177,7 +180,6 @@ func main() {
 	case "router":
 		rc := routerConfig(clusterPlan(), *addr, *httpAddr, *workersFlag, *weightsFlag, *dataDir,
 			*slots, *replicas, *vnodes, *queueCap, *pingEvery, *ckptEvery, *once, explicit)
-		rc.Proto = *proto
 		runRouter(rc)
 		return
 	case "worker":

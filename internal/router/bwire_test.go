@@ -1,21 +1,17 @@
 package router
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/stream"
-	"repro/internal/uop"
 )
 
-// These tests pin the binary wire protocol at cluster scale: with
-// Config.Proto = "bin" every router↔worker link carries schema-interned
-// tuple frames, binary close punctuations, and binary part blobs — and
-// the alert stream must still match the offline reference byte for
-// byte, including under failover. Clients are free to pick their own
-// protocol per connection; both are exercised against binary links.
+// Every router↔worker link carries schema-interned tuple frames, binary
+// close punctuations, and binary part blobs, so every cluster test in this
+// package runs on them. Clients are free to pick their own protocol per
+// connection: the JSON client is the default elsewhere, the binary client
+// is exercised here.
 
 // sendFrames writes raw binary frame bytes to the router, interleaving
 // with the client's JSON lines.
@@ -42,57 +38,10 @@ func encodeBinary(t testing.TB, msgs []server.Msg) []byte {
 	return bb.Take()
 }
 
-// TestRouterBinaryLinksByteIdentical: the cluster acceptance criterion
-// holds unchanged when the worker links speak binary — tumbling and
-// sliding windows, multiple worker counts, same offline reference.
-func TestRouterBinaryLinksByteIdentical(t *testing.T) {
-	base := wireTrace(t, 40, 300)
-	cases := []struct {
-		name    string
-		mut     func(*uop.Q1Config)
-		workers []int
-	}{
-		{"tumbling", nil, []int{1, 2, 4}},
-		{"sliding", func(c *uop.Q1Config) { c.SlideMS = 1500 * stream.Millisecond }, []int{2}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := clusterQ1Cfg()
-			if tc.mut != nil {
-				tc.mut(&cfg)
-			}
-			ref := offlineAlertLines(t, base, cfg)
-			if len(ref) == 0 {
-				t.Fatal("offline reference produced no alerts")
-			}
-			for _, workers := range tc.workers {
-				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					cl := startCluster(t, workers, cfg, func(c *Config) { c.Proto = "bin" })
-					sub := subscribe(t, cl.rt)
-					ingest := dialRouter(t, cl.rt)
-					for _, m := range base {
-						ingest.send(m)
-					}
-					ingest.send(server.Msg{Kind: server.KindEnd})
-					if m := ingest.recv(60 * time.Second); m.Kind != server.KindOK {
-						t.Fatalf("end: got %+v", m)
-					}
-					diffLines(t, ref, collectAlerts(t, sub), fmt.Sprintf("bin workers=%d", workers))
-					for _, w := range cl.rt.Stats().Workers {
-						if w.Proto != "bin" {
-							t.Errorf("worker %d link proto %q, want bin", w.Slot, w.Proto)
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
 // TestRouterBinaryClientIngest: a client sending binary tuple frames to
 // the router (which decodes them into the same routing path JSON lines
-// take) reproduces the reference over binary links, and /statsz labels
-// the client connection's negotiated protocol.
+// take) reproduces the reference, and /statsz labels the client
+// connection's negotiated protocol.
 func TestRouterBinaryClientIngest(t *testing.T) {
 	msgs := wireTrace(t, 40, 300)
 	cfg := clusterQ1Cfg()
@@ -100,7 +49,7 @@ func TestRouterBinaryClientIngest(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("offline reference produced no alerts")
 	}
-	cl := startCluster(t, 2, cfg, func(c *Config) { c.Proto = "bin" })
+	cl := startCluster(t, 2, cfg, nil)
 	sub := subscribe(t, cl.rt)
 	ingest := dialRouter(t, cl.rt)
 	ingest.sendFrames(server.EncodeBwHello())
@@ -123,53 +72,5 @@ func TestRouterBinaryClientIngest(t *testing.T) {
 	}
 	if !seenBin {
 		t.Errorf("statsz conns %v: no connection negotiated bin", protos)
-	}
-}
-
-// TestRouterFailoverKillWorkerBinary: the replication acceptance test
-// over binary links — checkpoint, SIGKILL a worker mid-stream, and the
-// promoted replica's tail replay (binary tail records, binary close
-// punctuations) still reproduces the reference byte for byte.
-func TestRouterFailoverKillWorkerBinary(t *testing.T) {
-	msgs := wireTrace(t, 40, 300)
-	cfg := clusterQ1Cfg()
-	ref := offlineAlertLines(t, msgs, cfg)
-	if len(ref) == 0 {
-		t.Fatal("offline reference produced no alerts")
-	}
-	cl := startCluster(t, 3, cfg, func(c *Config) {
-		c.Replicas = 2
-		c.Proto = "bin"
-	})
-	sub := subscribe(t, cl.rt)
-	ingest := dialRouter(t, cl.rt)
-
-	third := len(msgs) / 3
-	for _, m := range msgs[:third] {
-		ingest.send(m)
-	}
-	ingest.send(server.Msg{Kind: server.KindCkpt})
-	if m := ingest.recv(60 * time.Second); m.Kind != server.KindOK {
-		t.Fatalf("ckpt: got %+v", m)
-	}
-	for _, m := range msgs[third : 2*third] {
-		ingest.send(m)
-	}
-	cl.workers[1].Crash()
-	for _, m := range msgs[2*third:] {
-		ingest.send(m)
-	}
-	ingest.send(server.Msg{Kind: server.KindEnd})
-	if m := ingest.recv(60 * time.Second); m.Kind != server.KindOK {
-		t.Fatalf("end: got %+v", m)
-	}
-	diffLines(t, ref, collectAlerts(t, sub), "bin failover")
-
-	st := cl.rt.Stats()
-	if st.Failovers < 1 {
-		t.Errorf("stats report %d failovers, want >= 1", st.Failovers)
-	}
-	if st.Degraded {
-		t.Error("stats report degraded: the killed slot had a live replica")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // and snapshots agree.
 //
 // Because each worker's ckpt_ack rides the same FIFO connection as its part
-// lines — and the worker snapshots only after draining its ingest queue —
+// frames — and the worker snapshots only after draining its ingest queue —
 // a completed round leaves the router having merged *everything* the cut
 // covers: per-slot merged-close counts equal the workers' emitted-close
 // ordinals, and no partials are pending. That uniform cut is what makes the

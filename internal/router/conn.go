@@ -195,7 +195,8 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 // handleClientFrame dispatches one binary frame from a client connection,
 // returning how many tuples it routed. Decoded tuples are converted back
 // to Msg form and routed exactly like JSON ones — the router's per-tuple
-// cost lives on the worker links, which Config.Proto controls separately.
+// cost lives on the worker links, which carry bwire frames whatever the
+// client sent.
 func (r *Router) handleClientFrame(fr server.BwFrame, bdec *server.BwDecoder) (int, error) {
 	switch fr.Kind {
 	case server.BwHello:

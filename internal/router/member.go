@@ -260,7 +260,7 @@ func (r *Router) removeWorker(l *link) {
 	for s := range r.slotSnaps {
 		r.slotSnaps[s] = snaps[s]
 	}
-	// Retire the link. The release/close lines just queued still flush:
+	// Retire the link. The release line and close frames just queued still flush:
 	// the sender drains the buffered queue before exiting.
 	l.alive.Store(false)
 	l.sendq.Close()

@@ -9,15 +9,15 @@
 //   - The partition box itself runs here, so the window clock — which must
 //     observe the full, unsharded arrival stream — emits the same close
 //     sequence a single process would, broadcast to every worker as
-//     explicit "close" punctuations.
-//   - Each worker streams back "part" lines (per-group partial aggregates,
+//     explicit close punctuations.
+//   - Each worker streams back part frames (per-group partial aggregates,
 //     then the forwarded close, per window); the router buffers each port's
 //     partials until its close arrives and feeds the same deterministic
 //     merge the in-process plan uses, so client-facing alerts are
 //     byte-identical to single-process execution.
 //
 // With Replicas >= 2 every routed tuple is dual-written to the owner's
-// ring successor, which tails the raw lines (and all closes). When a worker
+// ring successor, which tails the copies (and all closes). When a worker
 // dies, the router promotes the successor: it restores the slot's last
 // installed checkpoint, replays the tail suffix, suppresses the window
 // ordinals the router already merged, and takes over the slot — the
@@ -27,6 +27,11 @@
 // stable in *logical slots* (key locality is what dedup correctness needs);
 // a slot indirection table redirects a dead slot's traffic to the link that
 // hosts it now.
+//
+// Router↔worker data — routed tuples, replica copies, window closes and
+// returning parts — moves only as bwire frames (internal/server/bwire.go);
+// control messages (join, reset, sub, ckpt, snap, promote, ping, end and
+// their acks) stay JSON lines on the same connection.
 package router
 
 import (
@@ -74,7 +79,7 @@ type Config struct {
 	Plan *uop.ClusterPlan
 	// SubBuffer bounds each subscriber's pending-line buffer (default 4096).
 	SubBuffer int
-	// SendBuffer bounds each worker link's outbound line queue (default
+	// SendBuffer bounds each worker link's outbound message queue (default
 	// 4096); a full queue blocks routing — backpressure, not loss.
 	SendBuffer int
 	// PingEvery is the worker liveness-probe cadence (0 disables pings;
@@ -94,11 +99,11 @@ type Config struct {
 	// key ring is built over slots and never changes, so routing — and the
 	// alert byte stream — is independent of which host serves each slot.
 	Slots int
-	// Proto selects the router↔worker link encoding: "json" (the default)
-	// keeps the original JSON-lines protocol, "bin" switches routed
-	// tuples, close punctuations, and returning part lines to bwire
-	// binary frames (see internal/server/bwire.go). Client connections
-	// are unaffected: they negotiate per message by first byte either way.
+	// Proto names the router↔worker link encoding. Links always speak
+	// bwire, so only "" and "bin" are accepted; "json" is refused. The
+	// field (and streamd's -proto flag) stays only because the repository
+	// benchmark still passes it, and both go in the next change to that
+	// benchmark. Client connections negotiate per message by first byte.
 	Proto string
 	// Store, when non-nil, makes the router itself crash-safe: every
 	// cluster checkpoint round also persists the router's own durable
@@ -110,7 +115,7 @@ type Config struct {
 }
 
 // link is one worker connection: its home slot (the slot it joined with;
-// -1 for a mid-stream joiner), its outbound line queue, and its liveness.
+// -1 for a mid-stream joiner), its outbound message queue, and its liveness.
 type link struct {
 	// idx is this link's index in Router.links (stable for the run).
 	idx int
@@ -132,7 +137,7 @@ type link struct {
 	// retry on a fresh link re-sends the schema by construction.
 	sentSchemas map[uint64]bool
 	alive       atomic.Bool
-	// lastSeen is the unix-milli stamp of the last line received.
+	// lastSeen is the unix-milli stamp of the last message received.
 	lastSeen   atomic.Int64
 	version    atomic.Uint64
 	routed     atomic.Uint64
@@ -251,10 +256,8 @@ type Router struct {
 	ep     *repoch
 	epochs int
 
-	// bin is the resolved Config.Proto: worker links speak bwire frames.
-	bin bool
-	// benc interns tuple schemas for binary links (routeMu); schema ids
-	// are router-global, each link tracks which ones it has seen.
+	// benc interns tuple schemas for the worker links (routeMu); schema
+	// ids are router-global, each link tracks which ones it has seen.
 	benc *server.BwEncoder
 
 	mu       sync.Mutex
@@ -362,10 +365,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Replicas > len(cfg.Workers) {
 		cfg.Replicas = len(cfg.Workers)
 	}
-	switch cfg.Proto {
-	case "", "json", "bin":
-	default:
-		return nil, fmt.Errorf("router: unknown proto %q (want json or bin)", cfg.Proto)
+	if cfg.Proto != "" && cfg.Proto != "bin" {
+		return nil, fmt.Errorf("router: proto %q not supported: worker links speak only bin", cfg.Proto)
 	}
 
 	var blob *routerState
@@ -413,7 +414,6 @@ func New(cfg Config) (*Router, error) {
 		conns:       map[*server.ConnTrack]struct{}{},
 		start:       time.Now(),
 		recovered:   -1,
-		bin:         cfg.Proto == "bin",
 		benc:        server.NewBwEncoder(),
 	}
 	if blob != nil {
@@ -676,13 +676,10 @@ func (r *Router) handshake(home int, addr string, c net.Conn, reset *server.Rese
 		}
 		return nil
 	}
-	if r.bin {
-		// Announce the binary protocol before join: the worker marks the
-		// connection binary on the frame's arrival, so by subscribe time
-		// it knows to answer part traffic in frames rather than lines.
-		if _, err := bw.Write(server.EncodeBwHello()); err != nil {
-			return nil, err
-		}
+	// Announce the binary protocol before join: a worker refuses the
+	// part subscription of a connection that sent no hello.
+	if _, err := bw.Write(server.EncodeBwHello()); err != nil {
+		return nil, err
 	}
 	s := home
 	join := server.Msg{
@@ -737,10 +734,9 @@ func (r *Router) linkSender(l *link) {
 	bw.Flush()
 }
 
-// linkReader consumes a worker's reply stream: part lines/frames feed the
-// merge, control acks resolve checkpoint/promotion state. Binary links
-// return parts as BwPart frames; everything else stays JSON on both
-// protocols, so one mixed reader serves both.
+// linkReader consumes a worker's reply stream: BwPart frames feed the
+// merge, JSON control acks resolve checkpoint/promotion state. Anything
+// else — a stray frame kind, a JSON part line — counts as a worker error.
 func (r *Router) linkReader(l *link) {
 	defer r.wg.Done()
 	// ckpt_ack lines carry whole plan checkpoints (base64).
@@ -775,12 +771,6 @@ func (r *Router) linkReader(l *link) {
 		}
 		l.seen()
 		switch m.Kind {
-		case server.KindPart:
-			if m.Shard == nil {
-				r.workerErrs.Add(1)
-				continue
-			}
-			r.feedPart(l, *m.Shard, m.Data)
 		case server.KindDone:
 			r.onWorkerDone(l)
 		case server.KindPong:
@@ -798,7 +788,7 @@ func (r *Router) linkReader(l *link) {
 			go r.removeWorker(l)
 		case server.KindOK:
 			// late ack (end); nothing to resolve
-		case server.KindErr:
+		default:
 			r.workerErrs.Add(1)
 		}
 	}
@@ -808,8 +798,8 @@ func (r *Router) linkReader(l *link) {
 // feedPart buffers a worker's partials per port and releases each window to
 // the merge atomically when the port's close arrives. Everything below
 // headMu: PushTuple runs the merge (and post stages, and alert emission)
-// synchronously. data is the stream.EncodeWireTuple blob, however it
-// arrived (base64 in a JSON part line, raw in a BwPart frame).
+// synchronously. data is the stream.EncodeWireTuple blob of a BwPart
+// frame.
 func (r *Router) feedPart(l *link, slot int, data []byte) {
 	if len(data) == 0 {
 		r.workerErrs.Add(1)
@@ -901,34 +891,6 @@ func (r *Router) epoch() *repoch {
 	return r.ep
 }
 
-// sendLine enqueues a pre-encoded line on the link serving logical slot,
-// failing the link over (and retrying on the new host) if its queue is
-// closed. routeMu must be held. Reports whether the line was accepted.
-func (r *Router) sendLine(slot int, line []byte, replica bool) bool {
-	for {
-		li := r.routeSlot[slot]
-		if li < 0 {
-			r.degraded.Store(true)
-			return false
-		}
-		l := r.links[li]
-		err := l.sendq.Put(r.ctx, line)
-		if err == nil {
-			if replica {
-				l.replicated.Add(1)
-			} else {
-				l.routed.Add(1)
-			}
-			return true
-		}
-		if r.ctx.Err() != nil {
-			return false
-		}
-		// Queue closed: the link died under us; redirect and retry.
-		r.failLinkLocked(l)
-	}
-}
-
 // putFrame enqueues one bwire frame on a link, prepending the schema
 // frame — in the same sendq entry, so the pair is atomic across failover —
 // the first time this link references the schema. routeMu must be held.
@@ -945,8 +907,9 @@ func (r *Router) putFrame(l *link, sc *server.BwSchema, frame []byte) error {
 	return l.sendq.Put(r.ctx, frame)
 }
 
-// sendFrame is sendLine for a binary tuple frame: enqueue on the link
-// serving the slot, failing over and retrying like sendLine. routeMu held.
+// sendFrame enqueues a tuple frame on the link serving logical slot,
+// failing the link over (and retrying on the new host) if its queue is
+// closed. routeMu must be held. Reports whether the frame was accepted.
 func (r *Router) sendFrame(slot int, sc *server.BwSchema, frame []byte) bool {
 	for {
 		li := r.routeSlot[slot]
@@ -962,34 +925,20 @@ func (r *Router) sendFrame(slot int, sc *server.BwSchema, frame []byte) bool {
 		if r.ctx.Err() != nil {
 			return false
 		}
+		// Queue closed: the link died under us; redirect and retry.
 		r.failLinkLocked(l)
 	}
 }
 
-// emitRouted handles one partition output under routeMu: closes broadcast
-// to every live link (and through the slot indirection, so hosted slots
-// hear them too — sendLine dedupes by link? no: closes go per *link*, once).
+// emitRouted handles one partition output under routeMu: a close frame
+// goes once to every live link (a link hosting several slots feeds them
+// all from the one copy); a tuple frame goes to its slot's owner and, with
+// replication, to the slot's replica.
 func (r *Router) emitRouted(ep *repoch, m server.Msg, out *stream.Tuple) {
 	if end, ok := stream.WindowCloseOf(out); ok {
 		seq, _ := stream.CloseSeq(out)
-		var line []byte
-		if r.bin {
-			line = server.EncodeBwClose(r.cfg.Plan.Source, int64(end), seq)
-		} else {
-			var err error
-			line, err = server.EncodeLine(server.Msg{
-				Kind:   server.KindClose,
-				Source: r.cfg.Plan.Source,
-				T:      int64(end),
-				Seq:    seq,
-			})
-			if err != nil {
-				r.encodeErrs.Add(1)
-				return
-			}
-		}
 		ep.closeLog = append(ep.closeLog, closePt{t: end, seq: seq})
-		r.broadcastToLinks(line)
+		r.broadcastToLinks(server.EncodeBwClose(r.cfg.Plan.Source, int64(end), seq))
 		// Degraded slots have no worker to forward this close back; feed
 		// their merge ports a synthesized one so surviving slots' windows
 		// keep completing (their data for this window is lost — documented).
@@ -1007,48 +956,23 @@ func (r *Router) emitRouted(ep *repoch, m server.Msg, out *stream.Tuple) {
 	}
 	om := m
 	om.Seq = out.Seq
-	om.Shard = &slot
-	if r.bin {
-		// Binary link: no per-tuple JSON marshal, no base64 — one frame
-		// to the owner and (schema permitting) one replica frame, each a
-		// fixed-field body against the interned schema.
-		sc, _, err := r.benc.Intern(&om)
-		if err != nil {
-			r.encodeErrs.Add(1)
-			return
-		}
-		if !r.sendFrame(slot, sc, server.EncodeTupleFrame(sc, &om, slot, false)) {
-			return
-		}
-		rep := r.replicaSlot[slot]
-		if rep < 0 || rep == r.routeSlot[slot] || !r.links[rep].alive.Load() {
-			return
-		}
-		if r.putFrame(r.links[rep], sc, server.EncodeTupleFrame(sc, &om, slot, true)) == nil {
-			r.links[rep].replicated.Add(1)
-		}
-		return
-	}
-	line, err := server.EncodeLine(om)
+	// One frame to the owner and one replica frame, each a fixed-field
+	// body against the interned schema.
+	sc, _, err := r.benc.Intern(&om)
 	if err != nil {
 		r.encodeErrs.Add(1)
 		return
 	}
-	if !r.sendLine(slot, line, false) {
+	if !r.sendFrame(slot, sc, server.EncodeTupleFrame(sc, &om, slot, false)) {
 		return
 	}
 	rep := r.replicaSlot[slot]
 	if rep < 0 || rep == r.routeSlot[slot] || !r.links[rep].alive.Load() {
 		return
 	}
-	om.Replica = true
-	rline, err := server.EncodeLine(om)
-	if err != nil {
-		r.encodeErrs.Add(1)
-		return
+	if r.putFrame(r.links[rep], sc, server.EncodeTupleFrame(sc, &om, slot, true)) == nil {
+		r.links[rep].replicated.Add(1)
 	}
-	r.links[rep].sendq.Put(r.ctx, rline)
-	r.links[rep].replicated.Add(1)
 }
 
 // synthClose feeds one synthesized window-close to a degraded slot's merge
@@ -1066,13 +990,14 @@ func (r *Router) synthClose(ep *repoch, slot int, end stream.Time, seq uint64) {
 	ep.closes[slot]++
 }
 
-// broadcastToLinks enqueues one line on every live link (routeMu held).
-func (r *Router) broadcastToLinks(line []byte) {
+// broadcastToLinks enqueues one message — a close frame or a JSON control
+// line — on every live link (routeMu held).
+func (r *Router) broadcastToLinks(msg []byte) {
 	for _, l := range r.links {
 		if !l.alive.Load() {
 			continue
 		}
-		if err := l.sendq.Put(r.ctx, line); err != nil && r.ctx.Err() == nil {
+		if err := l.sendq.Put(r.ctx, msg); err != nil && r.ctx.Err() == nil {
 			r.failLinkLocked(l)
 		}
 	}
@@ -1318,7 +1243,7 @@ func (r *Router) failLinkLocked(l *link) {
 		r.replicaSlot[slot] = -1
 		r.lastSnap[slot].Store(0)
 		if err := r.links[rep].sendq.Put(r.ctx, line); err != nil {
-			// Replica died too; next sendLine attempt will cascade.
+			// Replica died too; the next sendFrame attempt will cascade.
 			continue
 		}
 		if ep != nil && ep.ended.Load() {

@@ -253,10 +253,25 @@ func diffLines(t *testing.T, ref, got []string, label string) {
 	}
 }
 
+// linkFrames reports the bwire frames each worker received on its router
+// link (the connection that negotiated bin), one entry per worker.
+func linkFrames(cl *cluster) []uint64 {
+	frames := make([]uint64, len(cl.workers))
+	for i, w := range cl.workers {
+		for _, c := range w.Stats().Conns {
+			if c.Proto == "bin" {
+				frames[i] += c.FramesIn
+			}
+		}
+	}
+	return frames
+}
+
 // TestRouterReplayByteIdentical is the cluster acceptance test: a seeded
 // wire trace replayed through router + N workers over TCP yields exactly
 // the bytes of the offline unsharded synchronous run — for N ∈ {1, 2, 4},
-// tumbling and sliding windows, and straggler-displaced timestamps.
+// tumbling and sliding windows, and straggler-displaced timestamps. The
+// JSON client's tuples reach every worker as bwire frames.
 func TestRouterReplayByteIdentical(t *testing.T) {
 	base := wireTrace(t, 40, 300)
 	cases := []struct {
@@ -299,6 +314,11 @@ func TestRouterReplayByteIdentical(t *testing.T) {
 						t.Fatalf("end: got %+v", m)
 					}
 					diffLines(t, ref, collectAlerts(t, sub), fmt.Sprintf("workers=%d", workers))
+					for i, n := range linkFrames(cl) {
+						if n <= 1 {
+							t.Errorf("worker %d received %d bwire frames, want the hello plus data frames", i, n)
+						}
+					}
 				})
 			}
 		})
@@ -509,10 +529,24 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 		{Addr: "127.0.0.1:0", Plan: plan},                                                         // no workers
 		{Plan: plan, Workers: []string{"127.0.0.1:1"}},                                            // no addr
 		{Addr: "127.0.0.1:0", Plan: plan, Workers: []string{"127.0.0.1:1"}, Weights: []int{1, 2}}, // weight arity
+		{Addr: "127.0.0.1:0", Plan: plan, Workers: []string{"127.0.0.1:1"}, Proto: "json"},        // links are bin only
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted; want error", i)
 		}
+	}
+}
+
+// TestRouterProtoOnlyBin: Config.Proto accepts only "" and "bin", and
+// either way the worker link speaks bwire from the handshake on.
+func TestRouterProtoOnlyBin(t *testing.T) {
+	for _, proto := range []string{"", "bin"} {
+		t.Run(fmt.Sprintf("proto=%q", proto), func(t *testing.T) {
+			cl := startCluster(t, 1, clusterQ1Cfg(), func(c *Config) { c.Proto = proto })
+			if n := linkFrames(cl)[0]; n < 1 {
+				t.Errorf("worker received %d bwire frames after the handshake, want the hello", n)
+			}
+		})
 	}
 }

@@ -55,8 +55,6 @@ type WorkerStatsz struct {
 	// LastSeenMS is how long ago the last line arrived from this worker
 	// (pong or any traffic), in milliseconds; -1 before first contact.
 	LastSeenMS int64 `json:"last_seen_ms"`
-	// Proto is the link's wire protocol ("json" or "bin", Config.Proto).
-	Proto string `json:"proto"`
 	// Version is the ring version the worker last echoed on pong.
 	Version    uint64            `json:"version"`
 	Routed     uint64            `json:"routed"`
@@ -150,10 +148,6 @@ func (r *Router) Stats() Statsz {
 		members[i] = l.member
 	}
 	r.routeMu.Unlock()
-	linkProto := "json"
-	if r.bin {
-		linkProto = "bin"
-	}
 	now := time.Now().UnixMilli()
 	for i, l := range links {
 		row := WorkerStatsz{
@@ -162,7 +156,6 @@ func (r *Router) Stats() Statsz {
 			Addr:        l.addr,
 			Alive:       l.alive.Load(),
 			LastSeenMS:  -1,
-			Proto:       linkProto,
 			Version:     l.version.Load(),
 			Routed:      l.routed.Load(),
 			Replicated:  l.replicated.Load(),

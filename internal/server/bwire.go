@@ -1,7 +1,8 @@
 // bwire is the length-prefixed binary wire protocol: the high-volume
 // alternative to the JSON-lines protocol in wire.go, negotiated per
 // message by a magic-byte sniff so both share one port and one
-// connection.
+// connection. Clients may use either; on router↔worker links it is the
+// only encoding for routed tuples, replica copies, closes and parts.
 //
 // Frame layout (all multi-byte integers inside the payload use the
 // internal/snap primitives — uvarint/zig-zag varint/fixed little-endian):
@@ -10,10 +11,11 @@
 //
 // 0xBF can never begin a JSON-lines message (RFC 8259 JSON text starts
 // with ASCII whitespace or a value byte, all < 0x80), so a reader peeks
-// one byte per message and dispatches: frame or line. There is no
-// handshake and no mode switch — a connection may interleave binary tuple
-// frames with JSON control lines ("end", "ckpt"), and replies, alerts,
-// and done lines stay JSON on every path.
+// one byte per message and dispatches: frame or line. There is no mode
+// switch — a connection may interleave binary tuple frames with JSON
+// control lines ("end", "ckpt"), and replies, alerts, and done lines stay
+// JSON on every path. The one handshake is a worker's: it serves its part
+// stream only to a connection that sent HELLO.
 //
 // The hot kind is TUPLES: a batch of up to 32 tuples (matching the
 // engine's channel transport batches) referencing a schema table interned
@@ -52,10 +54,10 @@ const BwMagic = 0xBF
 // everything else (join, ckpt, snap, promote, acks, alerts, done) stays
 // JSON — those are per-epoch or per-window, not per-tuple.
 const (
-	// BwHello announces a binary-capable peer: a router sends it on a
-	// worker link before "join" (so the worker answers "part" traffic in
-	// binary), and a client may send it before its first frame so /statsz
-	// labels the connection before tuples arrive.
+	// BwHello announces a binary-capable peer: a router sends it on every
+	// worker link before "join" (a worker serves its BwPart stream only to
+	// a connection that sent one), and a client may send it before its
+	// first frame so /statsz labels the connection before tuples arrive.
 	BwHello byte = 0x01
 	// BwSchemaFrame interns a tuple shape (a BwSchema): source name plus
 	// sorted key/attr columns, under a sender-assigned id. Sent once per
@@ -712,8 +714,8 @@ func DecodeBwClose(payload []byte) (BwCloseMsg, error) {
 	return c, r.Close()
 }
 
-// EncodeBwPart renders a partial-aggregate frame: the binary replacement
-// for the JSON "part" line, whose Data blob paid base64 on every partial.
+// EncodeBwPart renders a partial-aggregate frame, the only way a worker
+// ships a partial (or forwarded close) back to the router.
 func EncodeBwPart(slot int, data []byte) []byte {
 	var w snap.Writer
 	w.Uvarint(uint64(slot))

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -18,16 +17,19 @@ import (
 // internal/router) owns the window clock and key routing; this worker runs
 // one partial-aggregate plan over its key subset and ships every result —
 // per-group partials, then the forwarded close, per window — back to the
-// router as "part" lines carrying stream.EncodeWireTuple blobs.
+// router as BwPart frames carrying stream.EncodeWireTuple blobs. Routed
+// tuples, replica copies and closes arrive only as bwire frames too; the
+// control verbs (join, ckpt, snap, promote, reset, release) stay JSON.
 //
 // Beyond its own slot, a worker plays two supporting roles:
 //
-//   - Replica host: tuples dual-written with {"replica":true} are appended,
-//     as raw lines, to a per-slot replay tail. "close" punctuations are
-//     appended to every tail, so a tail is always a complete suffix of the
-//     slot's input stream — replaying it through a fresh plan reproduces
-//     the dead worker's state (and, crucially, its close count, which the
-//     output-suppression accounting below depends on).
+//   - Replica host: tuple frames flagged replica are appended, as
+//     self-contained BwTail records, to a per-slot replay tail. Close
+//     punctuations are appended to every tail, so a tail is always a
+//     complete suffix of the slot's input stream — replaying it through a
+//     fresh plan reproduces the dead worker's state (and, crucially, its
+//     close count, which the output-suppression accounting below depends
+//     on).
 //   - Failover host: on "promote" the worker spawns an in-process instance
 //     for the dead slot — restored from the last installed snapshot when
 //     one matches, fresh otherwise — replays the tail, and from then on
@@ -51,8 +53,9 @@ type clusterState struct {
 	// drain its instance inline before acking.
 	epochEnded bool
 	ownPE      *partEmitter
-	// tails holds, per non-own slot, the raw replica/close lines received
-	// since the slot's last installed snapshot (or epoch start).
+	// tails holds, per non-own slot, the replica tuple and close records
+	// (BwTail and BwClose frames) received since the slot's last installed
+	// snapshot (or epoch start).
 	tails map[int][][]byte
 	// marks records, per cluster-checkpoint id, each tail's length when the
 	// checkpoint was taken — the replay suffix boundary once the snapshot
@@ -266,7 +269,7 @@ func (cl *clusterState) instancesLocked() []*instance {
 
 // emitPart runs on a plan's sink goroutine: serialize the partial (or
 // forwarded close) and broadcast it to the router's subscription as a
-// "part" line. ep is the worker's own epoch, nil for promoted instances.
+// BwPart frame. ep is the worker's own epoch, nil for promoted instances.
 func (cl *clusterState) emitPart(ep *epoch, pe *partEmitter, t *stream.Tuple) {
 	// A crashed worker must go silent. Crash cancels the run context but the
 	// engine still drains gracefully, and ingest Puts racing the cancel can
@@ -304,27 +307,15 @@ func (cl *clusterState) emitPart(ep *epoch, pe *partEmitter, t *stream.Tuple) {
 		ep.alerts.Add(1)
 	}
 	// Bounded-wait, never drop: losing a part would wedge the router's
-	// merge, which counts closes per port. Each subscriber population's
-	// encoding is built lazily: a binary router link skips the JSON
-	// marshal and the base64 expansion of the blob entirely.
-	cl.s.hub.BroadcastControlEnc(
-		func() []byte {
-			line, err := EncodeLine(Msg{Kind: KindPart, Shard: &slot, Data: data})
-			if err != nil {
-				cl.s.encodeErrs.Add(1)
-				return nil
-			}
-			return line
-		},
-		func() []byte { return EncodeBwPart(slot, data) },
-	)
+	// merge, which counts closes per port.
+	cl.s.hub.BroadcastControl(EncodeBwPart(slot, data))
 }
 
-// handleBwTuples dispatches one binary TUPLES frame's decoded tuples: the
-// frame-shaped counterpart of handleTuple. Replica copies are re-encoded
-// as self-contained tail records (the connection's schema table dies with
-// the connection; the tail must not), hosted-slot tuples feed their
-// instance, and own-slot traffic takes the map-free ingest path.
+// handleBwTuples dispatches one TUPLES frame's decoded tuples. Replica
+// copies are re-encoded as self-contained tail records (the connection's
+// schema table dies with the connection; the tail must not), hosted-slot
+// tuples feed their instance, and own-slot traffic takes the map-free
+// ingest path.
 func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
 	own := int(cl.shard.Load())
 	for i := range bts {
@@ -333,7 +324,10 @@ func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
 			if bt.Shard < 0 {
 				return i, errors.New("replica tuple carries no shard")
 			}
-			cl.appendTailOwned(bt.Shard, EncodeTailTuple(bt))
+			rec := EncodeTailTuple(bt)
+			cl.mu.Lock()
+			cl.tails[bt.Shard] = append(cl.tails[bt.Shard], rec)
+			cl.mu.Unlock()
 			cl.replicaLines.Add(1)
 			continue
 		}
@@ -360,54 +354,6 @@ func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
 		}
 	}
 	return len(bts), nil
-}
-
-// handleBwClose is handleClose for a binary close frame: the record
-// appended to replica tails is the frame's canonical re-encoding —
-// already self-contained, so replay needs no connection state.
-func (cl *clusterState) handleBwClose(cm BwCloseMsg) error {
-	if cm.T < 0 {
-		return fmt.Errorf("close t_ms %d is negative", cm.T)
-	}
-	return cl.applyClose(EncodeBwClose(cm.Source, cm.T, cm.Seq), sourceName(cm.Source), cm.T, cm.Seq)
-}
-
-// handleTuple dispatches one routed "tuple" line: replica copies append to
-// the slot's tail, tuples for a hosted (promoted) slot feed that instance,
-// and everything else is this worker's own traffic.
-func (cl *clusterState) handleTuple(raw []byte, m Msg) error {
-	if m.Replica {
-		if m.Shard == nil {
-			return errors.New("replica tuple carries no shard")
-		}
-		cl.appendTail(*m.Shard, raw)
-		cl.replicaLines.Add(1)
-		return nil
-	}
-	if m.Shard != nil && *m.Shard != int(cl.shard.Load()) {
-		u, err := ParseTuple(m)
-		if err != nil {
-			return err
-		}
-		t := core.Wrap(u)
-		t.Seq = m.Seq
-		return cl.feedInstance(*m.Shard, sourceOf(m), t)
-	}
-	return cl.s.ingest(m)
-}
-
-// appendTail records a raw line in slot's replay tail. The reader reuses
-// its buffer, so the line is copied.
-func (cl *clusterState) appendTail(slot int, raw []byte) {
-	cl.appendTailOwned(slot, append([]byte(nil), raw...))
-}
-
-// appendTailOwned records a tail record the caller already owns (no
-// buffer aliasing) without copying.
-func (cl *clusterState) appendTailOwned(slot int, rec []byte) {
-	cl.mu.Lock()
-	cl.tails[slot] = append(cl.tails[slot], rec)
-	cl.mu.Unlock()
 }
 
 // feedInstance delivers a routed tuple to a promoted slot's instance. Like
@@ -449,12 +395,10 @@ func (cl *clusterState) pushInstance(inst *instance, source string, t *stream.Tu
 
 // handleControl dispatches the cluster control kinds; replies (possibly
 // several, for multi-slot checkpoint acks) go back on the same connection.
-func (cl *clusterState) handleControl(raw []byte, m Msg) ([]Msg, error) {
+func (cl *clusterState) handleControl(m Msg) ([]Msg, error) {
 	switch m.Kind {
 	case KindJoin:
 		return cl.handleJoin(m)
-	case KindClose:
-		return nil, cl.handleClose(raw, m)
 	case KindCkpt:
 		return cl.handleCkpt(m)
 	case KindSnap:
@@ -566,22 +510,19 @@ func (cl *clusterState) handleJoin(m Msg) ([]Msg, error) {
 	return []Msg{{Kind: KindOK, Version: m.Version}}, nil
 }
 
-// handleClose replays one router-clock window-close punctuation into the
+// handleBwClose replays one router-clock window-close punctuation into the
 // worker's own epoch, every promoted instance, and every replica tail. A
 // close that lands in the between-epochs gap waits for the next epoch (and
 // its re-spawned hosted instances) first, so no hosted slot ever misses a
-// punctuation — the merge counts one close per port per window.
-func (cl *clusterState) handleClose(raw []byte, m Msg) error {
-	if m.T < 0 {
-		return fmt.Errorf("close t_ms %d is negative", m.T)
+// punctuation — the merge counts one close per port per window. The tail
+// record is the frame's canonical re-encoding: self-contained, so replay
+// needs no connection state.
+func (cl *clusterState) handleBwClose(cm BwCloseMsg) error {
+	if cm.T < 0 {
+		return fmt.Errorf("close t_ms %d is negative", cm.T)
 	}
-	return cl.applyClose(append([]byte(nil), raw...), sourceOf(m), m.T, m.Seq)
-}
-
-// applyClose is the encoding-independent body of handleClose: rec is an
-// owned tail record (a JSON line or a binary close frame — replayLine
-// dispatches on the first byte either way).
-func (cl *clusterState) applyClose(rec []byte, source string, tms int64, seq uint64) error {
+	rec := EncodeBwClose(cm.Source, cm.T, cm.Seq)
+	source, end := sourceName(cm.Source), stream.Time(cm.T)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		cl.mu.Lock()
@@ -606,11 +547,11 @@ func (cl *clusterState) applyClose(rec []byte, source string, tms int64, seq uin
 	cl.mu.Unlock()
 	cl.closes.Add(1)
 	for _, inst := range insts {
-		if err := cl.pushInstance(inst, source, stream.NewWindowClose(stream.Time(tms), seq)); err != nil {
+		if err := cl.pushInstance(inst, source, stream.NewWindowClose(end, cm.Seq)); err != nil {
 			return fmt.Errorf("slot %d: %w", inst.slot, err)
 		}
 	}
-	return cl.s.enqueue(source, stream.NewWindowClose(stream.Time(tms), seq))
+	return cl.s.enqueue(source, stream.NewWindowClose(end, cm.Seq))
 }
 
 // handleCkpt takes a cluster checkpoint: snapshot the worker's own slot and
@@ -735,7 +676,7 @@ func (cl *clusterState) handleSnap(m Msg) ([]Msg, error) {
 // hold), replay the tail suffix, and suppress output for the window
 // ordinals the router already merged. If the epoch has already ended, the
 // instance drains inline so the "promoted" ack provably follows its last
-// part line.
+// part frame.
 func (cl *clusterState) handlePromote(m Msg) ([]Msg, error) {
 	if m.Shard == nil {
 		return nil, errors.New("promote carries no shard")
@@ -767,9 +708,9 @@ func (cl *clusterState) handlePromote(m Msg) ([]Msg, error) {
 		// with the router's current merge ordinal.
 		inst.pe.ordinal.Store(m.Closes)
 	}
-	for i, raw := range tail {
-		if err := cl.replayLine(inst, raw); err != nil {
-			return nil, fmt.Errorf("slot %d: replay tail line %d: %w", slot, i, err)
+	for i, rec := range tail {
+		if err := cl.replayRecord(inst, rec); err != nil {
+			return nil, fmt.Errorf("slot %d: replay tail record %d: %w", slot, i, err)
 		}
 	}
 	if ended {
@@ -817,55 +758,36 @@ func (cl *clusterState) spawnInstance(slot int, rec snapRec, hasSnap bool, suppr
 	return inst, nil
 }
 
-// replayLine feeds one tail record (a replica tuple or a close
-// punctuation, in either wire encoding) into a promoted instance. Binary
-// tail records are self-contained frames — no schema table survives the
-// connection that carried them, so none is needed.
-func (cl *clusterState) replayLine(inst *instance, raw []byte) error {
-	if len(raw) > 0 && raw[0] == BwMagic {
-		kind, payload, err := SplitFrame(raw)
+// replayRecord feeds one tail record — a BwTail replica tuple or a BwClose
+// punctuation — into a promoted instance. Tail records are self-contained
+// frames: no schema table survives the connection that carried them, so
+// none is needed.
+func (cl *clusterState) replayRecord(inst *instance, rec []byte) error {
+	kind, payload, err := SplitFrame(rec)
+	if err != nil {
+		return err
+	}
+	switch kind {
+	case BwTail:
+		tm, err := DecodeTailTuple(payload)
 		if err != nil {
 			return err
 		}
-		switch kind {
-		case BwTail:
-			tm, err := DecodeTailTuple(payload)
-			if err != nil {
-				return err
-			}
-			u, err := tm.UTuple()
-			if err != nil {
-				return err
-			}
-			t := core.Wrap(u)
-			t.Seq = tm.Seq
-			return cl.pushInstance(inst, sourceName(tm.Source), t)
-		case BwClose:
-			cm, err := DecodeBwClose(payload)
-			if err != nil {
-				return err
-			}
-			return cl.pushInstance(inst, sourceName(cm.Source), stream.NewWindowClose(stream.Time(cm.T), cm.Seq))
-		}
-		return fmt.Errorf("unexpected frame kind 0x%02x in replay tail", kind)
-	}
-	var m Msg
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return err
-	}
-	switch m.Kind {
-	case KindTuple:
-		u, err := ParseTuple(m)
+		u, err := tm.UTuple()
 		if err != nil {
 			return err
 		}
 		t := core.Wrap(u)
-		t.Seq = m.Seq
-		return cl.pushInstance(inst, sourceOf(m), t)
-	case KindClose:
-		return cl.pushInstance(inst, sourceOf(m), stream.NewWindowClose(stream.Time(m.T), m.Seq))
+		t.Seq = tm.Seq
+		return cl.pushInstance(inst, sourceName(tm.Source), t)
+	case BwClose:
+		cm, err := DecodeBwClose(payload)
+		if err != nil {
+			return err
+		}
+		return cl.pushInstance(inst, sourceName(cm.Source), stream.NewWindowClose(stream.Time(cm.T), cm.Seq))
 	}
-	return fmt.Errorf("unexpected kind %q in replay tail", m.Kind)
+	return fmt.Errorf("unexpected frame kind 0x%02x in replay tail", kind)
 }
 
 // ClusterStatsz is the /statsz cluster-worker section.
@@ -875,7 +797,7 @@ type ClusterStatsz struct {
 	Workers  int    `json:"workers"`
 	Replicas int    `json:"replicas"`
 	Version  uint64 `json:"version"`
-	// Parts counts part lines shipped; Closes counts router punctuations
+	// Parts counts part frames shipped; Closes counts router punctuations
 	// consumed; ReplicaLines counts dual-written tuples tailed.
 	Parts        uint64 `json:"parts"`
 	Closes       uint64 `json:"closes"`

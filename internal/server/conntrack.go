@@ -55,10 +55,6 @@ func (t *ConnTrack) CountFrame() {
 // CountDecodeErr records one malformed message (either protocol).
 func (t *ConnTrack) CountDecodeErr() { t.decodeErrs.Add(1) }
 
-// Binary reports whether the connection has negotiated the binary
-// protocol (sent at least one frame).
-func (t *ConnTrack) Binary() bool { return t.bin.Load() }
-
 // ConnStatsz is one connection's row in the /statsz conns section.
 type ConnStatsz struct {
 	Remote string `json:"remote"`

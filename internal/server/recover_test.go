@@ -244,6 +244,25 @@ func TestServerCrashRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
+// startedStats waits (bounded) until the engine loop has published its
+// first epoch and returns the stats snapshot from then. A subscribe ack
+// does not wait for that: the recovered epoch number appears only once
+// the loop has finished recovery.
+func startedStats(t *testing.T, s *Server) Statsz {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := s.Stats()
+		if len(st.Epochs) > 0 {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("engine published no epoch within 10s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestServerRecoverCorruptCheckpointStartsFresh: an unreadable checkpoint
 // must not take the server down or be silently half-applied — startup falls
 // back to a fresh epoch numbered past the bad one, leaves the file on disk
@@ -267,7 +286,7 @@ func TestServerRecoverCorruptCheckpointStartsFresh(t *testing.T) {
 	if m := sub.recv(5 * time.Second); m.Kind != KindOK {
 		t.Fatalf("subscribe: %+v", m)
 	}
-	st := s.Stats()
+	st := startedStats(t, s)
 	if st.Epoch != 4 {
 		t.Fatalf("epoch after corrupt recovery = %d, want 4 (past the bad checkpoint)", st.Epoch)
 	}

@@ -58,9 +58,10 @@ type Config struct {
 	CheckpointEvery time.Duration
 	// Cluster runs this server as a cluster worker: a router "join" assigns
 	// it a slot, tuples arrive pre-routed with sequence stamps, window
-	// closes arrive as explicit "close" punctuations, and plan results ship
-	// back as "part" lines instead of client-facing alerts. NewPlan must
-	// compile a worker-side plan (uop.ClusterPlan.CompileWorker).
+	// closes arrive as explicit close punctuations (all as bwire frames),
+	// and plan results ship back as part frames instead of client-facing
+	// alerts. NewPlan must compile a worker-side plan
+	// (uop.ClusterPlan.CompileWorker).
 	Cluster bool
 }
 
@@ -293,7 +294,7 @@ func (s *Server) engineLoop() {
 		}
 		if s.cl != nil {
 			// Worker mode: plan results are partial-aggregate tuples and
-			// forwarded closes; ship them to the router as "part" lines
+			// forwarded closes; ship them to the router as BwPart frames
 			// instead of alert lines. beginEpoch also resets the per-epoch
 			// replica tails and failover instances.
 			pe := s.cl.beginEpoch(ep)
@@ -569,6 +570,9 @@ func (s *Server) handleConn(c *ConnTrack) {
 	// Binary receive state, created on the connection's first frame.
 	var bdec *BwDecoder
 	var stScratch []stream.SourceTuple
+	// hello records a well-formed BwHello on this connection: a worker
+	// serves its part stream only to a peer that announced bwire.
+	hello := false
 	for {
 		line, fr, rerr := wr.Next()
 		if rerr != nil {
@@ -591,6 +595,9 @@ func (s *Server) handleConn(c *ConnTrack) {
 			}
 			n, err := s.handleFrame(fr, bdec, &stScratch)
 			s.ingested.Add(uint64(n))
+			if fr.Kind == BwHello && err == nil {
+				hello = true
+			}
 			if err != nil {
 				s.ingestErrs.Add(1)
 				c.CountDecodeErr()
@@ -613,8 +620,11 @@ func (s *Server) handleConn(c *ConnTrack) {
 		switch m.Kind {
 		case KindTuple:
 			var err error
-			if s.cl != nil {
-				err = s.cl.handleTuple(line, m)
+			if s.cl != nil && (m.Shard != nil || m.Replica) {
+				// Routed tuples and replica copies travel only as bwire
+				// frames; a JSON line claiming either is refused, never
+				// ingested into the own slot.
+				err = errors.New("routed and replica tuples must arrive as bwire frames")
 			} else {
 				err = s.ingest(m)
 			}
@@ -630,12 +640,12 @@ func (s *Server) handleConn(c *ConnTrack) {
 				pong.Version = s.cl.ringVersion()
 			}
 			reply(pong)
-		case KindJoin, KindClose, KindSnap, KindPromote, KindReset, KindRelease:
+		case KindJoin, KindSnap, KindPromote, KindReset, KindRelease:
 			if s.cl == nil {
 				reply(errMsg("%q requires a cluster worker (-mode worker)", m.Kind))
 				continue
 			}
-			replies, err := s.cl.handleControl(line, m)
+			replies, err := s.cl.handleControl(m)
 			if err != nil {
 				s.ingestErrs.Add(1)
 				reply(errMsg("%v", err))
@@ -649,11 +659,13 @@ func (s *Server) handleConn(c *ConnTrack) {
 				reply(errMsg("already subscribed"))
 				continue
 			}
+			if s.cl != nil && !hello {
+				// A worker's subscribers receive BwPart frames; only a
+				// peer that announced bwire can read them.
+				reply(errMsg("a worker's part stream needs a bwire hello first"))
+				continue
+			}
 			newSub := NewSubscriber(s.cfg.SubBuffer)
-			// A binary peer (the router, when its links run -proto bin)
-			// receives part broadcasts as frames; alerts, acks, and done
-			// stay JSON for every subscriber.
-			newSub.bin = c.Binary()
 			if !s.hub.Add(newSub) {
 				reply(errMsg("server shutting down"))
 				continue
@@ -682,7 +694,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 				// Cluster checkpoint: snapshot every hosted slot and reply
 				// one ckpt_ack per slot (the router installs them on the
 				// slots' replicas).
-				replies, err := s.cl.handleControl(line, m)
+				replies, err := s.cl.handleControl(m)
 				if err != nil {
 					reply(errMsg("checkpoint: %v", err))
 					continue
@@ -811,15 +823,10 @@ func (s *Server) ingest(m Msg) error {
 		return err
 	}
 	t := core.Wrap(u)
-	// Routed cluster tuples carry the router partitioner's global arrival
-	// stamp; the partial aggregate's dedup ordering depends on it. Client
-	// tuples leave it zero and the plan stamps arrival order itself.
+	// A zero stamp lets the plan stamp arrival order itself.
 	t.Seq = m.Seq
-	return s.enqueue(sourceOf(m), t)
+	return s.enqueue(sourceName(m.Source), t)
 }
-
-// sourceOf resolves a tuple line's plan input stream.
-func sourceOf(m Msg) string { return sourceName(m.Source) }
 
 // sourceName resolves a wire source name — either protocol — to a plan
 // input stream, defaulting to the Q1 feed.
@@ -892,10 +899,6 @@ func (h *Hub) Pump(c net.Conn, w *bufio.Writer, sub *Subscriber) {
 type Subscriber struct {
 	ch      chan []byte
 	dropped atomic.Uint64
-	// bin marks a binary-protocol peer: control broadcasts that have a
-	// binary encoding (cluster "part" traffic) are delivered as frames.
-	// Set before Hub.Add, immutable after.
-	bin bool
 	// mu guards closed and serializes bounded-wait control sends against
 	// the channel close — per subscriber, so one slow consumer can never
 	// hold a lock the engine's alert broadcast needs.
@@ -1029,38 +1032,6 @@ func (h *Hub) BroadcastControl(line []byte) {
 	h.mu.Unlock()
 	for _, sub := range subs {
 		sub.SendControl(line, h)
-	}
-}
-
-// BroadcastControlEnc delivers a control message that has both a JSON
-// and a binary encoding, each encoded lazily and at most once: binary
-// subscribers (a router whose links negotiated bwire) get the frame,
-// everyone else the line. The worker's part emission is the hot caller.
-func (h *Hub) BroadcastControlEnc(encJSON, encBin func() []byte) {
-	h.mu.Lock()
-	subs := make([]*Subscriber, 0, len(h.subs))
-	for sub := range h.subs {
-		subs = append(subs, sub)
-	}
-	h.mu.Unlock()
-	var jl, bl []byte
-	for _, sub := range subs {
-		var msg []byte
-		if sub.bin {
-			if bl == nil {
-				bl = encBin()
-			}
-			msg = bl
-		} else {
-			if jl == nil {
-				jl = encJSON()
-			}
-			msg = jl
-		}
-		if msg == nil {
-			continue // encoder failed; it counted the error
-		}
-		sub.SendControl(msg, h)
 	}
 }
 

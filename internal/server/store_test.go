@@ -96,12 +96,12 @@ func TestServerRecoverDamagedCheckpointStartsFresh(t *testing.T) {
 				FlushEvery: 20 * time.Millisecond,
 				Store:      store,
 			})
-			sub := dialServer(t, s) // answered once the first epoch has started
+			sub := dialServer(t, s)
 			sub.send(Msg{Kind: KindSub})
 			if m := sub.recv(5 * time.Second); m.Kind != KindOK {
 				t.Fatalf("subscribe: %+v", m)
 			}
-			st := s.Stats()
+			st := startedStats(t, s)
 			if st.Epoch != 4 {
 				t.Fatalf("epoch after damaged recovery = %d, want 4 (past the bad checkpoint)", st.Epoch)
 			}

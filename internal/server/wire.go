@@ -130,16 +130,17 @@ type Msg struct {
 	// client-facing lines — alerts, done — are byte-identical to the
 	// single-process protocol).
 
-	// Seq is the router partitioner's global arrival stamp on routed
-	// tuples, and the close counter on "close" lines.
+	// Seq is the router partitioner's global arrival stamp on a routed
+	// tuple.
 	Seq uint64 `json:"seq,omitempty"`
-	// Shard is the logical worker slot a line concerns: the routed slot on
-	// tuples, the originating slot on "part"/"ckpt_ack" lines, the promoted
-	// slot on "promote"/"promoted"/"snap". A pointer because slot 0 is
-	// meaningful.
+	// Shard is the logical worker slot a message concerns: the routed slot
+	// of a tuple, the originating slot on "ckpt_ack", the promoted slot on
+	// "promote"/"promoted"/"snap". A pointer because slot 0 is meaningful.
 	Shard *int `json:"shard,omitempty"`
-	// Replica marks a dual-written tuple copy: the receiver appends it to
-	// the slot's replay tail instead of feeding a plan.
+	// Replica marks a dual-written tuple copy, which the receiver appends
+	// to the slot's replay tail instead of feeding a plan. Routed tuples
+	// and replica copies reach a worker only as bwire frames: a worker
+	// refuses a JSON tuple line that sets Shard or Replica.
 	Replica bool `json:"replica,omitempty"`
 	// Workers and Replicas carry cluster geometry on "join".
 	Workers  int `json:"workers,omitempty"`
@@ -153,9 +154,8 @@ type Msg struct {
 	// prefix on "ckpt_ack"/"snap", the router-side suppression floor on
 	// "promote".
 	Closes uint64 `json:"closes,omitempty"`
-	// Data is an opaque binary payload (base64 on the wire): a
-	// stream.EncodeWireTuple blob on "part", a plan checkpoint on
-	// "ckpt_ack"/"snap", a composite reset blob on "reset".
+	// Data is an opaque binary payload (base64 on the wire): a plan
+	// checkpoint on "ckpt_ack"/"snap", a composite reset blob on "reset".
 	Data []byte `json:"data,omitempty"`
 	// Addr is a worker's advertised listen address on a "join" offer (a
 	// worker asking a router to admit it) and on an administrative "leave".
@@ -185,15 +185,11 @@ const (
 	KindPong = "pong"
 
 	// Cluster kinds (router ↔ worker). "join" configures a worker's slot
-	// and geometry; "close" replays the router clock's window-close
-	// punctuations; "part" ships a partial-aggregate tuple or forwarded
-	// close back to the router; "ckpt_ack" answers a cluster "ckpt" with
+	// and geometry; "ckpt_ack" answers a cluster "ckpt" with
 	// the slot's snapshot; "snap"/"snap_ack" install that snapshot on the
 	// slot's replica; "promote"/"promoted" fail a dead worker's slot over
 	// to its replica.
 	KindJoin     = "join"
-	KindClose    = "close"
-	KindPart     = "part"
 	KindCkptAck  = "ckpt_ack"
 	KindSnap     = "snap"
 	KindSnapAck  = "snap_ack"

@@ -111,7 +111,7 @@ func (q *Query) Cluster() (*ClusterPlan, error) {
 // group aggregate → sink. The partial instance is externally clocked — it
 // buffers data tuples and acts only on the close punctuations the router
 // broadcasts — and its sink stream (per-group partials, then the forwarded
-// close, per window) is what the worker ships back as part lines.
+// close, per window) is what the worker ships back as part frames.
 func (p *ClusterPlan) CompileWorker() *Compiled {
 	g := stream.NewGraph()
 	c := &Compiled{Graph: g, sink: &stream.Collect{OpName: "partials"}, sources: map[string]*stream.Box{}}
