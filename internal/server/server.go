@@ -505,6 +505,28 @@ func (s *Server) epoch() *epoch {
 	return s.ep
 }
 
+// startedEpoch returns the current epoch, first waiting (bounded, like
+// enqueue) for the engine loop to publish one: a control line that
+// arrives while the first plan still compiles must not fail. It returns
+// nil once the engine has stopped or the wait runs out.
+func (s *Server) startedEpoch() *epoch {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if ep := s.epoch(); ep != nil {
+			return ep
+		}
+		select {
+		case <-s.done:
+			return nil
+		default:
+		}
+		if time.Now().After(deadline) {
+			return nil
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -677,7 +699,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 			sub = newSub
 			go s.hub.Pump(c, w, sub)
 		case KindEnd:
-			ep := s.epoch()
+			ep := s.startedEpoch()
 			if ep == nil {
 				reply(errMsg("no epoch running"))
 				continue
@@ -704,7 +726,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 				}
 				continue
 			}
-			ep := s.epoch()
+			ep := s.startedEpoch()
 			if ep == nil {
 				reply(errMsg("no epoch running"))
 				continue
