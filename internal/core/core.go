@@ -32,7 +32,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/lineage"
@@ -52,7 +51,7 @@ type UTuple struct {
 	// exact integers that must never round-trip through a float64 point
 	// mass. Selections and clones carry them along; joins merge them
 	// explicitly (left side wins on clashes).
-	Keys map[string]int64
+	Keys KeySet
 }
 
 // NewUTuple builds a base tuple with existence 1 and its own ID as lineage.
@@ -91,6 +90,40 @@ func NewUTupleShared(ts stream.Time, names []string, attrs []dist.Dist) *UTuple 
 		Exist: 1,
 		Lin:   lineage.NewSet(id),
 	}
+}
+
+// NewUTupleSharedKeys is NewUTupleShared for a keyed tuple: keyNames is
+// shared like names (sorted, unique, immutable for the tuple's lifetime)
+// and keys is copied. A single key — the common shape, a tag id — is stored
+// in the same allocation as the tuple, so lifting a keyed tuple costs no
+// more allocations than lifting a keyless one.
+func NewUTupleSharedKeys(ts stream.Time, names []string, attrs []dist.Dist, keyNames []string, keys []int64) *UTuple {
+	if len(keys) != 1 {
+		u := NewUTupleShared(ts, names, attrs)
+		if len(keys) > 0 {
+			u.Keys = SharedKeys(keyNames, append([]int64(nil), keys...))
+		}
+		return u
+	}
+	if len(names) != len(attrs) {
+		panic("core: names/attrs length mismatch")
+	}
+	b := &struct {
+		u UTuple
+		v [1]int64
+	}{}
+	b.v[0] = keys[0]
+	id := stream.NextTupleID()
+	b.u = UTuple{
+		TS:    ts,
+		ID:    id,
+		names: names[:len(names):len(names)],
+		attrs: attrs,
+		Exist: 1,
+		Lin:   lineage.NewSet(id),
+		Keys:  SharedKeys(keyNames, b.v[:]),
+	}
+	return &b.u
 }
 
 // Derive builds a tuple produced by an operator from the given parents: it
@@ -152,39 +185,28 @@ func (u *UTuple) SetAttr(name string, d dist.Dist) {
 	u.attrs = append(u.attrs, d)
 }
 
-// SetKey attaches a certain integer-valued key (e.g. a tag id).
-func (u *UTuple) SetKey(name string, v int64) {
-	if u.Keys == nil {
-		u.Keys = make(map[string]int64, 1)
-	}
-	u.Keys[name] = v
-}
+// SetKey attaches a certain integer-valued key (e.g. a tag id). The key
+// slices are copied first: they may alias a decoder's shared schema table.
+func (u *UTuple) SetKey(name string, v int64) { u.Keys.Set(name, v) }
 
 // Key returns the named certain key; wiring errors fail loudly.
 func (u *UTuple) Key(name string) int64 {
-	v, ok := u.Keys[name]
+	v, ok := u.Keys.Get(name)
 	if !ok {
-		panic(fmt.Sprintf("core: unknown key %q (have %v)", name, u.Keys))
+		panic(fmt.Sprintf("core: unknown key %q (have %v)", name, u.Keys.names))
 	}
 	return v
 }
 
 // HasKey reports whether the tuple carries the certain key.
 func (u *UTuple) HasKey(name string) bool {
-	_, ok := u.Keys[name]
+	_, ok := u.Keys.Get(name)
 	return ok
 }
 
 // Clone returns a copy (attribute distributions are immutable by convention
-// and shared).
+// and shared; so are the key slices, which SetKey copies before writing).
 func (u *UTuple) Clone() *UTuple {
-	var keys map[string]int64
-	if len(u.Keys) > 0 {
-		keys = make(map[string]int64, len(u.Keys))
-		for k, v := range u.Keys {
-			keys[k] = v
-		}
-	}
 	return &UTuple{
 		TS:    u.TS,
 		ID:    u.ID,
@@ -192,7 +214,7 @@ func (u *UTuple) Clone() *UTuple {
 		attrs: append([]dist.Dist(nil), u.attrs...),
 		Exist: u.Exist,
 		Lin:   u.Lin,
-		Keys:  keys,
+		Keys:  u.Keys,
 	}
 }
 
@@ -202,13 +224,8 @@ func (u *UTuple) Mean(name string) float64 { return u.Attr(name).Mean() }
 // String renders the tuple.
 func (u *UTuple) String() string {
 	s := fmt.Sprintf("U@%d{p=%.3g", u.TS, u.Exist)
-	keys := make([]string, 0, len(u.Keys))
-	for k := range u.Keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s += fmt.Sprintf(", %s#%d", k, u.Keys[k])
+	for k, v := range u.Keys.Each() {
+		s += fmt.Sprintf(", %s#%d", k, v)
 	}
 	for i, n := range u.names {
 		s += fmt.Sprintf(", %s=%v", n, u.attrs[i])

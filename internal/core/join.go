@@ -131,10 +131,10 @@ func JoinProb(l, r *UTuple, locAttrs []string, tol, minProb float64) *UTuple {
 	}
 	// Certain keys merge like attributes: the left side's identity wins,
 	// right-side clashes are prefixed.
-	for k, v := range l.Keys {
+	for k, v := range l.Keys.Each() {
 		out.SetKey(k, v)
 	}
-	for k, v := range r.Keys {
+	for k, v := range r.Keys.Each() {
 		if out.HasKey(k) {
 			k = "r_" + k
 		}

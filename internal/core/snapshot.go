@@ -82,15 +82,12 @@ func encodeUTuple(w *snap.Writer, u *UTuple) error {
 	for _, id := range ids {
 		w.Uvarint(id)
 	}
-	w.Uvarint(uint64(len(u.Keys)))
-	names := make([]string, 0, len(u.Keys))
-	for k := range u.Keys {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	// Keys go out in ascending name order — the order a KeySet keeps them
+	// in, and the order decode insists on.
+	w.Uvarint(uint64(u.Keys.Len()))
+	for k, v := range u.Keys.Each() {
 		w.String(k)
-		w.Varint(u.Keys[k])
+		w.Varint(v)
 	}
 	return nil
 }
@@ -126,10 +123,17 @@ func decodeUTuple(r *snap.Reader) (*UTuple, error) {
 		return nil, err
 	}
 	if nk > 0 {
-		u.Keys = make(map[string]int64, nk)
-		for i := 0; i < nk; i++ {
-			k := r.String()
-			u.Keys[k] = r.Varint()
+		names := make([]string, nk)
+		vals := make([]int64, nk)
+		for i := range names {
+			names[i] = r.String()
+			vals[i] = r.Varint()
+			if i > 0 && names[i] <= names[i-1] && r.Err() == nil {
+				r.Fail("utuple key names not sorted/unique (%q after %q)", names[i], names[i-1])
+			}
+		}
+		if r.Err() == nil {
+			u.Keys = SharedKeys(names, vals)
 		}
 	}
 	if err := r.Err(); err != nil {

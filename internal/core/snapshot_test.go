@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dist"
@@ -57,7 +58,7 @@ func TestUTupleCodecRoundTrip(t *testing.T) {
 		}
 	}
 	if got.Key("tag") != 17 || got.Key("reader") != -3 {
-		t.Errorf("keys = %v", got.Keys)
+		t.Errorf("keys = %v", got)
 	}
 	gi, wi := got.Lin.IDs(), u.Lin.IDs()
 	if len(gi) != len(wi) {
@@ -75,8 +76,8 @@ func TestUTupleCodecRoundTrip(t *testing.T) {
 func TestUTupleCodecMinimal(t *testing.T) {
 	u := NewUTuple(0, []string{"v"}, []dist.Dist{dist.PointMass{V: 0}})
 	got := utupleRoundTrip(t, u)
-	if got.Keys != nil {
-		t.Errorf("decoded empty keys as %v", got.Keys)
+	if got.Keys.Len() != 0 {
+		t.Errorf("decoded empty keys as %v", got)
 	}
 	if got.Exist != 1 {
 		t.Errorf("Exist = %g", got.Exist)
@@ -84,6 +85,64 @@ func TestUTupleCodecMinimal(t *testing.T) {
 	ids := got.Lin.IDs()
 	if len(ids) != 1 || ids[0] != u.ID {
 		t.Errorf("lineage = %v, want [%d]", ids, u.ID)
+	}
+}
+
+// TestUTupleCodecKeyOrder: keys are written in ascending name order whatever
+// order they were set in, decode back in that order, and a blob whose key
+// names are unsorted or repeated decodes to an error — never a panic, never
+// a tuple with an ambiguous key.
+func TestUTupleCodecKeyOrder(t *testing.T) {
+	u := NewUTuple(5, []string{"v"}, []dist.Dist{dist.PointMass{V: 1}})
+	u.SetKey("zone", 3)
+	u.SetKey("tag", 17)
+	u.SetKey("reader", -2)
+	got := utupleRoundTrip(t, u)
+	var names []string
+	var vals []int64
+	for k, v := range got.Keys.Each() {
+		names = append(names, k)
+		vals = append(vals, v)
+	}
+	if fmt.Sprint(names, vals) != "[reader tag zone] [-2 17 3]" {
+		t.Fatalf("decoded keys %v %v, want sorted [reader tag zone] [-2 17 3]", names, vals)
+	}
+
+	// Hand-built blobs: the codec's layout with the key table replaced.
+	blob := func(keys ...string) []byte {
+		w := &snap.Writer{}
+		w.U8(utupleSnapV1)
+		w.Varint(5)
+		w.Uvarint(1)
+		w.Uvarint(1)
+		w.String("v")
+		if err := dist.Encode(w, dist.PointMass{V: 1}); err != nil {
+			t.Fatal(err)
+		}
+		w.F64(1)
+		w.Uvarint(1)
+		w.Uvarint(1)
+		w.Uvarint(uint64(len(keys)))
+		for i, k := range keys {
+			w.String(k)
+			w.Varint(int64(i))
+		}
+		return w.Bytes()
+	}
+	if _, err := decodeUTuple(snap.NewReader(blob("a", "b"))); err != nil {
+		t.Fatalf("sorted keys: %v", err)
+	}
+	for _, keys := range [][]string{{"b", "a"}, {"tag", "tag"}, {"a", "c", "b"}} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("keys %v: decode panicked: %v", keys, p)
+				}
+			}()
+			if _, err := decodeUTuple(snap.NewReader(blob(keys...))); err == nil {
+				t.Errorf("keys %v: decode accepted unsorted/duplicate key names", keys)
+			}
+		}()
 	}
 }
 

@@ -253,9 +253,10 @@ func (a *topkAgg) rank(cs []tContrib, pd func(i, j int) float64) []AggOut {
 	dp := make([]float64, n)
 	for r := 0; r < k; r++ {
 		i := idx[r]
-		keys := map[string]int64{"rank": int64(r + 1)}
+		var keys KeySet
+		keys.Set("rank", int64(r+1))
 		if cs[i].hasLab {
-			keys[a.opts.Label] = cs[i].label
+			keys.Set(a.opts.Label, cs[i].label)
 		}
 		out[r] = AggOut{D: a.domCountDist(cs, dom, i, dp), Keys: keys}
 	}

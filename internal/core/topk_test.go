@@ -40,11 +40,11 @@ func TestTopKCertainDominance(t *testing.T) {
 	wantTags := []int64{22, 33, 11}
 	wantCounts := []float64{2, 1, 0}
 	for r, row := range rows {
-		if row.Keys["rank"] != int64(r+1) {
-			t.Errorf("row %d: rank key %d", r, row.Keys["rank"])
+		if keyOf(row.Keys, "rank") != int64(r+1) {
+			t.Errorf("row %d: rank key %d", r, keyOf(row.Keys, "rank"))
 		}
-		if row.Keys["tag"] != wantTags[r] {
-			t.Errorf("rank %d: tag %d, want %d", r+1, row.Keys["tag"], wantTags[r])
+		if keyOf(row.Keys, "tag") != wantTags[r] {
+			t.Errorf("rank %d: tag %d, want %d", r+1, keyOf(row.Keys, "tag"), wantTags[r])
 		}
 		if m := row.D.Mean(); math.Abs(m-wantCounts[r]) > 1e-9 {
 			t.Errorf("rank %d: domcount mean %.6f, want %g", r+1, m, wantCounts[r])
@@ -61,8 +61,8 @@ func TestTopKInclusionGating(t *testing.T) {
 		topkUTuple(1, 2, dist.PointMass{V: 5}, dist.PointMass{V: 0}),
 	}
 	rows := topkFinalize(agg, us, []float64{1, 0.5})
-	if rows[0].Keys["tag"] != 1 {
-		t.Fatalf("winner tag %d, want 1", rows[0].Keys["tag"])
+	if keyOf(rows[0].Keys, "tag") != 1 {
+		t.Fatalf("winner tag %d, want 1", keyOf(rows[0].Keys, "tag"))
 	}
 	// The winner dominates the half-present loser: E[count] = 0.5.
 	if m := rows[0].D.Mean(); math.Abs(m-0.5) > 1e-9 {
@@ -89,8 +89,8 @@ func TestTopKUncertainCoordinates(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want k=2", len(rows))
 	}
-	if rows[0].Keys["tag"] != 2 {
-		t.Errorf("winner tag %d, want the stochastically largest (2)", rows[0].Keys["tag"])
+	if keyOf(rows[0].Keys, "tag") != 2 {
+		t.Errorf("winner tag %d, want the stochastically largest (2)", keyOf(rows[0].Keys, "tag"))
 	}
 	m := rows[0].D.Mean()
 	if m <= 0.5 || m >= 2 {
@@ -108,8 +108,8 @@ func TestTopKTieBreaksByInsertionOrder(t *testing.T) {
 		topkUTuple(1, 8, dist.NewNormal(5, 1), dist.PointMass{V: 0}),
 	}
 	rows := topkFinalize(agg, us, []float64{1, 1})
-	if rows[0].Keys["tag"] != 7 || rows[1].Keys["tag"] != 8 {
-		t.Errorf("tie ranks [%d %d], want insertion order [7 8]", rows[0].Keys["tag"], rows[1].Keys["tag"])
+	if keyOf(rows[0].Keys, "tag") != 7 || keyOf(rows[1].Keys, "tag") != 8 {
+		t.Errorf("tie ranks [%d %d], want insertion order [7 8]", keyOf(rows[0].Keys, "tag"), keyOf(rows[1].Keys, "tag"))
 	}
 }
 
@@ -144,11 +144,11 @@ func TestTopKAccMatchesFinalize(t *testing.T) {
 		t.Fatalf("row counts %d, %d", len(got), len(want))
 	}
 	for r := range got {
-		if got[r].Keys["tag"] != want[r].Keys["tag"] ||
+		if keyOf(got[r].Keys, "tag") != keyOf(want[r].Keys, "tag") ||
 			got[r].D.Mean() != want[r].D.Mean() || got[r].D.Variance() != want[r].D.Variance() {
 			t.Errorf("rank %d: acc (tag %d, %.17g/%.17g) != finalize (tag %d, %.17g/%.17g)", r+1,
-				got[r].Keys["tag"], got[r].D.Mean(), got[r].D.Variance(),
-				want[r].Keys["tag"], want[r].D.Mean(), want[r].D.Variance())
+				keyOf(got[r].Keys, "tag"), got[r].D.Mean(), got[r].D.Variance(),
+				keyOf(want[r].Keys, "tag"), want[r].D.Mean(), want[r].D.Variance())
 		}
 	}
 }
@@ -173,4 +173,10 @@ func TestTopKMemoPrunes(t *testing.T) {
 	if len(acc.pdom) > 2*8*8+64 {
 		t.Errorf("pdom memo grew to %d entries for 8 live contributions", len(acc.pdom))
 	}
+}
+
+// keyOf reads a row key, absent meaning zero.
+func keyOf(ks KeySet, name string) int64 {
+	v, _ := ks.Get(name)
+	return v
 }

@@ -41,8 +41,8 @@ type AggOut struct {
 	// attribute.
 	D dist.Dist
 	// Keys are extra certain keys stamped on the derived tuple (e.g. a
-	// top-k row's rank and object id). Nil for scalar aggregates.
-	Keys map[string]int64
+	// top-k row's rank and object id). Empty for scalar aggregates.
+	Keys KeySet
 }
 
 // Acc is a windowed aggregate's incremental accumulator: handle-addressed

@@ -66,7 +66,7 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 		reply(server.Msg{Kind: server.KindErr, Error: sprintf(format, args...)})
 	}
 	wr := server.NewWireReader(c, 1<<20)
-	var bdec *server.BwDecoder
+	ic := &ingestConn{schemas: map[*server.BwSchema]clientSchema{}}
 	for {
 		line, fr, rerr := wr.Next()
 		if rerr != nil {
@@ -78,13 +78,8 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 			break
 		}
 		if line == nil {
-			// Binary frame from a client: decode and feed the same routing
-			// path JSON tuples take.
 			c.CountFrame()
-			if bdec == nil {
-				bdec = server.NewBwDecoder()
-			}
-			n, err := r.handleClientFrame(fr, bdec)
+			n, err := r.handleClientFrame(fr, ic)
 			r.ingested.Add(uint64(n))
 			if err != nil {
 				r.ingestErrs.Add(1)
@@ -107,7 +102,7 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 		}
 		switch m.Kind {
 		case server.KindTuple:
-			if err := r.routeTuple(m); err != nil {
+			if err := r.routeLine(&m, ic); err != nil {
 				r.ingestErrs.Add(1)
 				errReply("%v", err)
 				continue
@@ -192,32 +187,81 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 	}
 }
 
+// ingestConn is one client connection's ingest state: its binary decoder,
+// the encoder that gives its JSON lines positional form, and what routing
+// needs from each client schema, resolved once per schema.
+type ingestConn struct {
+	dec     *server.BwDecoder
+	jenc    *server.BwEncoder
+	line    [1]server.BwTuple
+	schemas map[*server.BwSchema]clientSchema
+}
+
+// clientSchema is a client schema's routing plan: the router-global link
+// schema its tuples travel under, and the position of the plan's key column
+// (-1 when the shape has none: such tuples round-robin). link is interned
+// under routeMu on first use.
+type clientSchema struct {
+	link   *server.BwSchema
+	keyCol int
+}
+
 // handleClientFrame dispatches one binary frame from a client connection,
-// returning how many tuples it routed. Decoded tuples are converted back
-// to Msg form and routed exactly like JSON ones — the router's per-tuple
-// cost lives on the worker links, which carry bwire frames whatever the
-// client sent.
-func (r *Router) handleClientFrame(fr server.BwFrame, bdec *server.BwDecoder) (int, error) {
+// returning how many tuples it routed. A TUPLES frame is routed as a frame:
+// its decoded positional tuples go straight to routeFrame, with no per-tuple
+// Msg, UTuple or link schema lookup.
+func (r *Router) handleClientFrame(fr server.BwFrame, ic *ingestConn) (int, error) {
+	if ic.dec == nil {
+		ic.dec = server.NewBwDecoder()
+	}
 	switch fr.Kind {
 	case server.BwHello:
 		return 0, server.DecodeBwHello(fr.Payload)
 	case server.BwSchemaFrame:
-		_, err := bdec.AddSchema(fr.Payload)
+		_, err := ic.dec.AddSchema(fr.Payload)
 		return 0, err
 	case server.BwTuples:
-		bts, err := bdec.DecodeTuples(fr.Payload)
+		bts, err := ic.dec.DecodeTuples(fr.Payload)
 		if err != nil {
 			return 0, err
 		}
-		for i := range bts {
-			if err := r.routeTuple(bts[i].Msg()); err != nil {
-				return i, err
-			}
-		}
-		return len(bts), nil
+		return r.routeFrame(ic, bts)
 	default:
 		return 0, fmt.Errorf("unknown binary frame kind %#x", fr.Kind)
 	}
+}
+
+// routeLine routes one JSON tuple line: converted once into the positional
+// form a decoded frame has, then routed as a one-tuple frame.
+func (r *Router) routeLine(m *server.Msg, ic *ingestConn) error {
+	if err := r.checkSource(m.Source); err != nil {
+		return err
+	}
+	if ic.jenc == nil {
+		ic.jenc = server.NewBwEncoder()
+	}
+	if err := ic.jenc.Positional(m, &ic.line[0]); err != nil {
+		return err
+	}
+	_, err := r.routeFrame(ic, ic.line[:])
+	return err
+}
+
+// schemaFor resolves a client schema's routing plan (routeMu held: the link
+// schema is interned in the router-global encoder).
+func (ic *ingestConn) schemaFor(r *Router, sc *server.BwSchema) clientSchema {
+	cs, ok := ic.schemas[sc]
+	if !ok {
+		cs.link, _ = r.benc.InternSchema(sc)
+		cs.keyCol = -1
+		for i, k := range sc.KeyNames {
+			if k == r.cfg.Plan.Key && k != "" {
+				cs.keyCol = i
+			}
+		}
+		ic.schemas[sc] = cs
+	}
+	return cs
 }
 
 func mustLine(m server.Msg) []byte {

@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ring"
 	"repro/internal/server"
 	"repro/internal/stream"
@@ -181,6 +180,25 @@ type repoch struct {
 	finished        bool
 }
 
+// slotBatch is one slot's open link traffic within a routing hold.
+type slotBatch struct {
+	own, rep server.TupleBatch
+}
+
+// routeCursor is the state one routing hold drives the partition box with:
+// the epoch, the client tuple being routed with its link schema and ring
+// slot, and the payload-free carrier the box sees (only its timestamp
+// matters to the window clock; Route reads slot). emit is built once, so
+// routing a tuple allocates nothing but the box's stamped copy.
+type routeCursor struct {
+	ep      *repoch
+	bt      *server.BwTuple
+	link    *server.BwSchema
+	slot    int
+	carrier stream.Tuple
+	emit    stream.Emit
+}
+
 // closePt is one logged window-close punctuation: the window end and the
 // clock's close sequence number.
 type closePt struct {
@@ -259,6 +277,14 @@ type Router struct {
 	// benc interns tuple schemas for the worker links (routeMu); schema
 	// ids are router-global, each link tracks which ones it has seen.
 	benc *server.BwEncoder
+	// batches holds each slot's open link frames (routeMu): the owner's and
+	// the replica's. Every routing hold flushes them before it releases
+	// routeMu, and before any close broadcast, so nothing else that takes
+	// routeMu — a checkpoint cut, endStream, a membership change — ever
+	// sees a half-shipped batch.
+	batches []slotBatch
+	// cur is the routing cursor (routeMu).
+	cur routeCursor
 
 	mu       sync.Mutex
 	conns    map[*server.ConnTrack]struct{}
@@ -415,7 +441,9 @@ func New(cfg Config) (*Router, error) {
 		start:       time.Now(),
 		recovered:   -1,
 		benc:        server.NewBwEncoder(),
+		batches:     make([]slotBatch, s),
 	}
+	r.cur.emit = r.emitRouted
 	if blob != nil {
 		r.recovered = blob.n
 	}
@@ -714,13 +742,13 @@ func (r *Router) handshake(home int, addr string, c net.Conn, reset *server.Rese
 	return l, nil
 }
 
-// linkSender drains a worker's outbound queue onto its socket.
+// linkSender drains a worker's outbound queue onto its socket, flushing
+// whenever the queue momentarily empties.
 func (r *Router) linkSender(l *link) {
 	defer r.wg.Done()
-	bw := bufio.NewWriter(l.conn)
-	for line := range l.sendq.Tuples() {
-		l.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if _, err := bw.Write(line); err != nil {
+	bw := bufio.NewWriterSize(deadlineWriter{l.conn}, 64<<10)
+	for frame := range l.sendq.Tuples() {
+		if _, err := bw.Write(frame); err != nil {
 			r.failLink(l)
 			return
 		}
@@ -732,6 +760,16 @@ func (r *Router) linkSender(l *link) {
 		}
 	}
 	bw.Flush()
+}
+
+// deadlineWriter arms a link's write deadline on each socket write — once
+// per flushed burst (or buffer spill), not once per queued frame — so a
+// worker that stopped reading cannot wedge its sender forever.
+type deadlineWriter struct{ c net.Conn }
+
+func (d deadlineWriter) Write(p []byte) (int, error) {
+	d.c.SetWriteDeadline(time.Now().Add(30 * time.Second))
+	return d.c.Write(p)
 }
 
 // linkReader consumes a worker's reply stream: BwPart frames feed the
@@ -857,22 +895,13 @@ func (r *Router) emitClientAlert(ep *repoch, t *stream.Tuple) {
 func (r *Router) newEpochLocked() {
 	w := r.nslots
 	spec := r.cfg.Plan.Window
-	key := r.cfg.Plan.Key
 	ep := &repoch{
 		n: r.epochs,
 		part: stream.NewPartition("route", w, stream.PartitionSpec{
 			Clock: &spec,
-			Route: func(ct *stream.Tuple) (int, bool) {
-				u := core.Unwrap(ct)
-				if key == "" || !u.HasKey(key) {
-					return 0, false
-				}
-				owner, ok := r.ring.Owner(u.Key(key))
-				if !ok {
-					return 0, false
-				}
-				return r.slotOf[owner], true
-			},
+			// The router has already resolved the carrier's ring slot
+			// (routeFrame); keyless tuples report none and round-robin.
+			Route: func(*stream.Tuple) (int, bool) { return r.cur.slot, r.cur.slot >= 0 },
 		}),
 		head:     r.cfg.Plan.CompileHead(w),
 		pending:  make([][]*stream.Tuple, w),
@@ -907,10 +936,10 @@ func (r *Router) putFrame(l *link, sc *server.BwSchema, frame []byte) error {
 	return l.sendq.Put(r.ctx, frame)
 }
 
-// sendFrame enqueues a tuple frame on the link serving logical slot,
+// sendFrame enqueues a frame of n tuples on the link serving logical slot,
 // failing the link over (and retrying on the new host) if its queue is
 // closed. routeMu must be held. Reports whether the frame was accepted.
-func (r *Router) sendFrame(slot int, sc *server.BwSchema, frame []byte) bool {
+func (r *Router) sendFrame(slot int, sc *server.BwSchema, frame []byte, n int) bool {
 	for {
 		li := r.routeSlot[slot]
 		if li < 0 {
@@ -919,7 +948,7 @@ func (r *Router) sendFrame(slot int, sc *server.BwSchema, frame []byte) bool {
 		}
 		l := r.links[li]
 		if err := r.putFrame(l, sc, frame); err == nil {
-			l.routed.Add(1)
+			l.routed.Add(uint64(n))
 			return true
 		}
 		if r.ctx.Err() != nil {
@@ -930,12 +959,44 @@ func (r *Router) sendFrame(slot int, sc *server.BwSchema, frame []byte) bool {
 	}
 }
 
-// emitRouted handles one partition output under routeMu: a close frame
-// goes once to every live link (a link hosting several slots feeds them
-// all from the one copy); a tuple frame goes to its slot's owner and, with
-// replication, to the slot's replica.
-func (r *Router) emitRouted(ep *repoch, m server.Msg, out *stream.Tuple) {
+// flushSlotLocked ships one slot's open batches (routeMu held): the owner
+// frame first, then the replica frame. If the owner's link dies on Put,
+// failover promotes the replica and the owner frame is redirected to it;
+// the replica frame is then dropped, since its target serves the slot.
+func (r *Router) flushSlotLocked(slot int) {
+	b := &r.batches[slot]
+	if n := b.own.Len(); n > 0 {
+		sc := b.own.Schema()
+		r.sendFrame(slot, sc, b.own.Take(), n)
+	}
+	if n := b.rep.Len(); n > 0 {
+		sc, frame := b.rep.Schema(), b.rep.Take()
+		rep := r.replicaSlot[slot]
+		if rep < 0 || rep == r.routeSlot[slot] || !r.links[rep].alive.Load() {
+			return
+		}
+		if r.putFrame(r.links[rep], sc, frame) == nil {
+			r.links[rep].replicated.Add(uint64(n))
+		}
+	}
+}
+
+// flushBatchesLocked ships every open batch, slot by slot (routeMu held).
+func (r *Router) flushBatchesLocked() {
+	for slot := range r.batches {
+		r.flushSlotLocked(slot)
+	}
+}
+
+// emitRouted handles one partition output under routeMu. A close first
+// flushes every open batch — a window's tuples always reach a worker ahead
+// of its close — then goes once to every live link (a link hosting several
+// slots feeds them all from the one copy). A data tuple joins its slot's
+// owner batch and, with replication, the slot's replica batch.
+func (r *Router) emitRouted(out *stream.Tuple) {
+	ep := r.cur.ep
 	if end, ok := stream.WindowCloseOf(out); ok {
+		r.flushBatchesLocked()
 		seq, _ := stream.CloseSeq(out)
 		ep.closeLog = append(ep.closeLog, closePt{t: end, seq: seq})
 		r.broadcastToLinks(server.EncodeBwClose(r.cfg.Plan.Source, int64(end), seq))
@@ -954,24 +1015,15 @@ func (r *Router) emitRouted(ep *repoch, m server.Msg, out *stream.Tuple) {
 		r.encodeErrs.Add(1)
 		return
 	}
-	om := m
-	om.Seq = out.Seq
-	// One frame to the owner and one replica frame, each a fixed-field
-	// body against the interned schema.
-	sc, _, err := r.benc.Intern(&om)
-	if err != nil {
-		r.encodeErrs.Add(1)
-		return
+	b := &r.batches[slot]
+	if sc := b.own.Schema(); sc != nil && sc != r.cur.link {
+		r.flushSlotLocked(slot) // schema change: one schema per frame
 	}
-	if !r.sendFrame(slot, sc, server.EncodeTupleFrame(sc, &om, slot, false)) {
-		return
-	}
-	rep := r.replicaSlot[slot]
-	if rep < 0 || rep == r.routeSlot[slot] || !r.links[rep].alive.Load() {
-		return
-	}
-	if r.putFrame(r.links[rep], sc, server.EncodeTupleFrame(sc, &om, slot, true)) == nil {
-		r.links[rep].replicated.Add(1)
+	b.own.Add(r.cur.link, r.cur.bt, out.Seq, slot, false)
+	// Replica assignments only ever shrink within a routing hold (failover);
+	// flushSlotLocked re-checks before shipping.
+	if r.replicaSlot[slot] >= 0 {
+		b.rep.Add(r.cur.link, r.cur.bt, out.Seq, slot, true)
 	}
 }
 
@@ -1003,19 +1055,41 @@ func (r *Router) broadcastToLinks(msg []byte) {
 	}
 }
 
-// routeTuple parses and routes one client tuple line, waiting out the
-// between-epochs gap like the single-process server does.
-func (r *Router) routeTuple(m server.Msg) error {
-	source := m.Source
+// checkSource resolves a client tuple's source name (default "locations")
+// and refuses any source but the plan's.
+func (r *Router) checkSource(source string) error {
 	if source == "" {
 		source = "locations"
 	}
 	if source != r.cfg.Plan.Source {
 		return fmt.Errorf("unknown source %q", source)
 	}
-	u, err := server.ParseTuple(m)
-	if err != nil {
-		return err
+	return nil
+}
+
+// routeFrame routes one client frame's decoded tuples (all of one schema)
+// under a single routeMu hold, waiting out a quiesced cut or the
+// between-epochs gap like the single-process server does. Tuples are
+// validated first; the valid prefix is routed and the first invalid
+// tuple's error returned, as if each tuple were routed alone. Each tuple's
+// ring slot comes from its positional key column; the partition box stamps
+// its sequence number and emits the window closes it triggers, and the
+// bodies accumulate into per-slot batches that ship before routeMu is
+// released.
+func (r *Router) routeFrame(ic *ingestConn, bts []server.BwTuple) (int, error) {
+	if err := r.checkSource(bts[0].Schema.Source); err != nil {
+		return 0, err
+	}
+	n := len(bts)
+	var verr error
+	for i := range bts {
+		if err := server.CheckTuple(&bts[i]); err != nil {
+			n, verr = i, err
+			break
+		}
+	}
+	if n == 0 {
+		return 0, verr
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -1028,25 +1102,37 @@ func (r *Router) routeTuple(m server.Msg) error {
 		} else {
 			ep := r.epoch()
 			if ep != nil && !ep.ended.Load() {
-				ep.part.Process(0, core.Wrap(u), func(out *stream.Tuple) {
-					r.emitRouted(ep, m, out)
-				})
-				ep.routedSeq.Add(1)
+				cs := ic.schemaFor(r, bts[0].Schema)
+				r.cur.ep, r.cur.link = ep, cs.link
+				for i := range bts[:n] {
+					bt := &bts[i]
+					r.cur.bt, r.cur.slot = bt, -1
+					if cs.keyCol >= 0 {
+						if owner, ok := r.ring.Owner(bt.Keys[cs.keyCol]); ok {
+							r.cur.slot = r.slotOf[owner]
+						}
+					}
+					r.cur.carrier.TS = stream.Time(bt.T)
+					ep.part.Process(0, &r.cur.carrier, r.cur.emit)
+				}
+				r.flushBatchesLocked()
+				r.cur.bt = nil
+				ep.routedSeq.Add(uint64(n))
 				r.routeMu.Unlock()
-				return nil
+				return n, verr
 			}
 			r.routeMu.Unlock()
 		}
 		if r.ctx.Err() != nil {
-			return errors.New("router shutting down")
+			return 0, errors.New("router shutting down")
 		}
 		select {
 		case <-r.done:
-			return errors.New("router stopped; no further streams accepted")
+			return 0, errors.New("router stopped; no further streams accepted")
 		default:
 		}
 		if time.Now().After(deadline) {
-			return errors.New("stream draining; retry")
+			return 0, errors.New("stream draining; retry")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -1078,9 +1164,8 @@ func (r *Router) endStream() error {
 		r.routeMu.Unlock()
 		return errors.New("no stream to end")
 	}
-	ep.part.Flush(func(out *stream.Tuple) {
-		r.emitRouted(ep, server.Msg{Kind: server.KindTuple}, out)
-	})
+	r.cur.ep = ep
+	ep.part.Flush(r.cur.emit)
 	endLine, err := server.EncodeLine(server.Msg{Kind: server.KindEnd})
 	if err != nil {
 		r.routeMu.Unlock()
@@ -1159,10 +1244,14 @@ func (r *Router) checkFinishLocked(ep *repoch) {
 }
 
 // failLink is the unlocked entry to failover (reader/sender error paths).
+// The link's queue closes before routeMu is taken: routing may hold
+// routeMu while blocked in a Put on this very queue, which nothing drains
+// any more — the close fails that Put fast, and sendFrame's redirect runs.
 func (r *Router) failLink(l *link) {
 	if r.ctx.Err() != nil {
 		return
 	}
+	l.sendq.Close()
 	r.routeMu.Lock()
 	r.failLinkLocked(l)
 	r.routeMu.Unlock()

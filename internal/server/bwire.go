@@ -38,6 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -249,58 +250,46 @@ type BwTuple struct {
 }
 
 // UTuple lifts a decoded tuple into the engine, the binary counterpart of
-// ParseTuple: no per-tuple map, no sort — attribute names alias the
-// schema's interned slice, sorted once when the schema was registered.
+// ParseTuple: no per-tuple map, no sort — attribute and key names alias the
+// schema's interned slices, sorted once when the schema was registered.
 func (bt *BwTuple) UTuple() (*core.UTuple, error) {
 	return buildUTuple(bt.T, bt.Schema.KeyNames, bt.Keys, bt.Schema.AttrNames, bt.Attrs)
 }
 
-// Msg renders the decoded tuple as its JSON-protocol equivalent — the
-// cluster router uses this to funnel binary ingest through the same
-// routing path as JSON lines (the router hop is not the per-tuple
-// bottleneck; worker ingest is, and that path stays map-free).
-func (bt *BwTuple) Msg() Msg {
-	m := Msg{Kind: KindTuple, Source: bt.Schema.Source, T: bt.T, Seq: bt.Seq, Replica: bt.Replica}
-	if bt.Shard >= 0 {
-		s := bt.Shard
-		m.Shard = &s
+// CheckTuple applies the ingest boundary's semantic checks to a decoded
+// tuple without lifting it — the checks, and error texts, UTuple applies.
+// The cluster router validates with it before routing, so a tuple it
+// forwards never fails on its worker.
+func CheckTuple(bt *BwTuple) error {
+	return checkTuple(bt.T, bt.Schema.AttrNames, bt.Attrs)
+}
+
+func checkTuple(t int64, attrNames []string, attrs []Attr) error {
+	if t < 0 {
+		return fmt.Errorf("tuple t_ms %d is negative", t)
 	}
-	if len(bt.Keys) > 0 {
-		m.Keys = make(map[string]int64, len(bt.Keys))
-		for i, v := range bt.Keys {
-			m.Keys[bt.Schema.KeyNames[i]] = v
+	if len(attrNames) == 0 {
+		return fmt.Errorf("tuple carries no attrs")
+	}
+	for i, a := range attrs {
+		if err := a.check(); err != nil {
+			return fmt.Errorf("attr %q: %w", attrNames[i], err)
 		}
 	}
-	m.Attrs = make(map[string]Attr, len(bt.Attrs))
-	for i, a := range bt.Attrs {
-		m.Attrs[bt.Schema.AttrNames[i]] = a
-	}
-	return m
+	return nil
 }
 
 func buildUTuple(t int64, keyNames []string, keys []int64, attrNames []string, attrs []Attr) (*core.UTuple, error) {
-	if t < 0 {
-		return nil, fmt.Errorf("tuple t_ms %d is negative", t)
-	}
-	if len(attrNames) == 0 {
-		return nil, fmt.Errorf("tuple carries no attrs")
+	if err := checkTuple(t, attrNames, attrs); err != nil {
+		return nil, err
 	}
 	dists := make([]dist.Dist, len(attrs))
 	for i, a := range attrs {
-		d, err := a.Dist()
-		if err != nil {
-			return nil, fmt.Errorf("attr %q: %w", attrNames[i], err)
-		}
-		dists[i] = d
+		dists[i] = a.lift()
 	}
-	u := core.NewUTupleShared(stream.Time(t), attrNames, dists)
-	if len(keys) > 0 {
-		u.Keys = make(map[string]int64, len(keys))
-		for i, v := range keys {
-			u.Keys[keyNames[i]] = v
-		}
-	}
-	return u, nil
+	// The names stay shared with the schema; the key values are copied (keys
+	// is decoder scratch).
+	return core.NewUTupleSharedKeys(stream.Time(t), attrNames, dists, keyNames, keys), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -459,17 +448,11 @@ func (e *BwEncoder) Intern(m *Msg) (sc *BwSchema, isNew bool, err error) {
 	if len(m.Attrs) == 0 {
 		return nil, false, fmt.Errorf("tuple carries no attrs")
 	}
-	sig := e.sig[:0]
-	sig = appendLenPrefixed(sig, m.Source)
 	e.names = e.names[:0]
 	for k := range m.Keys {
 		e.names = append(e.names, k)
 	}
 	sort.Strings(e.names)
-	sig = append(sig, 0)
-	for _, k := range e.names {
-		sig = appendLenPrefixed(sig, k)
-	}
 	nk := len(e.names)
 	for a := range m.Attrs {
 		if a == "" {
@@ -479,24 +462,68 @@ func (e *BwEncoder) Intern(m *Msg) (sc *BwSchema, isNew bool, err error) {
 	}
 	attrNames := e.names[nk:]
 	sort.Strings(attrNames)
+	sc, isNew = e.intern(m.Source, e.names[:nk], attrNames)
+	return sc, isNew, nil
+}
+
+// InternSchema returns this encoder's schema for the shape of sc — a schema
+// another connection's decoder (or encoder) registered — interning it on
+// first use. Shapes are keyed exactly as Intern keys them, so a Msg and a
+// decoded tuple of the same shape share one schema.
+func (e *BwEncoder) InternSchema(sc *BwSchema) (out *BwSchema, isNew bool) {
+	return e.intern(sc.Source, sc.KeyNames, sc.AttrNames)
+}
+
+// intern looks up (or registers, copying the sorted name slices) the
+// schema for one shape.
+func (e *BwEncoder) intern(source string, keyNames, attrNames []string) (*BwSchema, bool) {
+	sig := appendLenPrefixed(e.sig[:0], source)
+	sig = append(sig, 0)
+	for _, k := range keyNames {
+		sig = appendLenPrefixed(sig, k)
+	}
 	sig = append(sig, 1)
 	for _, a := range attrNames {
 		sig = appendLenPrefixed(sig, a)
 	}
 	e.sig = sig[:0]
 	if sc := e.sigs[string(sig)]; sc != nil {
-		return sc, false, nil
+		return sc, false
 	}
 	e.next++
-	sc = &BwSchema{
+	sc := &BwSchema{
 		ID:        e.next,
-		Source:    m.Source,
-		KeyNames:  exactCopy(e.names[:nk]),
+		Source:    source,
+		KeyNames:  exactCopy(keyNames),
 		AttrNames: exactCopy(attrNames),
 	}
 	sc.frame = sc.EncodeFrame()
 	e.sigs[string(sig)] = sc
-	return sc, true, nil
+	return sc, true
+}
+
+// Positional converts a JSON-protocol tuple into the positional form a
+// decoded TUPLES frame has: m's shape is interned, and bt (its Keys and
+// Attrs backing arrays reused when large enough) is filled with m's values
+// in the schema's column order, as an unrouted client tuple. Validation and
+// error texts are ParseTuple's.
+func (e *BwEncoder) Positional(m *Msg, bt *BwTuple) error {
+	if m.T < 0 {
+		return fmt.Errorf("tuple t_ms %d is negative", m.T)
+	}
+	sc, _, err := e.Intern(m)
+	if err != nil {
+		return err
+	}
+	keys, attrs := bt.Keys[:0], bt.Attrs[:0]
+	for _, k := range sc.KeyNames {
+		keys = append(keys, m.Keys[k])
+	}
+	for _, a := range sc.AttrNames {
+		attrs = append(attrs, m.Attrs[a])
+	}
+	*bt = BwTuple{Schema: sc, T: m.T, Seq: m.Seq, Shard: -1, Keys: keys, Attrs: attrs}
+	return CheckTuple(bt)
 }
 
 // Frame returns the schema's encoded SCHEMA frame (cached).
@@ -545,10 +572,10 @@ func appendTupleBody(w *snap.Writer, sc *BwSchema, m *Msg, shard int, replica bo
 	}
 }
 
-// EncodeTupleFrame renders a single tuple as a one-tuple TUPLES frame —
-// the router's per-link encoding for routed tuples and replica copies
-// (links carry at most one tuple per frame so close punctuations never
-// overtake their window's tuples).
+// EncodeTupleFrame renders a single Msg as a one-tuple TUPLES frame. The
+// router does not use it — its links carry per-slot batches built with
+// TupleBatch — but it is the plain single-tuple encoder, and the repository
+// benchmark's server.encode_bin ledger row times it.
 func EncodeTupleFrame(sc *BwSchema, m *Msg, shard int, replica bool) []byte {
 	var w snap.Writer
 	w.Uvarint(sc.ID)
@@ -559,35 +586,94 @@ func EncodeTupleFrame(sc *BwSchema, m *Msg, shard int, replica bool) []byte {
 
 // EncodeTuplesFrame renders decoded tuples back into a canonical TUPLES
 // frame; all tuples must share one schema. This is the decode→encode
-// direction (tests, fuzzing) — senders encode from Msgs.
+// direction (tests, fuzzing) — senders encode from Msgs or TupleBatch.
 func EncodeTuplesFrame(sc *BwSchema, bts []BwTuple) []byte {
 	var w snap.Writer
 	w.Uvarint(sc.ID)
 	w.Uvarint(uint64(len(bts)))
 	for i := range bts {
 		bt := &bts[i]
-		var flags uint8
-		if bt.Shard >= 0 {
-			flags |= bwFlagShard
-		}
-		if bt.Replica {
-			flags |= bwFlagReplica
-		}
-		w.U8(flags)
-		w.Varint(bt.T)
-		w.Uvarint(bt.Seq)
-		if bt.Shard >= 0 {
-			w.Uvarint(uint64(bt.Shard))
-		}
-		for _, k := range bt.Keys {
-			w.Varint(k)
-		}
-		for _, a := range bt.Attrs {
-			w.F64(a.Mean)
-			w.F64(a.Std)
-		}
+		appendPositionalBody(&w, bt, bt.Seq, bt.Shard, bt.Replica)
 	}
 	return appendFrame(nil, BwTuples, w.Bytes())
+}
+
+// appendPositionalBody appends one decoded tuple's batch-frame body with
+// the given routing stamp (seq, slot or -1, replica flag) in place of its
+// own.
+func appendPositionalBody(w *snap.Writer, bt *BwTuple, seq uint64, shard int, replica bool) {
+	var flags uint8
+	if shard >= 0 {
+		flags |= bwFlagShard
+	}
+	if replica {
+		flags |= bwFlagReplica
+	}
+	w.U8(flags)
+	w.Varint(bt.T)
+	w.Uvarint(seq)
+	if shard >= 0 {
+		w.Uvarint(uint64(shard))
+	}
+	for _, k := range bt.Keys {
+		w.Varint(k)
+	}
+	for _, a := range bt.Attrs {
+		w.F64(a.Mean)
+		w.F64(a.Std)
+	}
+}
+
+// TupleBatch accumulates routed tuple bodies for one TUPLES frame against
+// one schema: the cluster router keeps one per slot and link role, filling
+// it tuple by tuple and taking the frame at each flush. The body buffer is
+// reused across frames.
+type TupleBatch struct {
+	sc *BwSchema
+	n  int
+	w  snap.Writer
+}
+
+// Add appends bt's body, stamped with seq, slot and the replica flag.
+// Every tuple of one frame must share a schema: when sc differs from the
+// open frame's, the caller takes the frame first.
+func (b *TupleBatch) Add(sc *BwSchema, bt *BwTuple, seq uint64, slot int, replica bool) {
+	if b.n == 0 {
+		b.sc = sc
+		b.w.Reset()
+	}
+	appendPositionalBody(&b.w, bt, seq, slot, replica)
+	b.n++
+}
+
+// Len is the number of tuples in the open frame.
+func (b *TupleBatch) Len() int { return b.n }
+
+// Schema is the open frame's schema (nil when empty).
+func (b *TupleBatch) Schema() *BwSchema {
+	if b.n == 0 {
+		return nil
+	}
+	return b.sc
+}
+
+// Take returns the open frame, allocated at exactly its encoded size, and
+// empties the batch (nil when there is nothing to take).
+func (b *TupleBatch) Take() []byte {
+	if b.n == 0 {
+		return nil
+	}
+	bodies := b.w.Bytes()
+	id, count := b.sc.ID, uint64(b.n)
+	plen := varintLen(id) + varintLen(count) + len(bodies)
+	frame := make([]byte, 0, bwHeaderLen+plen)
+	frame = append(frame, BwMagic, BwTuples)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(plen))
+	frame = binary.AppendUvarint(frame, id)
+	frame = binary.AppendUvarint(frame, count)
+	frame = append(frame, bodies...)
+	b.n, b.sc = 0, nil
+	return frame
 }
 
 // BwBatcher accumulates tuples into batched TUPLES frames (schema frames
@@ -715,12 +801,17 @@ func DecodeBwClose(payload []byte) (BwCloseMsg, error) {
 }
 
 // EncodeBwPart renders a partial-aggregate frame, the only way a worker
-// ships a partial (or forwarded close) back to the router.
+// ships a partial (or forwarded close) back to the router. The frame is
+// allocated at exactly its encoded size and copies data, so data may be
+// the caller's reused scratch.
 func EncodeBwPart(slot int, data []byte) []byte {
-	var w snap.Writer
-	w.Uvarint(uint64(slot))
-	w.Blob(data)
-	return appendFrame(nil, BwPart, w.Bytes())
+	plen := varintLen(uint64(slot)) + varintLen(uint64(len(data))) + len(data)
+	frame := make([]byte, 0, bwHeaderLen+plen)
+	frame = append(frame, BwMagic, BwPart)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(plen))
+	frame = binary.AppendUvarint(frame, uint64(slot))
+	frame = binary.AppendUvarint(frame, uint64(len(data)))
+	return append(frame, data...)
 }
 
 // DecodeBwPart reverses EncodeBwPart. data aliases payload — decode it
@@ -754,25 +845,43 @@ func (tm *BwTailMsg) UTuple() (*core.UTuple, error) {
 // EncodeTailTuple renders a decoded replica tuple as a self-contained
 // BwTail record: replica replay tails outlive the connection (and so the
 // schema table) that delivered the tuple, and a promote must replay them
-// standalone.
+// standalone. The record is sized first and allocated once, exactly: tails
+// hold one per replicated tuple until the next checkpoint trims them.
 func EncodeTailTuple(bt *BwTuple) []byte {
-	var w snap.Writer
-	w.String(bt.Schema.Source)
-	w.Varint(bt.T)
-	w.Uvarint(bt.Seq)
-	w.Uvarint(uint64(len(bt.Keys)))
-	for i, k := range bt.Schema.KeyNames {
-		w.String(k)
-		w.Varint(bt.Keys[i])
+	sc := bt.Schema
+	plen := strLen(sc.Source) + varintLen(zigzag(bt.T)) + varintLen(bt.Seq) +
+		varintLen(uint64(len(bt.Keys))) + varintLen(uint64(len(bt.Attrs))) + 16*len(bt.Attrs)
+	for i, k := range sc.KeyNames {
+		plen += strLen(k) + varintLen(zigzag(bt.Keys[i]))
 	}
-	w.Uvarint(uint64(len(bt.Attrs)))
-	for i, a := range bt.Schema.AttrNames {
-		w.String(a)
-		w.F64(bt.Attrs[i].Mean)
-		w.F64(bt.Attrs[i].Std)
+	for _, a := range sc.AttrNames {
+		plen += strLen(a)
 	}
-	return appendFrame(nil, BwTail, w.Bytes())
+	rec := make([]byte, 0, bwHeaderLen+plen)
+	rec = append(rec, BwMagic, BwTail)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(plen))
+	rec = appendLenPrefixed(rec, sc.Source)
+	rec = binary.AppendVarint(rec, bt.T)
+	rec = binary.AppendUvarint(rec, bt.Seq)
+	rec = binary.AppendUvarint(rec, uint64(len(bt.Keys)))
+	for i, k := range sc.KeyNames {
+		rec = appendLenPrefixed(rec, k)
+		rec = binary.AppendVarint(rec, bt.Keys[i])
+	}
+	rec = binary.AppendUvarint(rec, uint64(len(bt.Attrs)))
+	for i, a := range sc.AttrNames {
+		rec = appendLenPrefixed(rec, a)
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(bt.Attrs[i].Mean))
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(bt.Attrs[i].Std))
+	}
+	return rec
 }
+
+// strLen is the encoded size of a length-prefixed string.
+func strLen(s string) int { return varintLen(uint64(len(s))) + len(s) }
+
+// zigzag maps a signed varint value to the unsigned one it is encoded as.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // DecodeTailTuple reverses EncodeTailTuple. Replay is cold (one promote
 // per failover), so it allocates freely.

@@ -53,12 +53,32 @@ func decodeBinary(t testing.TB, raw []byte) []Msg {
 				t.Fatalf("decode tuples: %v", err)
 			}
 			for i := range bts {
-				out = append(out, bts[i].Msg())
+				out = append(out, msgOf(&bts[i]))
 			}
 		default:
 			t.Fatalf("unexpected frame kind %#x", fr.Kind)
 		}
 	}
+}
+
+// msgOf renders a decoded tuple as its JSON-protocol equivalent.
+func msgOf(bt *BwTuple) Msg {
+	m := Msg{Kind: KindTuple, Source: bt.Schema.Source, T: bt.T, Seq: bt.Seq, Replica: bt.Replica}
+	if bt.Shard >= 0 {
+		s := bt.Shard
+		m.Shard = &s
+	}
+	if len(bt.Keys) > 0 {
+		m.Keys = make(map[string]int64, len(bt.Keys))
+		for i, v := range bt.Keys {
+			m.Keys[bt.Schema.KeyNames[i]] = v
+		}
+	}
+	m.Attrs = make(map[string]Attr, len(bt.Attrs))
+	for i, a := range bt.Attrs {
+		m.Attrs[bt.Schema.AttrNames[i]] = a
+	}
+	return m
 }
 
 // TestBwireRoundTrip: encoding a realistic wire trace and decoding it

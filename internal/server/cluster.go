@@ -115,6 +115,9 @@ type partEmitter struct {
 	slot     int
 	ordinal  atomic.Uint64
 	suppress atomic.Uint64
+	// wenc is the part encoder's scratch, reused across parts: emitPart
+	// runs on the plan's one sink goroutine.
+	wenc stream.WireEncoder
 }
 
 // releaseFloor silences an emitter permanently (slot released/migrated).
@@ -297,7 +300,7 @@ func (cl *clusterState) emitPart(ep *epoch, pe *partEmitter, t *stream.Tuple) {
 			return // never joined; nobody is listening
 		}
 	}
-	data, err := stream.EncodeWireTuple(t)
+	data, err := pe.wenc.Encode(t)
 	if err != nil {
 		cl.s.encodeErrs.Add(1)
 		return
@@ -307,17 +310,23 @@ func (cl *clusterState) emitPart(ep *epoch, pe *partEmitter, t *stream.Tuple) {
 		ep.alerts.Add(1)
 	}
 	// Bounded-wait, never drop: losing a part would wedge the router's
-	// merge, which counts closes per port.
+	// merge, which counts closes per port. The frame is the one copy of
+	// the scratch encoding, allocated at exact size.
 	cl.s.hub.BroadcastControl(EncodeBwPart(slot, data))
 }
 
-// handleBwTuples dispatches one TUPLES frame's decoded tuples. Replica
-// copies are re-encoded as self-contained tail records (the connection's
-// schema table dies with the connection; the tail must not), hosted-slot
-// tuples feed their instance, and own-slot traffic takes the map-free
-// ingest path.
-func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
+// handleBwTuples dispatches one TUPLES frame's decoded tuples. The router
+// sends one slot's tuples per frame, so a frame for the worker's own slot
+// takes the batched ingest path whole. Otherwise each tuple is dispatched
+// alone: replica copies are re-encoded as self-contained tail records (the
+// connection's schema table dies with the connection; the tail must not),
+// hosted-slot tuples feed their instance, and own-slot stragglers take the
+// single-tuple ingest path.
+func (cl *clusterState) handleBwTuples(bts []BwTuple, scratch *[]stream.SourceTuple) (int, error) {
 	own := int(cl.shard.Load())
+	if allOwn(bts, own) {
+		return cl.s.ingestBatch(bts, scratch)
+	}
 	for i := range bts {
 		bt := &bts[i]
 		if bt.Replica {
@@ -331,29 +340,33 @@ func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
 			cl.replicaLines.Add(1)
 			continue
 		}
-		if bt.Shard >= 0 && bt.Shard != own {
-			u, err := bt.UTuple()
-			if err != nil {
-				return i, err
-			}
-			t := core.Wrap(u)
-			t.Seq = bt.Seq
-			if err := cl.feedInstance(bt.Shard, sourceName(bt.Schema.Source), t); err != nil {
-				return i, err
-			}
-			continue
-		}
 		u, err := bt.UTuple()
 		if err != nil {
 			return i, err
 		}
 		t := core.Wrap(u)
 		t.Seq = bt.Seq
-		if err := cl.s.enqueue(sourceName(bt.Schema.Source), t); err != nil {
+		if bt.Shard >= 0 && bt.Shard != own {
+			err = cl.feedInstance(bt.Shard, sourceName(bt.Schema.Source), t)
+		} else {
+			err = cl.s.enqueue(sourceName(bt.Schema.Source), t)
+		}
+		if err != nil {
 			return i, err
 		}
 	}
 	return len(bts), nil
+}
+
+// allOwn reports whether every tuple of a frame is a routed (or unrouted)
+// tuple for the worker's own slot.
+func allOwn(bts []BwTuple, own int) bool {
+	for i := range bts {
+		if bts[i].Replica || (bts[i].Shard >= 0 && bts[i].Shard != own) {
+			return false
+		}
+	}
+	return true
 }
 
 // feedInstance delivers a routed tuple to a promoted slot's instance. Like

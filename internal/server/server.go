@@ -761,7 +761,7 @@ func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.Sour
 			return 0, err
 		}
 		if s.cl != nil {
-			return s.cl.handleBwTuples(bts)
+			return s.cl.handleBwTuples(bts, scratch)
 		}
 		return s.ingestBatch(bts, scratch)
 	case BwClose:

@@ -86,16 +86,29 @@ func (a *Attr) UnmarshalJSON(b []byte) error {
 
 // Dist lifts the wire attribute into a distribution.
 func (a Attr) Dist() (dist.Dist, error) {
+	if err := a.check(); err != nil {
+		return nil, err
+	}
+	return a.lift(), nil
+}
+
+// check validates the attribute: finite, with a non-negative std.
+func (a Attr) check() error {
 	if math.IsNaN(a.Mean) || math.IsInf(a.Mean, 0) || math.IsNaN(a.Std) || math.IsInf(a.Std, 0) {
-		return nil, fmt.Errorf("attr [%v, %v] is not finite", a.Mean, a.Std)
+		return fmt.Errorf("attr [%v, %v] is not finite", a.Mean, a.Std)
 	}
 	if a.Std < 0 {
-		return nil, fmt.Errorf("attr std %v is negative", a.Std)
+		return fmt.Errorf("attr std %v is negative", a.Std)
 	}
+	return nil
+}
+
+// lift builds the distribution of a checked attribute.
+func (a Attr) lift() dist.Dist {
 	if a.Std == 0 {
-		return dist.PointMass{V: a.Mean}, nil
+		return dist.PointMass{V: a.Mean}
 	}
-	return dist.NewNormal(a.Mean, a.Std), nil
+	return dist.NewNormal(a.Mean, a.Std)
 }
 
 // Msg is one protocol line, client- or server-originated; Kind selects
@@ -252,8 +265,17 @@ func ParseTuple(m Msg) (*core.UTuple, error) {
 		attrs[i] = d
 	}
 	u := core.NewUTuple(stream.Time(m.T), names, attrs)
-	for k, v := range m.Keys {
-		u.SetKey(k, v)
+	if len(m.Keys) > 0 {
+		keys := make([]string, 0, len(m.Keys))
+		for k := range m.Keys {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		vals := make([]int64, len(keys))
+		for i, k := range keys {
+			vals[i] = m.Keys[k]
+		}
+		u.Keys = core.SharedKeys(keys, vals)
 	}
 	return u, nil
 }
@@ -283,9 +305,9 @@ func AlertMsg(t *stream.Tuple) (Msg, error) {
 		p = hp
 	}
 	m.P = &p
-	if len(u.Keys) > 0 {
-		m.Keys = make(map[string]int64, len(u.Keys))
-		for k, v := range u.Keys {
+	if u.Keys.Len() > 0 {
+		m.Keys = make(map[string]int64, u.Keys.Len())
+		for k, v := range u.Keys.Each() {
 			m.Keys[k] = v
 		}
 	}

@@ -205,11 +205,14 @@ type TupleCodec struct {
 
 // NewTupleCodec returns a fresh codec for one snapshot blob.
 func NewTupleCodec() *TupleCodec {
-	return &TupleCodec{encIdx: map[*Schema]int{}}
+	return &TupleCodec{}
 }
 
 // Encode appends one tuple.
 func (c *TupleCodec) Encode(w *snap.Writer, t *Tuple) error {
+	if c.encIdx == nil {
+		c.encIdx = map[*Schema]int{} // the decode direction never needs it
+	}
 	w.Uvarint(t.ID)
 	w.Varint(int64(t.TS))
 	w.Uvarint(t.Seq)
@@ -299,6 +302,27 @@ func EncodeWireTuple(t *Tuple) ([]byte, error) {
 		return nil, err
 	}
 	return w.Bytes(), nil
+}
+
+// WireEncoder is EncodeWireTuple with reused state: one writer and one
+// codec, both reset per tuple, so every blob is byte-identical to
+// EncodeWireTuple's while steady-state encoding allocates nothing. Not safe
+// for concurrent use.
+type WireEncoder struct {
+	w snap.Writer
+	c TupleCodec
+}
+
+// Encode serializes t standalone. The returned bytes alias the encoder's
+// buffer: valid only until the next call.
+func (e *WireEncoder) Encode(t *Tuple) ([]byte, error) {
+	e.w.Reset()
+	clear(e.c.encIdx)
+	e.c.schemas = e.c.schemas[:0]
+	if err := e.c.Encode(&e.w, t); err != nil {
+		return nil, err
+	}
+	return e.w.Bytes(), nil
 }
 
 // DecodeWireTuple reverses EncodeWireTuple.

@@ -278,3 +278,32 @@ func TestWindowRestoreRejectsSpecMismatch(t *testing.T) {
 		t.Fatal("restore of a rescan-window blob into a delta window did not fail")
 	}
 }
+
+// TestWireEncoderMatchesEncodeWireTuple: a reused WireEncoder produces, for
+// each tuple in turn, exactly EncodeWireTuple's standalone blob — schemas
+// inline every time, whatever the previous tuple interned.
+func TestWireEncoderMatchesEncodeWireTuple(t *testing.T) {
+	a := NewSchema("k", "v")
+	b := NewSchema("group", "n")
+	ts := []*Tuple{
+		NewTuple(a, 10, "x", 1.5),
+		NewTuple(a, 11, "y", 2.5),
+		NewWindowClose(5000, 7),
+		NewTuple(b, 12, "g", int64(3)),
+		NewTuple(a, 13, "z", 3.5),
+	}
+	var enc WireEncoder
+	for i, tp := range ts {
+		want, err := EncodeWireTuple(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := enc.Encode(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("tuple %d: reused encoder blob % x, want % x", i, got, want)
+		}
+	}
+}

@@ -89,7 +89,7 @@ func slidingTrace(lts []rfid.LocationTuple, w *rfid.Warehouse) []*core.UTuple {
 		us = append(us, LocationUTuple(lt, w))
 		if i%9 == 4 {
 			k := LocationUTuple(lt, w)
-			k.Keys = nil
+			k.Keys = core.KeySet{}
 			us = append(us, k)
 		}
 	}

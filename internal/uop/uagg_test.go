@@ -94,14 +94,14 @@ func formatUAlerts(ts []*stream.Tuple) string {
 			d := u.Attr(n)
 			fmt.Fprintf(&b, "|%s=%.17g/%.17g", n, d.Mean(), d.Variance())
 		}
-		if len(u.Keys) > 0 {
-			names := make([]string, 0, len(u.Keys))
-			for k := range u.Keys {
+		if u.Keys.Len() > 0 {
+			names := make([]string, 0, u.Keys.Len())
+			for k := range u.Keys.Each() {
 				names = append(names, k)
 			}
 			sort.Strings(names)
 			for _, k := range names {
-				fmt.Fprintf(&b, "|%s=%d", k, u.Keys[k])
+				fmt.Fprintf(&b, "|%s=%d", k, u.Key(k))
 			}
 		}
 		b.WriteByte('\n')
