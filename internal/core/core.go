@@ -71,59 +71,37 @@ func NewUTuple(ts stream.Time, names []string, attrs []dist.Dist) *UTuple {
 }
 
 // NewUTupleShared is NewUTuple without the defensive copies: the caller
-// guarantees names is immutable for the tuple's lifetime (typically a
-// decoder's interned schema, shared by every tuple on a connection) and
-// attrs is owned by the new tuple. names must have no spare capacity, so a
-// later SetAttr of a new attribute reallocates instead of writing into the
-// shared backing array. The binary ingest path uses this to skip two
-// copies per tuple.
-func NewUTupleShared(ts stream.Time, names []string, attrs []dist.Dist) *UTuple {
+// guarantees names and keyNames are immutable for the tuple's lifetime
+// (typically a decoder's interned schema, shared by every tuple on a
+// connection; keyNames sorted and unique) and attrs is owned by the new
+// tuple. names must have no spare capacity, so a later SetAttr of a new
+// attribute reallocates instead of writing into the shared backing array.
+// The key values are copied; a single key — the common shape, a tag id — is
+// stored in the tuple's own allocation, so a keyed tuple costs no more
+// allocations than a keyless one. The binary ingest path uses this to skip
+// the copies and the per-tuple key map.
+func NewUTupleShared(ts stream.Time, names []string, attrs []dist.Dist, keyNames []string, keys []int64) *UTuple {
 	if len(names) != len(attrs) {
 		panic("core: names/attrs length mismatch")
 	}
+	var u *UTuple
+	switch len(keys) {
+	case 0:
+		u = &UTuple{}
+	case 1:
+		b := &struct {
+			u UTuple
+			v [1]int64
+		}{v: [1]int64{keys[0]}}
+		u = &b.u
+		u.Keys = SharedKeys(keyNames, b.v[:])
+	default:
+		u = &UTuple{Keys: SharedKeys(keyNames, append([]int64(nil), keys...))}
+	}
 	id := stream.NextTupleID()
-	return &UTuple{
-		TS:    ts,
-		ID:    id,
-		names: names[:len(names):len(names)],
-		attrs: attrs,
-		Exist: 1,
-		Lin:   lineage.NewSet(id),
-	}
-}
-
-// NewUTupleSharedKeys is NewUTupleShared for a keyed tuple: keyNames is
-// shared like names (sorted, unique, immutable for the tuple's lifetime)
-// and keys is copied. A single key — the common shape, a tag id — is stored
-// in the same allocation as the tuple, so lifting a keyed tuple costs no
-// more allocations than lifting a keyless one.
-func NewUTupleSharedKeys(ts stream.Time, names []string, attrs []dist.Dist, keyNames []string, keys []int64) *UTuple {
-	if len(keys) != 1 {
-		u := NewUTupleShared(ts, names, attrs)
-		if len(keys) > 0 {
-			u.Keys = SharedKeys(keyNames, append([]int64(nil), keys...))
-		}
-		return u
-	}
-	if len(names) != len(attrs) {
-		panic("core: names/attrs length mismatch")
-	}
-	b := &struct {
-		u UTuple
-		v [1]int64
-	}{}
-	b.v[0] = keys[0]
-	id := stream.NextTupleID()
-	b.u = UTuple{
-		TS:    ts,
-		ID:    id,
-		names: names[:len(names):len(names)],
-		attrs: attrs,
-		Exist: 1,
-		Lin:   lineage.NewSet(id),
-		Keys:  SharedKeys(keyNames, b.v[:]),
-	}
-	return &b.u
+	u.TS, u.ID, u.Exist, u.Lin = ts, id, 1, lineage.NewSet(id)
+	u.names, u.attrs = names[:len(names):len(names)], attrs
+	return u
 }
 
 // Derive builds a tuple produced by an operator from the given parents: it

@@ -22,7 +22,7 @@ func keyList(ks KeySet) string {
 func TestKeySetSharedTableUntouched(t *testing.T) {
 	table := []string{"reader", "tag"}
 	mk := func(a, b int64) *UTuple {
-		return NewUTupleSharedKeys(1, []string{"v"}, []dist.Dist{dist.PointMass{V: 1}}, table, []int64{a, b})
+		return NewUTupleShared(1, []string{"v"}, []dist.Dist{dist.PointMass{V: 1}}, table, []int64{a, b})
 	}
 	u, sib := mk(1, 2), mk(3, 4)
 	u.SetKey("tag", 20)
@@ -47,18 +47,18 @@ func TestKeySetSharedTableUntouched(t *testing.T) {
 	}
 }
 
-// TestNewUTupleSharedKeysOneAlloc: lifting a one-key tuple costs the same
+// TestNewUTupleSharedKeyAllocs: lifting a one-key tuple costs the same
 // allocations as a keyless one — the key value lives with the tuple.
-func TestNewUTupleSharedKeysOneAlloc(t *testing.T) {
+func TestNewUTupleSharedKeyAllocs(t *testing.T) {
 	names, keyNames := []string{"v"}, []string{"tag"}
 	attrs := []dist.Dist{dist.PointMass{V: 1}}
 	keys := []int64{17}
-	keyless := testing.AllocsPerRun(100, func() { NewUTupleShared(1, names, attrs) })
-	keyed := testing.AllocsPerRun(100, func() { NewUTupleSharedKeys(1, names, attrs, keyNames, keys) })
+	keyless := testing.AllocsPerRun(100, func() { NewUTupleShared(1, names, attrs, nil, nil) })
+	keyed := testing.AllocsPerRun(100, func() { NewUTupleShared(1, names, attrs, keyNames, keys) })
 	if keyed != keyless {
 		t.Errorf("keyed lift %v allocs, keyless %v", keyed, keyless)
 	}
-	u := NewUTupleSharedKeys(1, names, attrs, keyNames, keys)
+	u := NewUTupleShared(1, names, attrs, keyNames, keys)
 	keys[0] = 99
 	if u.Key("tag") != 17 {
 		t.Errorf("key aliases the caller's scratch: %d", u.Key("tag"))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/server"
 )
@@ -66,7 +67,7 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 		reply(server.Msg{Kind: server.KindErr, Error: sprintf(format, args...)})
 	}
 	wr := server.NewWireReader(c, 1<<20)
-	ic := &ingestConn{schemas: map[*server.BwSchema]clientSchema{}}
+	ic := newIngestConn()
 	for {
 		line, fr, rerr := wr.Next()
 		if rerr != nil {
@@ -197,6 +198,14 @@ type ingestConn struct {
 	schemas map[*server.BwSchema]clientSchema
 }
 
+func newIngestConn() *ingestConn {
+	return &ingestConn{
+		dec:     server.NewBwDecoder(),
+		jenc:    server.NewBwEncoder(),
+		schemas: map[*server.BwSchema]clientSchema{},
+	}
+}
+
 // clientSchema is a client schema's routing plan: the router-global link
 // schema its tuples travel under, and the position of the plan's key column
 // (-1 when the shape has none: such tuples round-robin). link is interned
@@ -211,9 +220,6 @@ type clientSchema struct {
 // its decoded positional tuples go straight to routeFrame, with no per-tuple
 // Msg, UTuple or link schema lookup.
 func (r *Router) handleClientFrame(fr server.BwFrame, ic *ingestConn) (int, error) {
-	if ic.dec == nil {
-		ic.dec = server.NewBwDecoder()
-	}
 	switch fr.Kind {
 	case server.BwHello:
 		return 0, server.DecodeBwHello(fr.Payload)
@@ -237,9 +243,6 @@ func (r *Router) routeLine(m *server.Msg, ic *ingestConn) error {
 	if err := r.checkSource(m.Source); err != nil {
 		return err
 	}
-	if ic.jenc == nil {
-		ic.jenc = server.NewBwEncoder()
-	}
 	if err := ic.jenc.Positional(m, &ic.line[0]); err != nil {
 		return err
 	}
@@ -254,10 +257,8 @@ func (ic *ingestConn) schemaFor(r *Router, sc *server.BwSchema) clientSchema {
 	if !ok {
 		cs.link, _ = r.benc.InternSchema(sc)
 		cs.keyCol = -1
-		for i, k := range sc.KeyNames {
-			if k == r.cfg.Plan.Key && k != "" {
-				cs.keyCol = i
-			}
+		if key := r.cfg.Plan.Key; key != "" {
+			cs.keyCol = slices.Index(sc.KeyNames, key)
 		}
 		ic.schemas[sc] = cs
 	}

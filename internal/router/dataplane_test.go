@@ -203,7 +203,7 @@ func TestRouteFrameAllocs(t *testing.T) {
 	}
 	raw := encodeBinary(t, msgs[:server.BwBatch])
 	wr := server.NewWireReader(bytes.NewReader(raw), 0)
-	ic := &ingestConn{schemas: map[*server.BwSchema]clientSchema{}}
+	ic := newIngestConn()
 	var tuples []byte
 	for {
 		_, fr, err := wr.Next()

@@ -137,10 +137,13 @@ type link struct {
 	sentSchemas map[uint64]bool
 	alive       atomic.Bool
 	// lastSeen is the unix-milli stamp of the last message received.
-	lastSeen   atomic.Int64
-	version    atomic.Uint64
-	routed     atomic.Uint64
-	replicated atomic.Uint64
+	lastSeen atomic.Int64
+	// pings counts pings enqueued on the link, pongs the answers read back;
+	// a worker answers in order, so pongs >= n means ping n came back.
+	pings, pongs atomic.Uint64
+	version      atomic.Uint64
+	routed       atomic.Uint64
+	replicated   atomic.Uint64
 }
 
 func (l *link) seen() { l.lastSeen.Store(time.Now().UnixMilli()) }
@@ -237,7 +240,7 @@ type Router struct {
 	// strictly before headMu.
 	routeMu sync.Mutex
 	// paused stalls routing and end-of-stream during a quiesced cut
-	// (checkpoint round, membership change); routeTuple/endStream wait it
+	// (checkpoint round, membership change); routeFrame/endStream wait it
 	// out instead of erroring.
 	paused bool
 	// routeSlot maps logical slot -> link index currently serving it
@@ -813,6 +816,7 @@ func (r *Router) linkReader(l *link) {
 			r.onWorkerDone(l)
 		case server.KindPong:
 			l.version.Store(m.Version)
+			l.pongs.Add(1)
 		case server.KindCkptAck:
 			r.onCkptAck(l, m)
 		case server.KindSnapAck:
@@ -1116,7 +1120,7 @@ func (r *Router) routeFrame(ic *ingestConn, bts []server.BwTuple) (int, error) {
 					ep.part.Process(0, &r.cur.carrier, r.cur.emit)
 				}
 				r.flushBatchesLocked()
-				r.cur.bt = nil
+				r.cur.ep, r.cur.bt = nil, nil
 				ep.routedSeq.Add(uint64(n))
 				r.routeMu.Unlock()
 				return n, verr
@@ -1138,10 +1142,53 @@ func (r *Router) routeFrame(ic *ingestConn, bts []server.BwTuple) (int, error) {
 	}
 }
 
-// endStream processes a client "end": flush the partition (the final window
+// pingLinksLocked enqueues one ping on every live link (routeMu held).
+func (r *Router) pingLinksLocked(line []byte) {
+	for _, l := range r.links {
+		if !l.alive.Load() {
+			continue
+		}
+		if err := l.sendq.Put(r.ctx, line); err != nil {
+			if r.ctx.Err() == nil {
+				r.failLinkLocked(l)
+			}
+			continue
+		}
+		l.pings.Add(1)
+	}
+}
+
+// awaitLinks is end-of-stream's barrier: ping every live link and wait
+// until each has answered or failed over. A pong follows everything routed
+// before its ping on that link; a worker that died before the router
+// noticed never answers, and its reader fails it over while we wait — so
+// the promote reaches the replica ahead of "end", inside the epoch it
+// belongs to, instead of racing the replica's epoch turnover. A link that
+// stays silent for 5 s is left to the usual failure detection.
+func (r *Router) awaitLinks() {
+	line := mustLine(server.Msg{Kind: server.KindPing})
+	r.routeMu.Lock()
+	links := append([]*link(nil), r.links...)
+	r.pingLinksLocked(line)
+	want := make([]uint64, len(links))
+	for i, l := range links {
+		want[i] = l.pings.Load()
+	}
+	r.routeMu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for i, l := range links {
+		for l.alive.Load() && l.pongs.Load() < want[i] && r.ctx.Err() == nil && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// endStream processes a client "end": wait until every live link has
+// answered a ping (awaitLinks), flush the partition (the final window
 // closes reach every worker ahead of the end line, in queue order), then
 // ask every live worker to drain.
 func (r *Router) endStream() error {
+	r.awaitLinks()
 	// Wait out any quiesced cut first: the final closes must not race a
 	// checkpoint or migration pause.
 	deadline := time.Now().Add(30 * time.Second)
@@ -1166,24 +1213,25 @@ func (r *Router) endStream() error {
 	}
 	r.cur.ep = ep
 	ep.part.Flush(r.cur.emit)
+	r.cur.ep = nil
 	endLine, err := server.EncodeLine(server.Msg{Kind: server.KindEnd})
 	if err != nil {
 		r.routeMu.Unlock()
 		return err
 	}
-	var need []int
+	// Register every awaited "done" before "end" goes out: a worker that
+	// drains fast could otherwise answer before it is awaited and let the
+	// epoch finish ahead of its own last parts. A link that dies during
+	// the broadcast is released by failover.
+	r.headMu.Lock()
 	for i, l := range r.links {
 		if l.alive.Load() {
-			need = append(need, i)
-		}
-	}
-	r.broadcastToLinks(endLine)
-	r.headMu.Lock()
-	for _, i := range need {
-		if r.links[i].alive.Load() {
 			ep.doneNeed[i] = true
 		}
 	}
+	r.headMu.Unlock()
+	r.broadcastToLinks(endLine)
+	r.headMu.Lock()
 	r.checkFinishLocked(ep)
 	r.headMu.Unlock()
 	r.routeMu.Unlock()
@@ -1412,7 +1460,7 @@ func (r *Router) pingLoop() {
 			return
 		case <-t.C:
 			r.routeMu.Lock()
-			r.broadcastToLinks(line)
+			r.pingLinksLocked(line)
 			r.routeMu.Unlock()
 		}
 	}

@@ -265,17 +265,8 @@ func ParseTuple(m Msg) (*core.UTuple, error) {
 		attrs[i] = d
 	}
 	u := core.NewUTuple(stream.Time(m.T), names, attrs)
-	if len(m.Keys) > 0 {
-		keys := make([]string, 0, len(m.Keys))
-		for k := range m.Keys {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		vals := make([]int64, len(keys))
-		for i, k := range keys {
-			vals[i] = m.Keys[k]
-		}
-		u.Keys = core.SharedKeys(keys, vals)
+	for k, v := range m.Keys {
+		u.SetKey(k, v)
 	}
 	return u, nil
 }

@@ -297,11 +297,8 @@ func (c *TupleCodec) Decode(r *snap.Reader) *Tuple {
 // schema registry on the decode side restores pointer-identical schemas,
 // which control handling and the partial merge rely on.
 func EncodeWireTuple(t *Tuple) ([]byte, error) {
-	w := &snap.Writer{}
-	if err := NewTupleCodec().Encode(w, t); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
+	var e WireEncoder
+	return e.Encode(t)
 }
 
 // WireEncoder is EncodeWireTuple with reused state: one writer and one
