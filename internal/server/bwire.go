@@ -100,6 +100,15 @@ type BwFrame struct {
 	Payload []byte
 }
 
+// newFrame starts a frame of the given kind whose payload will be exactly
+// plen bytes: the header is written and the capacity is exact, so
+// appending the payload never reallocates.
+func newFrame(kind byte, plen int) []byte {
+	f := make([]byte, 0, bwHeaderLen+plen)
+	f = append(f, BwMagic, kind)
+	return binary.LittleEndian.AppendUint32(f, uint32(plen))
+}
+
 // appendFrame wraps a payload in the frame envelope.
 func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 	dst = append(dst, BwMagic, kind)
@@ -691,9 +700,7 @@ func (b *TupleBatch) Take() []byte {
 	bodies := b.w.Bytes()
 	id, count := b.sc.ID, uint64(b.n)
 	plen := varintLen(id) + varintLen(count) + len(bodies)
-	frame := make([]byte, 0, bwHeaderLen+plen)
-	frame = append(frame, BwMagic, BwTuples)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(plen))
+	frame := newFrame(BwTuples, plen)
 	frame = binary.AppendUvarint(frame, id)
 	frame = binary.AppendUvarint(frame, count)
 	frame = append(frame, bodies...)
@@ -831,9 +838,7 @@ func DecodeBwClose(payload []byte) (BwCloseMsg, error) {
 // the caller's reused scratch.
 func EncodeBwPart(slot int, data []byte) []byte {
 	plen := varintLen(uint64(slot)) + varintLen(uint64(len(data))) + len(data)
-	frame := make([]byte, 0, bwHeaderLen+plen)
-	frame = append(frame, BwMagic, BwPart)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(plen))
+	frame := newFrame(BwPart, plen)
 	frame = binary.AppendUvarint(frame, uint64(slot))
 	frame = binary.AppendUvarint(frame, uint64(len(data)))
 	return append(frame, data...)
@@ -882,10 +887,7 @@ func EncodeTailTuple(bt *BwTuple) []byte {
 	for _, a := range sc.AttrNames {
 		plen += strLen(a)
 	}
-	rec := make([]byte, 0, bwHeaderLen+plen)
-	rec = append(rec, BwMagic, BwTail)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(plen))
-	rec = appendLenPrefixed(rec, sc.Source)
+	rec := appendLenPrefixed(newFrame(BwTail, plen), sc.Source)
 	rec = binary.AppendVarint(rec, bt.T)
 	rec = binary.AppendUvarint(rec, bt.Seq)
 	rec = binary.AppendUvarint(rec, uint64(len(bt.Keys)))
