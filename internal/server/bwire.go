@@ -439,9 +439,8 @@ func (d *BwDecoder) DecodeTuples(payload []byte) ([]BwTuple, error) {
 type BwEncoder struct {
 	sigs  map[string]*BwSchema
 	next  uint64
-	sig   []byte    // scratch: shape signature
-	names []string  // scratch: name sorting
-	last  *BwSchema // Positional's most recent shape
+	sig   []byte   // scratch: shape signature
+	names []string // scratch: name sorting
 }
 
 // NewBwEncoder returns an empty encoder (one per connection/session — the
@@ -474,24 +473,6 @@ func (e *BwEncoder) Intern(m *Msg) (sc *BwSchema, isNew bool, err error) {
 	sort.Strings(attrNames)
 	sc, isNew = e.intern(m.Source, e.names[:nk], attrNames)
 	return sc, isNew, nil
-}
-
-// sameShape reports whether m has exactly sc's source and columns.
-func sameShape(sc *BwSchema, m *Msg) bool {
-	if m.Source != sc.Source || len(m.Keys) != len(sc.KeyNames) || len(m.Attrs) != len(sc.AttrNames) {
-		return false
-	}
-	for _, k := range sc.KeyNames {
-		if _, ok := m.Keys[k]; !ok {
-			return false
-		}
-	}
-	for _, a := range sc.AttrNames {
-		if _, ok := m.Attrs[a]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // InternSchema returns this encoder's schema for the shape of sc — a schema
@@ -539,15 +520,9 @@ func (e *BwEncoder) Positional(m *Msg, bt *BwTuple) error {
 	if m.T < 0 {
 		return fmt.Errorf("tuple t_ms %d is negative", m.T)
 	}
-	// Consecutive lines almost always share a shape; checking the last one
-	// costs a map lookup per column instead of Intern's sort.
-	sc := e.last
-	if sc == nil || !sameShape(sc, m) {
-		var err error
-		if sc, _, err = e.Intern(m); err != nil {
-			return err
-		}
-		e.last = sc
+	sc, _, err := e.Intern(m)
+	if err != nil {
+		return err
 	}
 	keys, attrs := bt.Keys[:0], bt.Attrs[:0]
 	for _, k := range sc.KeyNames {

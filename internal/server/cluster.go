@@ -671,6 +671,9 @@ func (cl *clusterState) handleSnap(m Msg) ([]Msg, error) {
 	cl.snaps[slot] = snapRec{id: m.Ckpt, closes: m.Closes, data: m.Data}
 	if mk, ok := cl.marks[m.Ckpt][slot]; ok {
 		if tail, ok := cl.tails[slot]; ok && mk <= len(tail) {
+			// Drop the trimmed records from the backing array, which the
+			// suffix keeps alive until the next append reallocates it.
+			clear(tail[:mk])
 			cl.tails[slot] = tail[mk:]
 			// Older/newer marks recorded lengths of the untrimmed tail.
 			for _, mm := range cl.marks {

@@ -209,3 +209,33 @@ func TestPositionalMatchesParseTuple(t *testing.T) {
 		}
 	}
 }
+
+// TestHandleSnapReleasesTrimmedTail: installing a snapshot trims the slot's
+// tail to the suffix past the checkpoint mark, drops the trimmed records
+// from the shared backing array, and rebases the other marks.
+func TestHandleSnapReleasesTrimmedTail(t *testing.T) {
+	tail := [][]byte{{1}, {2}, {3}, {4}, {5}}
+	cl := &clusterState{
+		snaps: map[int]snapRec{},
+		marks: map[uint64]map[int]int{7: {2: 3}, 8: {2: 5}},
+		tails: map[int][][]byte{2: tail},
+	}
+	slot := 2
+	if _, err := cl.handleSnap(Msg{Kind: KindSnap, Shard: &slot, Ckpt: 7, Data: []byte{9}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cl.tails[2], [][]byte{{4}, {5}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("trimmed tail = %v, want %v", got, want)
+	}
+	for i, rec := range tail[:3] {
+		if rec != nil {
+			t.Errorf("trimmed record %d still referenced by the backing array: %v", i, rec)
+		}
+	}
+	if got := cl.marks[8][2]; got != 2 {
+		t.Errorf("later mark = %d, want 2", got)
+	}
+	if _, ok := cl.snaps[2]; !ok {
+		t.Error("snapshot not installed")
+	}
+}
