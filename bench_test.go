@@ -16,6 +16,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -359,6 +360,22 @@ func BenchmarkSlidingWindowIncremental(b *testing.B) {
 	}
 }
 
+// runLive replays pre-wrapped "locations" tuples through c's channel
+// executor as one finite source.
+func runLive(b *testing.B, c *uop.Compiled, tuples []*stream.Tuple, buffer int) {
+	box, port, ok := c.LookupSource("locations")
+	if !ok {
+		b.Fatal("plan lost its locations source")
+	}
+	sts := make([]stream.SourceTuple, len(tuples))
+	for i, t := range tuples {
+		sts[i] = stream.SourceTuple{Box: box, Port: port, T: t}
+	}
+	if err := c.RunLiveOpts(context.Background(), stream.SliceSource(sts), stream.LiveOptions{Buffer: buffer}); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkQ1Sharded is the shard-parallel headline: the compiled Q1
 // diagram on a 3000-tag trace, tumbling Range 5 s, with the keyed group
 // aggregate either as one box (the single-goroutine baseline, under Push
@@ -397,11 +414,7 @@ func BenchmarkQ1Sharded(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := uop.BuildQ1(cfg).Compile()
 			if chanBuf > 0 {
-				c.RunChanTuples(chanBuf, func(inject func(string, *stream.Tuple)) {
-					for _, t := range tuples {
-						inject("locations", t)
-					}
-				})
+				runLive(b, c, tuples, chanBuf)
 			} else {
 				for _, t := range tuples {
 					c.PushTuple("locations", t)
@@ -473,11 +486,7 @@ func BenchmarkUAggOperators(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					c := bc.mk(shards).Compile()
 					if shards > 0 {
-						c.RunChanTuples(256, func(inject func(string, *stream.Tuple)) {
-							for _, t := range tuples {
-								inject("locations", t)
-							}
-						})
+						runLive(b, c, tuples, 256)
 					} else {
 						for _, t := range tuples {
 							c.PushTuple("locations", t)

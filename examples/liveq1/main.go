@@ -1,12 +1,12 @@
 // Live Q1: continuous execution with no terminal Close.
 //
 // A generator goroutine trickles RFID location tuples into a compiled,
-// sharded Q1 diagram running under stream.RunLive — the continuous
-// executor. Alerts print the moment their window closes: partial transport
-// batches flush whenever the feed idles and the partitioners cover routed
-// tuples with watermarks, so nothing waits for end-of-stream. After the
-// trace, the source channel closes and the graph drains gracefully
-// (exactly what cmd/streamd does on "end" or SIGTERM).
+// sharded Q1 diagram running under RunLiveOpts — the channel executor fed
+// from a live source. Alerts print the moment their window closes: partial
+// transport batches flush whenever the feed idles and the partitioners
+// cover routed tuples with watermarks, so nothing waits for end-of-stream.
+// After the trace, the source channel closes and the graph drains
+// gracefully (exactly what cmd/streamd does on "end" or SIGTERM).
 //
 // Run: go run ./examples/liveq1
 package main
@@ -56,7 +56,7 @@ func main() {
 	}
 	src := make(stream.ChanSource, 64)
 	go func() {
-		defer close(src) // end of stream: RunLive drains gracefully
+		defer close(src) // end of stream: RunLiveOpts drains gracefully
 		for i, ev := range trace.Events {
 			for _, lt := range tx.Process(ev) {
 				u := uop.LocationUTuple(lt, w)
@@ -68,7 +68,7 @@ func main() {
 		}
 	}()
 
-	if err := compiled.RunLive(context.Background(), 128, src, 0); err != nil {
+	if err := compiled.RunLiveOpts(context.Background(), src, stream.LiveOptions{Buffer: 128}); err != nil {
 		panic(err)
 	}
 

@@ -20,14 +20,6 @@ func ApproxGaussianSum(ds []dist.Dist) dist.Normal {
 	return GaussianFromCumulants(Cumulants{K1: mean, K2: variance})
 }
 
-// ApproxGaussianMean is the CLT approximation for the average of n
-// independent variables.
-func ApproxGaussianMean(ds []dist.Dist) dist.Normal {
-	s := ApproxGaussianSum(ds)
-	n := float64(len(ds))
-	return s.ScaleShift(1/n, 0)
-}
-
 // GMMFitOptions tunes FitGMMToCF.
 type GMMFitOptions struct {
 	// K is the number of mixture components (default 2).

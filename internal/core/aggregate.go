@@ -339,14 +339,9 @@ func histFromSamples(xs []float64, bins int) dist.Dist {
 	return dist.NewHistogram(lo, hi, masses)
 }
 
-// SumCorrelatedMA derives the distribution of the mean of a realized MA(q)
+// MeanCorrelatedMA derives the distribution of the mean of a realized MA(q)
 // time series — §5.1's correlated-variables case, solved with the Central
 // Limit Theorem for time series (one ACF scan, no model fitting).
-func SumCorrelatedMA(series []float64, q int) dist.Normal {
-	return timeseries.SumCLT(series, q)
-}
-
-// MeanCorrelatedMA is the averaged form used by the radar pipeline.
 func MeanCorrelatedMA(series []float64, q int) dist.Normal {
 	return timeseries.MeanCLT(series, q)
 }

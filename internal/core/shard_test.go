@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -172,11 +173,13 @@ func TestGroupSumShardPlanCountWindowDuplicateTS(t *testing.T) {
 			sink := &stream.Collect{}
 			sb := g.AddBox(sink)
 			g.Connect(mb, sb, 0)
-			g.RunChan(2, func(inject func(*stream.Box, int, *stream.Tuple)) {
-				for _, tp := range feedTuples() {
-					inject(part, 0, tp)
-				}
-			})
+			var sts []stream.SourceTuple
+			for _, tp := range feedTuples() {
+				sts = append(sts, stream.SourceTuple{Box: part, Port: 0, T: tp})
+			}
+			if err := g.RunLiveOpts(context.Background(), stream.SliceSource(sts), stream.LiveOptions{Buffer: 2}); err != nil {
+				t.Fatalf("RunLiveOpts: %v", err)
+			}
 			if got := renderGrouped(sink.Tuples); got != unsharded {
 				t.Fatalf("count-window shard plan P=%d diverges:\nref:\n%s\ngot:\n%s", p, unsharded, got)
 			}

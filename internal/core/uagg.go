@@ -15,8 +15,8 @@ import (
 // This file is the pluggable windowed-aggregate spine: every windowed
 // uncertain aggregate — the gated sum, streaming quantiles, probabilistic
 // top-k dominating, grouped or not — rides the same layers: incremental
-// delta maintenance, Shards(n) partials with a deterministic merge, RunLive,
-// checkpoint/restore, and cluster part-streams.
+// delta maintenance, Shards(n) partials with a deterministic merge, the
+// channel executor, checkpoint/restore, and cluster part-streams.
 //
 // An aggregate supplies three things:
 //

@@ -228,3 +228,32 @@ func TestCASAScenarioGeometry(t *testing.T) {
 		t.Errorf("sector width %g", s.SectorWidthDeg)
 	}
 }
+
+// TestQueriesModesAgree: every execution mode RunQueries reports — Push,
+// the channel executor, and the sharded channel plan — must report the same
+// alert count per query.
+func TestQueriesModesAgree(t *testing.T) {
+	rows := RunQueries(QueriesConfig{Objects: 40, Events: 400, Particles: 50, Buffer: 16, Shards: 2, Seed: 61})
+	want := map[string]int{}
+	modes := map[string]int{}
+	for _, r := range rows {
+		modes[r.Query]++
+		t.Logf("%s %-7s %d alerts", r.Query, r.Mode, r.Alerts)
+		ref, ok := want[r.Query]
+		if !ok {
+			want[r.Query] = r.Alerts
+			continue
+		}
+		if r.Alerts != ref {
+			t.Errorf("%s: mode %s reports %d alerts, the first mode reported %d", r.Query, r.Mode, r.Alerts, ref)
+		}
+	}
+	for _, q := range []string{"Q1", "Q2"} {
+		if modes[q] != 3 {
+			t.Errorf("%s ran in %d modes, want 3", q, modes[q])
+		}
+		if want[q] == 0 {
+			t.Errorf("%s raised no alerts; the comparison is vacuous", q)
+		}
+	}
+}

@@ -20,7 +20,7 @@ type QueriesConfig struct {
 	Objects, Events int
 	// Particles per object for the T operator.
 	Particles int
-	// Buffer is the channel executor's per-arrow buffer.
+	// Buffer is the channel executor's per-box input buffer (batches).
 	Buffer int
 	// Shards sizes the shard-parallel arm (0 = one per CPU).
 	Shards int

@@ -108,14 +108,6 @@ func (f *Factorized) Estimate(id int64) (Point, bool) {
 	return of.Mean(), true
 }
 
-// SetParticles reconfigures the per-object particle budget for objects
-// created afterwards (the §4.2 controller drives this) .
-func (f *Factorized) SetParticles(n int) {
-	if n > 0 {
-		f.cfg.Particles = n
-	}
-}
-
 // Process applies one scan event: dynamics + positive updates for observed
 // objects + (optionally) negative updates for in-range unobserved
 // candidates. Returns the number of object filters touched — the quantity

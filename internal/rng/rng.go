@@ -45,9 +45,6 @@ func (g *RNG) Normal(mu, sigma float64) float64 {
 	return mu + sigma*g.r.NormFloat64()
 }
 
-// StdNormal samples from N(0, 1).
-func (g *RNG) StdNormal() float64 { return g.r.NormFloat64() }
-
 // Exponential samples from Exp(rate), mean 1/rate.
 func (g *RNG) Exponential(rate float64) float64 {
 	return g.r.ExpFloat64() / rate

@@ -183,8 +183,9 @@ func (cl *clusterState) beginEpoch(ep *epoch) *partEmitter {
 	if pr != nil && pr.Own != nil && len(pr.Own.Data) > 0 {
 		// Restore the own slot's plan to the router's recovered cut. The
 		// plan is not running yet (RunLiveOpts starts after beginEpoch), so
-		// the restore races nothing.
-		if err := ep.plan.RestoreFrom(pr.Own.Data); err == nil {
+		// the restore races nothing, and swapping in a fresh plan after a
+		// failed restore is safe.
+		if err := cl.s.restorePlan(ep, pr.Own.Data); err == nil {
 			pe.ordinal.Store(pr.Own.Closes)
 		} else {
 			cl.s.noteCkptErr(fmt.Errorf("reset: restore own slot: %w", err))

@@ -55,8 +55,8 @@ var ErrQueueClosed = errors.New("server: ingest queue closed (stream draining)")
 
 // Queue is the bounded ingest queue between connection handlers and the
 // continuously running plan: many producers Put; the engine consumes it as
-// a stream.Source. Closing it ends the stream — RunLive drains everything
-// accepted, then flushes the plan.
+// a stream.Source. Closing it ends the stream — RunLiveOpts drains
+// everything accepted, then flushes the plan.
 type Queue = QueueOf[stream.SourceTuple]
 
 // QueueOf is the element-generic form of the bounded queue. The ingest
@@ -94,7 +94,7 @@ func NewQueueOf[T any](capacity int, policy Policy) *QueueOf[T] {
 	}
 }
 
-// Tuples implements stream.Source; RunLive consumes the queue directly.
+// Tuples implements stream.Source; RunLiveOpts consumes the queue directly.
 func (q *QueueOf[T]) Tuples() <-chan T { return q.ch }
 
 // Depth is the number of queued tuples not yet consumed by the engine.
@@ -199,7 +199,7 @@ func (q *QueueOf[T]) accept() {
 }
 
 // Close ends the stream: subsequent Puts fail with ErrQueueClosed, and once
-// in-flight Puts settle the channel closes, so the consuming RunLive
+// in-flight Puts settle the channel closes, so the consuming RunLiveOpts
 // processes everything accepted and then drains the plan gracefully.
 // Idempotent and safe to call concurrently with Put.
 func (q *QueueOf[T]) Close() {

@@ -362,3 +362,62 @@ func TestServerGracefulCloseWritesFinalCheckpoint(t *testing.T) {
 		t.Fatalf("crash wrote a checkpoint: %v", epochs2)
 	}
 }
+
+// TestServerRecoverMismatchedPlanStartsFresh: restarting on a checkpoint
+// written by a different plan (here a changed HAVING threshold) fails the
+// restore partway, after the partition, shards and merge have taken the old
+// epoch's windows. The new epoch must run on a freshly compiled plan, so its
+// alerts are byte-identical to a server that never saw the checkpoint.
+func TestServerRecoverMismatchedPlanStartsFresh(t *testing.T) {
+	msgs := wireTrace(t, 30, 250)
+	cut := len(msgs) / 2
+	oldCfg := testQ1Config(2)
+	newCfg := testQ1Config(2)
+	newCfg.ThresholdLbs = 100
+
+	dir := t.TempDir()
+	store1, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := newTestServer(t, Config{NewPlan: Q1Plan(oldCfg), FlushEvery: 20 * time.Millisecond, Store: store1})
+	ing1 := dialServer(t, s1)
+	for _, m := range msgs[:cut] {
+		ing1.send(m)
+	}
+	ing1.send(Msg{Kind: KindCkpt})
+	if m := ing1.recv(30 * time.Second); m.Kind != KindOK {
+		t.Fatalf("ckpt: %+v", m)
+	}
+	s1.Crash()
+
+	store2, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := newTestServer(t, Config{NewPlan: Q1Plan(newCfg), FlushEvery: 20 * time.Millisecond, Store: store2})
+	sub := dialServer(t, s2)
+	sub.send(Msg{Kind: KindSub})
+	if m := sub.recv(5 * time.Second); m.Kind != KindOK {
+		t.Fatalf("subscribe: %+v", m)
+	}
+	if st := startedStats(t, s2); st.Checkpoint == nil || st.Checkpoint.Errors == 0 {
+		t.Fatalf("mismatched checkpoint restored without an error: %+v", st.Checkpoint)
+	}
+	ing2 := dialServer(t, s2)
+	for _, m := range msgs[cut:] {
+		ing2.send(m)
+	}
+	ing2.send(Msg{Kind: KindEnd})
+	if m := ing2.recv(30 * time.Second); m.Kind != KindOK {
+		t.Fatalf("end: %+v", m)
+	}
+	got := strings.Join(recvAlertsUntilDone(t, sub), "")
+	want := strings.Join(offlineAlertLines(t, msgs[cut:], newCfg), "")
+	if want == "" {
+		t.Fatal("fresh reference produced no alerts; inputs too light")
+	}
+	if got != want {
+		t.Fatalf("epoch after a failed restore diverges from a fresh plan:\nfresh:\n%s\ngot:\n%s", want, got)
+	}
+}

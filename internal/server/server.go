@@ -38,7 +38,7 @@ type Config struct {
 	Policy Policy
 	// Buffer is the per-box channel buffer of the live executor.
 	Buffer int
-	// FlushEvery bounds quiet-graph output latency (see stream.RunLive).
+	// FlushEvery bounds quiet-graph output latency (see stream.LiveOptions).
 	FlushEvery time.Duration
 	// SubBuffer bounds each subscriber's pending-line buffer; lines beyond
 	// it are dropped and counted (default 4096).
@@ -74,7 +74,7 @@ type epoch struct {
 	queue  *Queue
 	alerts atomic.Uint64
 	// barriers delivers checkpoint functions to the live executor's feeder
-	// (see stream.LiveOptions.Barriers); runDone closes when RunLive
+	// (see stream.LiveOptions.Barriers); runDone closes when RunLiveOpts
 	// returns, releasing anyone waiting to deliver one.
 	barriers chan func()
 	runDone  chan struct{}
@@ -354,9 +354,9 @@ func (s *Server) engineLoop() {
 
 // recoverEpoch restores the newest on-disk checkpoint into ep's freshly
 // compiled plan. It returns the recovered epoch number, or ok == false when
-// there is nothing (or nothing usable) to recover — a corrupt or
-// incompatible checkpoint falls back to a fresh epoch numbered past it,
-// leaving the bad file on disk for diagnosis.
+// there is nothing to recover. A corrupt or incompatible checkpoint falls
+// back to a fresh epoch numbered past it, leaving the bad file on disk for
+// diagnosis, and the epoch runs on a newly compiled plan (restorePlan).
 func (s *Server) recoverEpoch(ep *epoch) (n int, ok bool) {
 	epochs, err := s.cfg.Store.List()
 	if err != nil {
@@ -369,13 +369,24 @@ func (s *Server) recoverEpoch(ep *epoch) (n int, ok bool) {
 	newest := epochs[len(epochs)-1]
 	data, err := s.cfg.Store.Get(newest)
 	if err == nil {
-		err = ep.plan.RestoreFrom(data)
+		err = s.restorePlan(ep, data)
 	}
 	if err != nil {
 		s.noteCkptErr(fmt.Errorf("recover epoch %d: %w", newest, err))
 		return newest + 1, true // fresh state, but don't reuse the bad number
 	}
 	return newest, true
+}
+
+// restorePlan restores a checkpoint into ep's freshly compiled plan. Boxes
+// restore in order, so a restore that fails may leave some of them with
+// the blob's state: on error ep gets a newly compiled plan instead.
+func (s *Server) restorePlan(ep *epoch, data []byte) error {
+	err := ep.plan.RestoreFrom(data)
+	if err != nil {
+		ep.plan = s.cfg.NewPlan()
+	}
+	return err
 }
 
 // writeCheckpoint snapshots ep's plan and persists it. It must run while

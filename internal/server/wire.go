@@ -1,9 +1,9 @@
 // Package server is the network ingest layer: a TCP JSON-lines front end
 // that parses client lines into uncertain tuples, feeds a compiled
-// (sharded) query plan running continuously (stream.RunLive), streams
-// alerts back to subscribers as windows close, and applies backpressure
-// through a bounded ingest queue. An optional HTTP endpoint (/statsz)
-// exposes per-box engine stats, queue depths, and throughput.
+// (sharded) query plan running continuously (stream.Graph.RunLiveOpts),
+// streams alerts back to subscribers as windows close, and applies
+// backpressure through a bounded ingest queue. An optional HTTP endpoint
+// (/statsz) exposes per-box engine stats, queue depths, and throughput.
 //
 // The wire protocol is newline-delimited JSON, symmetric enough that a load
 // generator can diff a live run against an offline one byte for byte:

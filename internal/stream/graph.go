@@ -14,8 +14,8 @@ type Box struct {
 
 	id   int
 	outs []arrow
-	// Traffic counters are atomics: under RunChan each box increments its
-	// own counters from its goroutine while Stats() may be read from any
+	// Traffic counters are atomics: under RunLiveOpts each box increments
+	// its own counters from its goroutine while Stats() may be read from any
 	// other goroutine (monitoring, examples printing per-shard stats).
 	statIn, statOut atomic.Uint64
 	emit            Emit // prebuilt synchronous emit; one closure per box, not per tuple
@@ -35,7 +35,7 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the box's counters; safe to call while the
-// graph is executing on RunChan.
+// graph is executing on RunLiveOpts.
 func (b *Box) Stats() Stats {
 	return Stats{In: b.statIn.Load(), Out: b.statOut.Load()}
 }
@@ -71,24 +71,24 @@ const (
 	stateClosed
 )
 
-// Graph is a box-arrow diagram (§3, Figure 2). Build it with AddBox and
-// Connect, feed tuples with Push, and finish with Close. RunChan executes
-// the same graph with one goroutine per box connected by channels — the
-// paper's dataflow reading — and is equivalent to the synchronous path
-// (tests assert this). RunLive is the continuous form: a context-driven
-// executor over a live Source with no drain-everything Close contract.
+// Graph is a box-arrow diagram (§3, Figure 2) with two executors. Build it
+// with AddBox and Connect, then either feed tuples synchronously with Push
+// and finish with Close, or hand it a Source and call RunLiveOpts, which
+// runs one goroutine per box connected by channels — the paper's dataflow
+// reading — and is equivalent to the synchronous path (tests assert this).
+// A finite trace runs on RunLiveOpts as a SliceSource.
 //
 // A graph is single-use. Close is idempotent (the first call flushes, later
-// calls are no-ops — this includes Close after RunChan/RunLive, which flush
-// themselves), and Push after the graph has closed panics with a clear
-// error instead of silently corrupting window state.
+// calls are no-ops — this includes Close after RunLiveOpts, which flushes
+// itself), and Push after the graph has closed panics with a clear error
+// instead of silently corrupting window state.
 type Graph struct {
 	boxes []*Box
 	// state is atomic so lifecycle checks are race-free against monitoring
 	// goroutines; transitions themselves happen from the owning goroutine.
 	state atomic.Int32
 	// run points at the in-flight channel execution, for queue-depth
-	// monitoring (/statsz); nil outside RunChan/RunLive.
+	// monitoring (/statsz); nil outside RunLiveOpts.
 	run atomic.Pointer[chanRun]
 }
 
@@ -144,8 +144,7 @@ func (g *Graph) push(b *Box, port int, t *Tuple) {
 // Close flushes every box in insertion order (sources first), cascading any
 // emitted tuples. Close is idempotent: only the first call flushes, so a
 // second Close cannot double-send punctuations or re-drain windows. After
-// RunChan/RunLive (which flush as part of their own shutdown) Close is a
-// no-op.
+// RunLiveOpts (which flushes as part of its own shutdown) Close is a no-op.
 func (g *Graph) Close() {
 	if !g.state.CompareAndSwap(stateOpen, stateClosing) {
 		return
@@ -157,7 +156,7 @@ func (g *Graph) Close() {
 }
 
 // Closed reports whether the graph has finished (Close, or a completed
-// RunChan/RunLive).
+// RunLiveOpts).
 func (g *Graph) Closed() bool { return g.state.Load() == stateClosed }
 
 // Describe renders the diagram topology.
@@ -183,7 +182,7 @@ type batch struct {
 
 // tickPort marks a wakeup batch: it carries no tuples and exists only to
 // rouse an otherwise-blocked box goroutine so it runs its idle flush
-// (operator Idle hook + partial-batch flush). RunLive's feeder broadcasts
+// (operator Idle hook + partial-batch flush). The feeder broadcasts
 // ticks periodically so a quiet graph still bounds its output latency.
 const tickPort = -1
 
@@ -209,9 +208,15 @@ func (w *batcher) add(ch chan batch, port, i int, t *Tuple) {
 	}
 }
 
-// chanRun is one channel execution of a graph: per-box input channels,
-// producer accounting for shutdown, and the box goroutines. RunChan and
-// RunLive share it and differ only in how the feeder is driven.
+// chanRun is one channel execution of a graph (RunLiveOpts): per-box input
+// channels, producer accounting for shutdown, and the box goroutines.
+//
+// Boxes process their inputs sequentially, so operators need no internal
+// locking — the concurrency is pipeline parallelism across boxes plus, for
+// compiled sharded stages, data parallelism across shard instances of the
+// same operator. Producers batch up to batchSize tuples per destination and
+// flush whenever their input momentarily drains, so batching never holds a
+// tuple while its producer blocks.
 type chanRun struct {
 	g         *Graph
 	chans     []chan batch
@@ -370,9 +375,9 @@ func (r *chanRun) tick() {
 }
 
 // quiesce blocks until no batch is queued or mid-processing anywhere in the
-// graph. The caller must guarantee no producer injects concurrently — in
-// RunLive the feeder goroutine itself calls this after flushing its own
-// pending batches, and it is the only external producer.
+// graph. The caller must guarantee no producer injects concurrently — the
+// feeder goroutine itself calls this after flushing its own pending
+// batches, and it is the only external producer.
 func (r *chanRun) quiesce() {
 	for i := 0; r.inflight.Load() != 0; i++ {
 		if i < 100 {
@@ -436,7 +441,7 @@ func (f *feeder) flush() {
 }
 
 // QueueDepths reports the number of queued batches on each box's input
-// channel while a channel execution (RunChan/RunLive) is in flight, indexed
+// channel while a channel execution (RunLiveOpts) is in flight, indexed
 // like Boxes(); nil otherwise. Monitoring only — values are instantaneous.
 func (g *Graph) QueueDepths() []int {
 	r := g.run.Load()
@@ -448,29 +453,4 @@ func (g *Graph) QueueDepths() []int {
 		out[i] = len(ch)
 	}
 	return out
-}
-
-// RunChan executes the graph with one goroutine per box communicating over
-// buffered channels of tuple batches; feed supplies source tuples via the
-// returned inject function and must call done() when finished. RunChan
-// blocks until all boxes have flushed.
-//
-// Boxes process their inputs sequentially, so operators need no internal
-// locking — the concurrency is pipeline parallelism across boxes plus, for
-// compiled sharded stages, data parallelism across shard instances of the
-// same operator. Producers batch up to batchSize tuples per destination and
-// flush whenever their input momentarily drains, so batching never holds a
-// tuple while its producer blocks.
-//
-// The feeder's injections batch too, flushing at batchSize and when feed
-// returns — RunChan is a replay executor, not a live-source one: a feeder
-// that trickles tuples in real time would see entry latency of up to
-// batchSize−1 tuples. Live streaming callers should use RunLive, whose
-// feeder flushes partial batches whenever the source momentarily idles.
-func (g *Graph) RunChan(buffer int, feed func(inject func(b *Box, port int, t *Tuple))) {
-	r := g.startRun(buffer)
-	f := r.newFeeder()
-	feed(f.inject)
-	f.flush()
-	r.finish()
 }

@@ -1,8 +1,21 @@
 package stream
 
 import (
+	"context"
 	"testing"
 )
+
+// runFinite runs a finite trace on the channel executor: feed's injections
+// are collected into a SliceSource, which RunLiveOpts drains.
+func runFinite(g *Graph, buffer int, feed func(inject func(*Box, int, *Tuple))) {
+	var sts []SourceTuple
+	feed(func(b *Box, port int, t *Tuple) {
+		sts = append(sts, SourceTuple{Box: b, Port: port, T: t})
+	})
+	if err := g.RunLiveOpts(context.Background(), SliceSource(sts), LiveOptions{Buffer: buffer}); err != nil {
+		panic(err) // a background context never cancels
+	}
+}
 
 // TestRunChanDiamondTopology runs a diamond (source -> two parallel maps ->
 // union -> sink) through the channel executor and checks no tuple is lost
@@ -27,7 +40,7 @@ func TestRunChanDiamondTopology(t *testing.T) {
 	g.Connect(u, sb, 0)
 
 	const n = 200
-	g.RunChan(16, func(inject func(*Box, int, *Tuple)) {
+	runFinite(g, 16, func(inject func(*Box, int, *Tuple)) {
 		for i := 0; i < n; i++ {
 			inject(src, 0, NewTuple(s, Time(i), float64(i)))
 		}
@@ -67,7 +80,7 @@ func TestRunChanJoinTwoPorts(t *testing.T) {
 	g.Connect(rSrc, j, 1)
 	g.Connect(j, sb, 0)
 
-	g.RunChan(8, func(inject func(*Box, int, *Tuple)) {
+	runFinite(g, 8, func(inject func(*Box, int, *Tuple)) {
 		for i := 0; i < 50; i++ {
 			id := string(rune('a' + i%5))
 			inject(lSrc, 0, NewTuple(ls, Time(i), id))
@@ -105,7 +118,7 @@ func TestRunChanRepeatable(t *testing.T) {
 		sb := g.AddBox(sink)
 		g.Connect(src, agg, 0)
 		g.Connect(agg, sb, 0)
-		g.RunChan(4, func(inject func(*Box, int, *Tuple)) {
+		runFinite(g, 4, func(inject func(*Box, int, *Tuple)) {
 			for i := 0; i < 100; i++ {
 				inject(src, 0, NewTuple(s, Time(i), float64(i)))
 			}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"testing"
 )
 
@@ -8,7 +9,7 @@ import (
 // re-flushed every operator (double-sending punctuations and re-draining
 // windows), and Push after Close silently admitted tuples into drained
 // window state. These tests pin the fixed contract: Close is idempotent —
-// including after RunChan/RunLive, which flush themselves — and
+// including after RunLiveOpts, which flushes itself — and
 // Push-after-Close fails loudly.
 
 // countingOp records Process/Flush calls.
@@ -84,31 +85,39 @@ func TestPushAfterClosePanics(t *testing.T) {
 	mustPanic(t, "Push after Close", func() { g.Push(b, 0, liveTuple(1, 2)) })
 }
 
+// TestLifecycleAfterRunChan pins the lifecycle around the channel
+// executor's finite-trace run: RunLiveOpts flushes once and closes the
+// graph, Close afterwards is a no-op, and Push or a second run panics.
 func TestLifecycleAfterRunChan(t *testing.T) {
 	g := NewGraph()
 	op := &countingOp{name: "op"}
 	b := g.AddBox(op)
-	g.RunChan(4, func(inject func(*Box, int, *Tuple)) {
-		inject(b, 0, liveTuple(0, 1))
-	})
-	if op.flushed != 1 {
-		t.Fatalf("RunChan flushed %d times, want 1", op.flushed)
+	src := SliceSource([]SourceTuple{{Box: b, Port: 0, T: liveTuple(0, 1)}})
+	if err := g.RunLiveOpts(context.Background(), src, LiveOptions{Buffer: 4}); err != nil {
+		t.Fatalf("RunLiveOpts: %v", err)
+	}
+	if op.processed != 1 || op.flushed != 1 {
+		t.Fatalf("RunLiveOpts processed %d and flushed %d times, want 1 and 1", op.processed, op.flushed)
 	}
 	if !g.Closed() {
-		t.Fatal("graph not closed after RunChan")
+		t.Fatal("graph not closed after RunLiveOpts")
 	}
-	// Close after RunChan must be a no-op, not a second flush.
+	// Close after the run must be a no-op, not a second flush.
 	g.Close()
 	if op.flushed != 1 {
-		t.Fatalf("Close after RunChan re-flushed (%d)", op.flushed)
+		t.Fatalf("Close after RunLiveOpts re-flushed (%d)", op.flushed)
 	}
-	mustPanic(t, "Push after RunChan", func() { g.Push(b, 0, liveTuple(1, 2)) })
-	mustPanic(t, "second RunChan", func() { g.RunChan(4, func(func(*Box, int, *Tuple)) {}) })
+	mustPanic(t, "Push after RunLiveOpts", func() { g.Push(b, 0, liveTuple(1, 2)) })
+	mustPanic(t, "second RunLiveOpts", func() {
+		g.RunLiveOpts(context.Background(), SliceSource(nil), LiveOptions{})
+	})
 }
 
 func TestRunChanAfterClosePanics(t *testing.T) {
 	g := NewGraph()
 	g.AddBox(&countingOp{name: "op"})
 	g.Close()
-	mustPanic(t, "RunChan on closed graph", func() { g.RunChan(4, func(func(*Box, int, *Tuple)) {}) })
+	mustPanic(t, "RunLiveOpts on closed graph", func() {
+		g.RunLiveOpts(context.Background(), SliceSource(nil), LiveOptions{})
+	})
 }

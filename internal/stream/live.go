@@ -5,17 +5,17 @@ import (
 	"time"
 )
 
-// This file is the continuous-execution mode: RunChan without the
-// drain-everything Close contract. The paper's deployments (tomography
-// radar, RFID readers) are live feeds that never end, so results must reach
-// consumers as windows close — not when some terminal Flush drains the
-// graph. The latency hazards of the batched channel transport are handled
-// here and in the idle hooks:
+// This file is the channel executor's feeder: RunLiveOpts drives a graph
+// from a Source without a drain-everything Close contract. The paper's
+// deployments (tomography radar, RFID readers) are live feeds that never
+// end, so results must reach consumers as windows close — not when some
+// terminal Flush drains the graph. A finite trace is the special case of a
+// source that is already closed (SliceSource). The latency hazards of the
+// batched channel transport are handled here and in the idle hooks:
 //
 //   - The feeder flushes partial injection batches whenever the source
 //     momentarily idles, so the last <batchSize tuples of a quiet stream
-//     are never invisible downstream (RunChan only flushes when feed
-//     returns).
+//     are never invisible downstream.
 //   - Box goroutines already flush partial output batches when their input
 //     momentarily drains; the Idle operator hook runs first, letting
 //     partition boxes emit watermarks so order-restoring merges release
@@ -51,9 +51,9 @@ type ChanSource chan SourceTuple
 // Tuples implements Source.
 func (c ChanSource) Tuples() <-chan SourceTuple { return c }
 
-// SliceSource replays a finite trace as a live source (tests and examples):
-// it returns a ChanSource pre-loaded with every tuple and already closed,
-// so RunLive processes the trace and drains.
+// SliceSource is how a finite trace runs on the channel executor: it
+// returns a ChanSource pre-loaded with every tuple and already closed, so
+// RunLiveOpts feeds the whole trace in full batches and then drains.
 func SliceSource(sts []SourceTuple) Source {
 	ch := make(ChanSource, len(sts))
 	for _, st := range sts {
@@ -63,7 +63,7 @@ func SliceSource(sts []SourceTuple) Source {
 	return ch
 }
 
-// DefaultFlushEvery is the idle-tick cadence used when RunLive is given a
+// DefaultFlushEvery is the idle-tick cadence used when LiveOptions gives a
 // non-positive one.
 const DefaultFlushEvery = 100 * time.Millisecond
 
@@ -90,26 +90,18 @@ type LiveOptions struct {
 	BeforeFlush func()
 }
 
-// RunLive executes the graph continuously against a live source: one
-// goroutine per box exactly like RunChan, but with a context-driven feeder
-// built for streams that never end. Tuples flow downstream as they arrive
-// (partial batches flush on idle, watermarks release merges), alerts reach
-// sinks as windows close, and nothing waits for a terminal Close.
+// RunLiveOpts executes the graph with one goroutine per box connected by
+// buffered channels of tuple batches, fed from src by a context-driven
+// feeder. Tuples flow downstream as they arrive (partial batches flush on
+// idle, watermarks release merges), alerts reach sinks as windows close,
+// and nothing waits for a terminal Close.
 //
-// RunLive returns when the source's channel closes (end of stream) or ctx
-// is cancelled; either way the graph drains gracefully — queued tuples are
-// processed and every box flushes, so open windows emit their final results
-// — and the graph is closed. The error is nil at end of stream, ctx.Err()
-// on cancellation.
-//
-// flushEvery bounds output latency when the graph is quiet: every interval
-// the feeder wakes each box to run its idle flush. Non-positive selects
-// DefaultFlushEvery.
-func (g *Graph) RunLive(ctx context.Context, buffer int, src Source, flushEvery time.Duration) error {
-	return g.RunLiveOpts(ctx, src, LiveOptions{Buffer: buffer, FlushEvery: flushEvery})
-}
-
-// RunLiveOpts is RunLive with checkpoint hooks; see LiveOptions.
+// RunLiveOpts returns when the source's channel closes (end of stream) or
+// ctx is cancelled; either way the graph drains gracefully — queued tuples
+// are processed and every box flushes, so open windows emit their final
+// results — and the graph is closed. The error is nil at end of stream,
+// ctx.Err() on cancellation. It panics on a graph that is closed or already
+// running.
 func (g *Graph) RunLiveOpts(ctx context.Context, src Source, opts LiveOptions) error {
 	flushEvery := opts.FlushEvery
 	if flushEvery <= 0 {

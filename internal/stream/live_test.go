@@ -36,9 +36,8 @@ func sinkTo(out chan *Tuple) *FuncOp {
 
 // TestRunLiveDeliversWithoutClose pins the core continuous-execution
 // contract: tuples fed by a live source reach the sink while the stream is
-// still open. Under RunChan the feeder's partial batch would hold these
-// five tuples until the feed function returned; RunLive's flush-on-idle
-// must not.
+// still open. A feeder that flushed only at batchSize or end of stream
+// would hold these five tuples back; the flush-on-idle must not.
 func TestRunLiveDeliversWithoutClose(t *testing.T) {
 	g := NewGraph()
 	src := g.AddBox(NewSelect("id", func(t *Tuple) *Tuple { return t }))
@@ -48,7 +47,9 @@ func TestRunLiveDeliversWithoutClose(t *testing.T) {
 
 	ch := make(ChanSource, 64)
 	done := make(chan error, 1)
-	go func() { done <- g.RunLive(context.Background(), 8, ch, 10*time.Millisecond) }()
+	go func() {
+		done <- g.RunLiveOpts(context.Background(), ch, LiveOptions{Buffer: 8, FlushEvery: 10 * time.Millisecond})
+	}()
 
 	for i := 0; i < 5; i++ {
 		ch <- SourceTuple{Box: src, Port: 0, T: liveTuple(Time(i), int64(i))}
@@ -62,10 +63,10 @@ func TestRunLiveDeliversWithoutClose(t *testing.T) {
 
 	close(ch)
 	if err := <-done; err != nil {
-		t.Fatalf("RunLive returned %v at end of stream, want nil", err)
+		t.Fatalf("RunLiveOpts returned %v at end of stream, want nil", err)
 	}
 	if !g.Closed() {
-		t.Error("graph should be closed after RunLive returns")
+		t.Error("graph should be closed after RunLiveOpts returns")
 	}
 }
 
@@ -96,7 +97,9 @@ func TestRunLiveSparseFilteredShardLatency(t *testing.T) {
 
 	ch := make(ChanSource) // unbuffered: a genuinely sparse trickle
 	done := make(chan error, 1)
-	go func() { done <- g.RunLive(context.Background(), 8, ch, 20*time.Millisecond) }()
+	go func() {
+		done <- g.RunLiveOpts(context.Background(), ch, LiveOptions{Buffer: 8, FlushEvery: 20 * time.Millisecond})
+	}()
 
 	// 10 tuples, far below both the 64-tuple watermark cadence and the
 	// 32-tuple batch size. Round-robin sends the even (surviving) tuples to
@@ -121,7 +124,7 @@ func TestRunLiveSparseFilteredShardLatency(t *testing.T) {
 
 	close(ch)
 	if err := <-done; err != nil {
-		t.Fatalf("RunLive: %v", err)
+		t.Fatalf("RunLiveOpts: %v", err)
 	}
 	if n := len(out); n != 0 {
 		t.Errorf("drain emitted %d unexpected extra tuples", n)
@@ -160,7 +163,9 @@ func TestRunLiveKeylessRoundRobin(t *testing.T) {
 
 	ch := make(ChanSource)
 	done := make(chan error, 1)
-	go func() { done <- g.RunLive(context.Background(), 8, ch, 20*time.Millisecond) }()
+	go func() {
+		done <- g.RunLiveOpts(context.Background(), ch, LiveOptions{Buffer: 8, FlushEvery: 20 * time.Millisecond})
+	}()
 
 	const N = 11
 	for i := 0; i < N; i++ {
@@ -174,7 +179,7 @@ func TestRunLiveKeylessRoundRobin(t *testing.T) {
 	}
 	close(ch)
 	if err := <-done; err != nil {
-		t.Fatalf("RunLive: %v", err)
+		t.Fatalf("RunLiveOpts: %v", err)
 	}
 }
 
@@ -195,7 +200,7 @@ func TestRunLiveCancelDrainsGracefully(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(ChanSource, 8)
 	done := make(chan error, 1)
-	go func() { done <- g.RunLive(ctx, 8, ch, 10*time.Millisecond) }()
+	go func() { done <- g.RunLiveOpts(ctx, ch, LiveOptions{Buffer: 8, FlushEvery: 10 * time.Millisecond}) }()
 
 	// Three tuples inside one still-open window.
 	for i := 0; i < 3; i++ {
@@ -203,7 +208,7 @@ func TestRunLiveCancelDrainsGracefully(t *testing.T) {
 	}
 	cancel()
 	if err := <-done; err != context.Canceled {
-		t.Fatalf("RunLive returned %v, want context.Canceled", err)
+		t.Fatalf("RunLiveOpts returned %v, want context.Canceled", err)
 	}
 	if got := len(out); got != 3 {
 		t.Fatalf("graceful drain flushed %d tuples, want 3 (open window must emit on shutdown)", got)

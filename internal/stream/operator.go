@@ -18,7 +18,7 @@ type Operator interface {
 }
 
 // IdleOp is implemented by operators that want a callback when their box's
-// input momentarily drains under channel execution (RunChan/RunLive). Idle
+// input momentarily drains under channel execution (RunLiveOpts). Idle
 // runs before the box's partial output batches flush downstream, so
 // anything it emits rides the same flush. Partition boxes emit sequence
 // watermarks here: an order-restoring merge downstream can then release

@@ -169,7 +169,7 @@ func (o *partitionOp) Process(_ int, t *Tuple, emit Emit) {
 }
 
 // Idle implements IdleOp: whenever the partitioner's input momentarily
-// drains (which is exactly when its RunChan/RunLive output batches flush
+// drains (which is exactly when its channel-executor output batches flush
 // partially full), it covers everything routed so far with a watermark, so
 // the order-restoring merge downstream releases tuples buffered behind
 // filter-drop holes immediately instead of stalling until the every-64-

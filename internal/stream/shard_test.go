@@ -65,7 +65,7 @@ func TestSeqMergeRestoresOrder(t *testing.T) {
 		check(fmt.Sprintf("push P=%d", p), sink.Tuples)
 
 		g, src, sink = shardedIdentityGraph(p, PartitionSpec{Watermarks: true}, mk)
-		g.RunChan(4, func(inject func(*Box, int, *Tuple)) {
+		runFinite(g, 4, func(inject func(*Box, int, *Tuple)) {
 			for i := 0; i < n; i++ {
 				inject(src, 0, NewTuple(s, Time(i), float64(i)))
 			}
@@ -207,7 +207,7 @@ func TestStatsReadableMidRun(t *testing.T) {
 			}
 		}
 	}()
-	g.RunChan(8, func(inject func(*Box, int, *Tuple)) {
+	runFinite(g, 8, func(inject func(*Box, int, *Tuple)) {
 		for i := 0; i < n; i++ {
 			inject(src, 0, NewTuple(s, Time(i), float64(i)))
 		}
@@ -241,7 +241,7 @@ func TestRunChanBatchingConserves(t *testing.T) {
 	g.Connect(u, sb, 0)
 
 	const n = 10000
-	g.RunChan(2, func(inject func(*Box, int, *Tuple)) {
+	runFinite(g, 2, func(inject func(*Box, int, *Tuple)) {
 		for i := 0; i < n; i++ {
 			inject(src, 0, NewTuple(s, Time(i), float64(i)))
 		}

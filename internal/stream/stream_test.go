@@ -258,7 +258,7 @@ func TestGraphSyncVsChanEquivalence(t *testing.T) {
 
 	// Channel run.
 	g2, src2, sink2 := build()
-	g2.RunChan(8, func(inject func(*Box, int, *Tuple)) {
+	runFinite(g2, 8, func(inject func(*Box, int, *Tuple)) {
 		for i := 0; i < 10; i++ {
 			inject(src2, 0, NewTuple(s, Time(i), float64(i)))
 		}

@@ -9,7 +9,6 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -229,9 +228,4 @@ func (t *Tuple) Format() string {
 	}
 	b.WriteString("}")
 	return b.String()
-}
-
-// SortByTS orders tuples by timestamp, stably.
-func SortByTS(ts []*Tuple) {
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].TS < ts[j].TS })
 }

@@ -55,18 +55,6 @@ func (m MA) Autocovariance(k int) float64 {
 	return m.Sigma * m.Sigma * s
 }
 
-// LongRunVariance returns σ²_LR = Σ_k γ(k) over all lags = σ²(1 + Σ b_j)².
-// The variance of the sample mean of n observations is asymptotically
-// σ²_LR / n — the quantity the radar T operator attaches to averaged
-// moment data.
-func (m MA) LongRunVariance() float64 {
-	s := 1.0
-	for _, b := range m.Theta {
-		s += b
-	}
-	return m.Sigma * m.Sigma * s * s
-}
-
 // Simulate generates n observations (with a q-step warm-up discarded).
 func (m MA) Simulate(n int, g *rng.RNG) []float64 {
 	q := len(m.Theta)

@@ -59,6 +59,10 @@ func (c *Compiled) Checkpoint() ([]byte, error) {
 // same box names) that has not processed any tuple. Restoring raises the
 // tuple-ID floor to the checkpoint's mark, so IDs allocated after recovery
 // never collide with IDs alive inside restored lineage state.
+//
+// Corrupt or mismatched bytes yield an error, never a panic. Boxes restore
+// in order, so after an error the plan may hold some boxes' old state:
+// discard it and compile a fresh one.
 func (c *Compiled) RestoreFrom(data []byte) error {
 	r := snap.NewReader(data)
 	if v := r.U8(); v != checkpointV1 && r.Err() == nil {
@@ -90,7 +94,7 @@ func (c *Compiled) RestoreFrom(data []byte) error {
 		if !ok {
 			return fmt.Errorf("uop: checkpoint names box %q, which does not snapshot", name)
 		}
-		if err := s.Restore(blob); err != nil {
+		if err := restoreBox(s, blob); err != nil {
 			return fmt.Errorf("uop: restore %q: %w", name, err)
 		}
 	}
@@ -101,8 +105,26 @@ func (c *Compiled) RestoreFrom(data []byte) error {
 	return nil
 }
 
-// RunLiveOpts is RunLive with checkpoint hooks (quiesce barriers, the
-// final-checkpoint BeforeFlush); see stream.LiveOptions.
+// restoreBox applies one box's snapshot. Checkpoint bytes arrive from disk
+// and, on worker promote, over the network; a decoder deep inside a box's
+// restore (a window resident whose payload field or attribute a corrupt
+// blob renamed) can panic, so a panic here is reported as the restore's
+// error instead of taking the process down.
+func restoreBox(s stream.Snapshotter, blob []byte) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("corrupt snapshot: %v", p)
+		}
+	}()
+	return s.Restore(blob)
+}
+
+// RunLiveOpts executes the diagram on the channel executor against a live
+// source of pre-wrapped carrier tuples (stream.SourceTuple as built from
+// LookupSource + core.Wrap), with the checkpoint hooks of
+// stream.LiveOptions (quiesce barriers, the final-checkpoint BeforeFlush).
+// Results reach the OnResult sink as windows close; see
+// stream.Graph.RunLiveOpts.
 func (c *Compiled) RunLiveOpts(ctx context.Context, src stream.Source, opts stream.LiveOptions) error {
 	return c.Graph.RunLiveOpts(ctx, src, opts)
 }

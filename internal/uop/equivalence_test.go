@@ -137,7 +137,7 @@ func formatQ2(as []Q2Alert) string {
 // seededTrace runs the real RFID T operator on a seeded trace so the
 // equivalence inputs carry realistic posteriors (Gaussians, and mixtures
 // when objects move).
-func seededTrace(t *testing.T, objects, events int, flamFrac float64) ([]rfid.LocationTuple, *rfid.Warehouse) {
+func seededTrace(t testing.TB, objects, events int, flamFrac float64) ([]rfid.LocationTuple, *rfid.Warehouse) {
 	t.Helper()
 	w := rfid.NewWarehouse(rfid.WarehouseConfig{
 		NumObjects: objects, Seed: 31, FlammableFrac: flamFrac, MoveProb: -1,

@@ -15,9 +15,9 @@ import (
 // rewrite, whose watermark merges used to stall sparse streams — and must
 // deliver alerts while the stream is still open (no terminal Flush).
 
-// TestQ1LiveMatchesPush pins RunLive byte-identical to RunQ1 across window
-// shapes and shard counts; closing the live source triggers the graceful
-// drain, so final windows flush exactly like Close.
+// TestQ1LiveMatchesPush pins the channel executor byte-identical to RunQ1
+// across window shapes and shard counts; the finite source's end triggers
+// the graceful drain, so final windows flush exactly like Close.
 func TestQ1LiveMatchesPush(t *testing.T) {
 	lts, w := seededTrace(t, 50, 350, 0)
 	for _, tc := range []struct {
@@ -33,12 +33,8 @@ func TestQ1LiveMatchesPush(t *testing.T) {
 			if ref == "" {
 				t.Fatal("reference produced no alerts; test inputs too light")
 			}
-			live, err := RunQ1Live(context.Background(), lts, w, tc.cfg, 16)
-			if err != nil {
-				t.Fatalf("RunQ1Live: %v", err)
-			}
-			if got := formatQ1(live); got != ref {
-				t.Errorf("RunLive Q1 diverges from Push path:\nref:\n%s\ngot:\n%s", ref, got)
+			if got := formatQ1(RunQ1Chan(lts, w, tc.cfg, 16)); got != ref {
+				t.Errorf("RunQ1Chan diverges from Push path:\nref:\n%s\ngot:\n%s", ref, got)
 			}
 		})
 	}
@@ -80,7 +76,9 @@ func TestQ1LiveAlertsWithoutClose(t *testing.T) {
 	}
 	src := make(stream.ChanSource)
 	done := make(chan error, 1)
-	go func() { done <- c.RunLive(context.Background(), 16, src, 20*time.Millisecond) }()
+	go func() {
+		done <- c.RunLiveOpts(context.Background(), src, stream.LiveOptions{Buffer: 16, FlushEvery: 20 * time.Millisecond})
+	}()
 	for _, lt := range lts {
 		src <- stream.SourceTuple{Box: entry, Port: port, T: core.Wrap(LocationUTuple(lt, w))}
 	}
@@ -105,7 +103,7 @@ func TestQ1LiveAlertsWithoutClose(t *testing.T) {
 	// End of stream: the graceful drain must flush the remaining windows.
 	close(src)
 	if err := <-done; err != nil {
-		t.Fatalf("RunLive: %v", err)
+		t.Fatalf("RunLiveOpts: %v", err)
 	}
 	close(alerts)
 	var tail []*stream.Tuple
@@ -148,12 +146,8 @@ func TestQ1LiveStragglerParity(t *testing.T) {
 	if ref == "" {
 		t.Fatal("reference produced no alerts")
 	}
-	live, err := RunQ1Live(context.Background(), lts, w, cfg, 8)
-	if err != nil {
-		t.Fatalf("RunQ1Live: %v", err)
-	}
-	if got := formatQ1(live); got != ref {
-		t.Errorf("straggler trace diverges under RunLive:\nref:\n%s\ngot:\n%s", ref, got)
+	if got := formatQ1(RunQ1Chan(lts, w, cfg, 8)); got != ref {
+		t.Errorf("straggler trace diverges under the channel executor:\nref:\n%s\ngot:\n%s", ref, got)
 	}
 }
 

@@ -1,11 +1,11 @@
 // The reference queries of §2.1, expressed in the builder API and executed
-// as compiled box-arrow diagrams. RunQ1/RunQ2 are thin batch wrappers kept
-// as the reference API; BuildQ1/BuildQ2 expose the query chains for callers
-// that want to push live streams or run channel-parallel.
+// as compiled box-arrow diagrams. RunQ1/RunQ2 run a finite trace through the
+// synchronous Push executor (the reference), RunQ1Chan/RunQ2Chan through the
+// channel executor; BuildQ1..BuildQ4 expose the query chains for callers
+// that feed a live source through RunLiveOpts.
 package uop
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/core"
@@ -145,8 +145,9 @@ func RunQ1(lts []rfid.LocationTuple, w *rfid.Warehouse, cfg Q1Config) []Q1Alert 
 	return q1Alerts(c.Close())
 }
 
-// RunQ1Chan evaluates Q1 through the channel-parallel executor: one
-// goroutine per box, pipeline parallelism across boxes.
+// RunQ1Chan evaluates Q1 through the channel executor: one goroutine per
+// box, pipeline parallelism across boxes, the trace replayed as a finite
+// source.
 func RunQ1Chan(lts []rfid.LocationTuple, w *rfid.Warehouse, cfg Q1Config, buffer int) []Q1Alert {
 	c := BuildQ1(cfg).Compile()
 	out := c.RunChan(buffer, func(inject Inject) {
@@ -155,27 +156,6 @@ func RunQ1Chan(lts []rfid.LocationTuple, w *rfid.Warehouse, cfg Q1Config, buffer
 		}
 	})
 	return q1Alerts(out)
-}
-
-// RunQ1Live evaluates Q1 through the continuous executor: the trace
-// replays as a live source (no RunChan end-of-feed flush, no terminal
-// Close — the source channel closing triggers the graceful drain), with
-// alerts streamed through the OnResult sink in emission order. Equivalence
-// tests pin its output byte-identical to the Push path.
-func RunQ1Live(ctx context.Context, lts []rfid.LocationTuple, w *rfid.Warehouse, cfg Q1Config, buffer int) ([]Q1Alert, error) {
-	c := BuildQ1(cfg).Compile()
-	var got []*stream.Tuple
-	c.OnResult(func(t *stream.Tuple) { got = append(got, t) })
-	entry, port, ok := c.LookupSource("locations")
-	if !ok {
-		panic("uop: Q1 plan lost its locations source")
-	}
-	sts := make([]stream.SourceTuple, len(lts))
-	for i, lt := range lts {
-		sts[i] = stream.SourceTuple{Box: entry, Port: port, T: core.Wrap(LocationUTuple(lt, w))}
-	}
-	err := c.RunLive(ctx, buffer, stream.SliceSource(sts), 0)
-	return q1Alerts(got), err
 }
 
 // Q3Config parameterizes the streaming-quantile query (PR 10): the
@@ -191,8 +171,6 @@ type Q3Config struct {
 	// SlideMS, when positive, evaluates the window as a sliding Rstream on
 	// the incremental path.
 	SlideMS stream.Time
-	// Recompute pins the per-window rescan path even for sliding windows.
-	Recompute bool
 	// Shards >= 1 compiles the diagram shard-parallel.
 	Shards int
 	// Level is the quantile level q in [0, 1]. 0 selects the default 0.5
@@ -239,15 +217,11 @@ func (c Q3Config) withDefaults() Q3Config {
 // works unchanged.
 func BuildQ3(cfg Q3Config) *Query {
 	cfg = cfg.withDefaults()
-	q := From("locations").
+	return From("locations").
 		Shards(cfg.Shards).
 		WindowSpec(stream.WindowSpec{Duration: cfg.WindowMS, Slide: cfg.SlideMS}).
 		DedupLatest("tag").
-		GroupBy(areaMember(cfg.AreaFt, cfg.MinAreaMass))
-	if cfg.Recompute {
-		q = q.Recompute()
-	}
-	return q.
+		GroupBy(areaMember(cfg.AreaFt, cfg.MinAreaMass)).
 		Quantile("weight", cfg.Level, cfg.Quantile).
 		Having(Greater(cfg.ThresholdLbs, cfg.MinAlertProb))
 }
@@ -262,8 +236,6 @@ type Q4Config struct {
 	WindowMS stream.Time
 	// SlideMS, when positive, evaluates the window as a sliding Rstream.
 	SlideMS stream.Time
-	// Recompute pins the per-window rescan path.
-	Recompute bool
 	// Shards >= 1 compiles the diagram shard-parallel.
 	Shards int
 	// K is how many ranks to report (default 3).
@@ -308,11 +280,8 @@ func BuildQ4(cfg Q4Config) *Query {
 	q := From("locations").
 		Shards(cfg.Shards).
 		WindowSpec(stream.WindowSpec{Duration: cfg.WindowMS, Slide: cfg.SlideMS}).
-		DedupLatest("tag")
-	if cfg.Recompute {
-		q = q.Recompute()
-	}
-	q = q.TopKDominating(cfg.Attrs, cfg.K, cfg.TopK)
+		DedupLatest("tag").
+		TopKDominating(cfg.Attrs, cfg.K, cfg.TopK)
 	if cfg.MinCount > 0 {
 		q = q.Having(Greater(cfg.MinCount, cfg.MinProb))
 	}
@@ -458,7 +427,8 @@ func RunQ2(lts []rfid.LocationTuple, temps []TempReading, w *rfid.Warehouse, cfg
 	return q2Alerts(c.Close())
 }
 
-// RunQ2Chan evaluates Q2 through the channel-parallel executor.
+// RunQ2Chan evaluates Q2 through the channel executor, with both inputs
+// merged into one time-ordered finite source.
 func RunQ2Chan(lts []rfid.LocationTuple, temps []TempReading, w *rfid.Warehouse, cfg Q2Config, buffer int) []Q2Alert {
 	c := BuildQ2(w, cfg).Compile()
 	out := c.RunChan(buffer, func(inject Inject) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/stream"
@@ -13,7 +12,8 @@ import (
 // Query is a fluent, side-effect-free description of a continuous query
 // over uncertain streams. Each clause returns a new value, so prefixes can
 // be shared and composed; Compile turns the finished chain into a
-// stream.Graph box-arrow diagram runnable via Push or RunChan.
+// stream.Graph box-arrow diagram runnable via Push or the channel executor
+// (RunChan for a finite trace, RunLiveOpts for a live source).
 //
 //	q := uop.From("locations").
 //		Window(5 * stream.Second).
@@ -389,8 +389,8 @@ func buildShardedJoin(g *stream.Graph, lb, rb *stream.Box, makeOp func() stream.
 }
 
 // OnResult switches the compiled sink to streaming mode: fn receives each
-// result tuple as it is produced — from the sink box's goroutine under
-// RunChan/RunLive, inline under Push — and nothing accumulates for
+// result tuple as it is produced — from the sink box's goroutine under the
+// channel executor, inline under Push — and nothing accumulates for
 // Results/Close to return. This is the shape continuous consumers need
 // (the ingest server forwards alerts to subscribers as windows close).
 // Call it before feeding any tuples.
@@ -407,17 +407,6 @@ func (c *Compiled) LookupSource(name string) (b *stream.Box, port int, ok bool) 
 		return nil, 0, false
 	}
 	return e.box, e.port, true
-}
-
-// RunLive executes the diagram continuously against a live source of
-// pre-wrapped carrier tuples (stream.SourceTuple as built from
-// LookupSource + core.Wrap): tuples flow as they arrive, alerts reach the
-// OnResult sink as windows close, and nothing waits for a terminal Close.
-// It returns when the source's channel closes or ctx is cancelled; either
-// way the graph drains gracefully (open windows flush). See
-// stream.Graph.RunLive.
-func (c *Compiled) RunLive(ctx context.Context, buffer int, src stream.Source, flushEvery time.Duration) error {
-	return c.Graph.RunLive(ctx, buffer, src, flushEvery)
 }
 
 // srcEntry resolves a source name to its injection point; "" selects the
@@ -456,7 +445,7 @@ func (c *Compiled) PushTuple(source string, t *stream.Tuple) {
 
 // Results drains and returns the tuples the sink has collected so far —
 // streaming consumers call it between pushes to pick up alerts as windows
-// close. Not safe during RunChan (the sink drains only after it returns).
+// close. Not safe during a channel run (the sink fills from its goroutine).
 func (c *Compiled) Results() []*stream.Tuple {
 	out := c.sink.Tuples
 	c.sink.Reset()
@@ -470,30 +459,18 @@ func (c *Compiled) Close() []*stream.Tuple {
 	return c.Results()
 }
 
-// RunChan executes the diagram with one goroutine per box (the paper's
-// pipeline-parallel reading); feed injects source tuples and returns when
-// the input is exhausted. RunChan blocks until every box has flushed, then
-// returns the collected results.
+// RunChan runs a finite trace on the channel executor (one goroutine per
+// box, the paper's pipeline-parallel reading): feed injects every source
+// tuple, the tuples replay as a stream.SliceSource through RunLiveOpts, and
+// RunChan returns the collected results once every box has flushed.
 func (c *Compiled) RunChan(buffer int, feed func(Inject)) []*stream.Tuple {
-	c.Graph.RunChan(buffer, func(inject func(*stream.Box, int, *stream.Tuple)) {
-		feed(func(source string, u *core.UTuple) {
-			e := c.srcEntry(source)
-			inject(e.box, e.port, core.Wrap(u))
-		})
+	var sts []stream.SourceTuple
+	feed(func(source string, u *core.UTuple) {
+		e := c.srcEntry(source)
+		sts = append(sts, stream.SourceTuple{Box: e.box, Port: e.port, T: core.Wrap(u)})
 	})
-	return c.Results()
-}
-
-// RunChanTuples is RunChan for feeders that replay pre-wrapped carrier
-// tuples (the channel-parallel form of PushTuple): wrap once, replay
-// through many compiled graphs.
-func (c *Compiled) RunChanTuples(buffer int, feed func(inject func(source string, t *stream.Tuple))) []*stream.Tuple {
-	c.Graph.RunChan(buffer, func(inject func(*stream.Box, int, *stream.Tuple)) {
-		feed(func(source string, t *stream.Tuple) {
-			e := c.srcEntry(source)
-			inject(e.box, e.port, t)
-		})
-	})
+	// A background context never cancels, so the run cannot fail.
+	_ = c.Graph.RunLiveOpts(context.Background(), stream.SliceSource(sts), stream.LiveOptions{Buffer: buffer})
 	return c.Results()
 }
 

@@ -125,8 +125,8 @@ func liveU(t *testing.T, q *Query, us []*core.UTuple) string {
 	for i, u := range us {
 		sts[i] = stream.SourceTuple{Box: entry, Port: port, T: core.Wrap(u)}
 	}
-	if err := c.RunLive(context.Background(), 16, stream.SliceSource(sts), 0); err != nil {
-		t.Fatalf("RunLive: %v", err)
+	if err := c.RunLiveOpts(context.Background(), stream.SliceSource(sts), stream.LiveOptions{Buffer: 16}); err != nil {
+		t.Fatalf("RunLiveOpts: %v", err)
 	}
 	return formatUAlerts(got)
 }
@@ -134,8 +134,9 @@ func liveU(t *testing.T, q *Query, us []*core.UTuple) string {
 // TestShardedSlidingByteIdentical: sharded sliding plans — delta partials
 // behind the run-merging merge — emit the %.17g bytes of the unsharded
 // incremental plan and of the Recompute plan, for sum (CFApprox, CFInvert,
-// ungrouped), quantile and top-k, P ∈ {1, 2, 4, 7}, under Push, RunChan and
-// RunLive.
+// ungrouped), quantile and top-k, P ∈ {1, 2, 4, 7}, under Push and the
+// channel executor with a collecting (RunChan) and a streaming (OnResult)
+// sink.
 func TestShardedSlidingByteIdentical(t *testing.T) {
 	lts, w := seededTrace(t, 40, 160, 0)
 	for _, tc := range slidingAggCases() {
@@ -160,7 +161,7 @@ func TestShardedSlidingByteIdentical(t *testing.T) {
 						t.Errorf("%s: RunChan P=%d diverges at line %d", name, p, firstDiffLine(ref, got))
 					}
 					if got := liveU(t, tc.build(p, shape, false), slidingTrace(lts, w)); got != ref {
-						t.Errorf("%s: RunLive P=%d diverges at line %d", name, p, firstDiffLine(ref, got))
+						t.Errorf("%s: RunLiveOpts+OnResult P=%d diverges at line %d", name, p, firstDiffLine(ref, got))
 					}
 				}
 			}

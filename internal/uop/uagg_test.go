@@ -140,15 +140,16 @@ func liveAlerts(t *testing.T, q *Query, lts []rfid.LocationTuple, w *rfid.Wareho
 	for i, lt := range lts {
 		sts[i] = stream.SourceTuple{Box: entry, Port: port, T: core.Wrap(LocationUTuple(lt, w))}
 	}
-	if err := c.RunLive(context.Background(), 16, stream.SliceSource(sts), 0); err != nil {
-		t.Fatalf("RunLive: %v", err)
+	if err := c.RunLiveOpts(context.Background(), stream.SliceSource(sts), stream.LiveOptions{Buffer: 16}); err != nil {
+		t.Fatalf("RunLiveOpts: %v", err)
 	}
 	return formatUAlerts(got)
 }
 
 // TestNewAggModesByteIdentical sweeps both new aggregates across the
 // single-process execution modes: the rescan reference vs the incremental
-// path, Push vs RunChan vs RunLive, and Shards {2, 3} — all byte-identical.
+// path, Push vs RunChan vs RunLiveOpts with an OnResult sink, and Shards
+// {2, 3} — all byte-identical.
 func TestNewAggModesByteIdentical(t *testing.T) {
 	lts, w := seededTrace(t, 50, 350, 0)
 	for _, tc := range uaggCases() {
@@ -170,7 +171,7 @@ func TestNewAggModesByteIdentical(t *testing.T) {
 					}
 				}
 				if got := liveAlerts(t, tc.build(0, win.slide, false), lts, w); got != ref {
-					t.Errorf("%s: RunLive diverges:\nref:\n%s\ngot:\n%s", win.name, ref, got)
+					t.Errorf("%s: RunLiveOpts+OnResult diverges:\nref:\n%s\ngot:\n%s", win.name, ref, got)
 				}
 				for _, shards := range []int{2, 3} {
 					if got := pushAlerts(tc.build(shards, win.slide, false), lts, w); got != ref {

@@ -18,8 +18,8 @@
 //     of parent lineage, so the final operator can reconstruct
 //     correlations downstream.
 //
-// Both execution paths of the engine run these boxes unchanged: the
-// synchronous depth-first Graph.Push and the per-box-goroutine RunChan.
+// Both executors of the engine run these boxes unchanged: the synchronous
+// depth-first Graph.Push and the per-box-goroutine Graph.RunLiveOpts.
 package uop
 
 import (
