@@ -3,7 +3,6 @@ package router
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -94,8 +93,8 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 			continue
 		}
 		c.CountLine()
-		var m server.Msg
-		if err := json.Unmarshal(line, &m); err != nil {
+		m, err := ic.lines.Decode(line)
+		if err != nil {
 			r.ingestErrs.Add(1)
 			c.CountDecodeErr()
 			errReply("bad line: %v", err)
@@ -103,12 +102,13 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 		}
 		switch m.Kind {
 		case server.KindTuple:
-			if err := r.routeLine(&m, ic); err != nil {
+			n, err := r.routeLine(m, ic)
+			r.ingested.Add(uint64(n))
+			if err != nil {
 				r.ingestErrs.Add(1)
+				c.CountDecodeErr()
 				errReply("%v", err)
-				continue
 			}
-			r.ingested.Add(1)
 		case server.KindPing:
 			reply(server.Msg{Kind: server.KindPong, Version: r.placeVer.Load()})
 		case server.KindSub:
@@ -188,20 +188,19 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 	}
 }
 
-// ingestConn is one client connection's ingest state: its binary decoder,
-// the encoder that gives its JSON lines positional form, and what routing
-// needs from each client schema, resolved once per schema.
+// ingestConn is one client connection's ingest state: its binary and JSON
+// line decoders, and what routing needs from each client schema, resolved
+// once per schema.
 type ingestConn struct {
 	dec     *server.BwDecoder
-	jenc    *server.BwEncoder
-	line    [1]server.BwTuple
+	lines   *server.LineDecoder
 	schemas map[*server.BwSchema]clientSchema
 }
 
 func newIngestConn() *ingestConn {
 	return &ingestConn{
 		dec:     server.NewBwDecoder(),
-		jenc:    server.NewBwEncoder(),
+		lines:   server.NewLineDecoder(),
 		schemas: map[*server.BwSchema]clientSchema{},
 	}
 }
@@ -237,17 +236,17 @@ func (r *Router) handleClientFrame(fr server.BwFrame, ic *ingestConn) (int, erro
 	}
 }
 
-// routeLine routes one JSON tuple line: converted once into the positional
-// form a decoded frame has, then routed as a one-tuple frame.
-func (r *Router) routeLine(m *server.Msg, ic *ingestConn) error {
+// routeLine routes the JSON tuple line ic.lines just decoded as a
+// one-tuple frame, returning how many tuples it routed.
+func (r *Router) routeLine(m *server.Msg, ic *ingestConn) (int, error) {
 	if err := r.checkSource(m.Source); err != nil {
-		return err
+		return 0, err
 	}
-	if err := ic.jenc.Positional(m, &ic.line[0]); err != nil {
-		return err
+	bts, err := ic.lines.Tuple()
+	if err != nil {
+		return 0, err
 	}
-	_, err := r.routeFrame(ic, ic.line[:])
-	return err
+	return r.routeFrame(ic, bts)
 }
 
 // schemaFor resolves a client schema's routing plan (routeMu held: the link

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,5 +231,77 @@ func TestRouteFrameAllocs(t *testing.T) {
 	t.Logf("%.3f allocs per routed tuple", perTuple)
 	if perTuple > 2 {
 		t.Errorf("routing a %d-tuple frame costs %.3f allocs per tuple, want <= 2", server.BwBatch, perTuple)
+	}
+}
+
+// TestRouterJSONClientLines: the JSON client edge runs on the server's
+// LineDecoder. Lines in its canonical subset and odd-but-valid lines
+// outside it (whitespace, reordered members, an unknown member, a
+// case-variant field) route byte-identically to the offline reference, and
+// a tuple rejected as a JSON line or inside a frame costs one ingest error
+// and one decode error on its connection alike.
+func TestRouterJSONClientLines(t *testing.T) {
+	msgs := wireTrace(t, 40, 300)
+	cfg := clusterQ1Cfg()
+	ref := offlineAlertLines(t, msgs, cfg)
+	if len(ref) == 0 {
+		t.Fatal("offline reference produced no alerts")
+	}
+	cl := startCluster(t, 2, cfg, nil)
+	sub := subscribe(t, cl.rt)
+	c := dialRouter(t, cl.rt)
+
+	bad := server.Msg{Kind: server.KindTuple, T: 100, Attrs: map[string]server.Attr{
+		"x": {Mean: 1, Std: -2}, "weight": server.PointAttr(140),
+	}}
+	c.send(bad)
+	b := server.NewBwBatcher()
+	if err := b.Add(bad); err != nil {
+		t.Fatal(err)
+	}
+	c.sendFrames(b.Take())
+	for _, via := range []string{"line", "frame"} {
+		if m := c.recv(5 * time.Second); m.Kind != server.KindErr || m.Error != `attr "x": attr std -2 is negative` {
+			t.Errorf("%s: reply %+v", via, m)
+		}
+	}
+
+	for i, m := range msgs {
+		raw, err := server.EncodeLine(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := string(raw)
+		switch i % 5 {
+		case 1:
+			line = strings.NewReplacer(",", " , ", ":", ": ").Replace(line)
+		case 2:
+			line = strings.Replace(line, `"kind":"tuple",`, "", 1)
+			line = strings.Replace(line, "}}\n", `},"kind":"tuple"}`+"\n", 1)
+		case 3:
+			line = strings.Replace(line, `{"kind"`, `{"note":"odd","kind"`, 1)
+		case 4:
+			line = strings.Replace(line, `"source"`, `"Source"`, 1)
+		}
+		if _, err := c.w.WriteString(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.send(server.Msg{Kind: server.KindEnd})
+	if m := c.recv(60 * time.Second); m.Kind != server.KindOK {
+		t.Fatalf("end: got %+v", m)
+	}
+	diffLines(t, ref, collectAlerts(t, sub), "odd JSON lines")
+
+	st := cl.rt.Stats()
+	if st.Ingested != uint64(len(msgs)) || st.IngestErrors != 2 {
+		t.Errorf("ingested %d with %d errors, want %d with 2", st.Ingested, st.IngestErrors, len(msgs))
+	}
+	var decodeErrs []uint64
+	for _, cs := range st.Conns {
+		decodeErrs = append(decodeErrs, cs.DecodeErrors)
+	}
+	if !slices.Contains(decodeErrs, 2) {
+		t.Errorf("per-connection decode errors %v: want the ingest connection at 2", decodeErrs)
 	}
 }

@@ -200,3 +200,48 @@ func BenchmarkJSONParseTuple(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(msgs)*b.N)/time.Since(start).Seconds(), "tuples/s")
 }
+
+// BenchmarkLineDecoder is the daemon's JSON decode path over the same
+// lines as BenchmarkJSONParseTuple: one connection's LineDecoder, then the
+// positional tuple's UTuple lift — the path a JSON tuple line now shares
+// with BenchmarkBwireDecode's frames.
+func BenchmarkLineDecoder(b *testing.B) {
+	msgs := wireTrace(b, 40, 300)
+	var buf bytes.Buffer
+	for _, m := range msgs {
+		line, err := EncodeLine(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf.Write(line)
+	}
+	raw := buf.Bytes()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	d := NewLineDecoder()
+	for i := 0; i < b.N; i++ {
+		wr := NewWireReader(bytes.NewReader(raw), 0)
+		for {
+			line, _, err := wr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := d.Decode(line); err != nil {
+				b.Fatal(err)
+			}
+			bts, err := d.Tuple()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := bts[0].UTuple(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(msgs)*b.N)/time.Since(start).Seconds(), "tuples/s")
+}

@@ -22,9 +22,11 @@
 // per connection — SCHEMA frames name the source and the sorted key/attr
 // columns once, and every tuple after that is just fixed fields: flags,
 // t_ms varint, seq uvarint, key varints, and float64 raw-bits
-// (mean, std) pairs. That kills the three per-tuple costs of the JSON
-// path: map-shaped decoding, name sorting (ParseTuple), and base64/JSON
-// re-marshalling on cluster links.
+// (mean, std) pairs. That kills the three per-tuple costs of the reference
+// JSON path: map-shaped decoding, name sorting (ParseTuple), and
+// base64/JSON re-marshalling on cluster links. A JSON tuple line is
+// decoded into the same positional BwTuple (LineDecoder, jsonline.go), so
+// both protocols ingest through one path.
 //
 // Structural validation (frame shape, schema references, sorted names)
 // happens at decode; semantic validation (negative t_ms, non-finite
@@ -515,7 +517,8 @@ func (e *BwEncoder) intern(source string, keyNames, attrNames []string) (*BwSche
 // decoded TUPLES frame has: m's shape is interned, and bt (its Keys and
 // Attrs backing arrays reused when large enough) is filled with m's values
 // in the schema's column order, as an unrouted client tuple. Validation and
-// error texts are ParseTuple's.
+// error texts are ParseTuple's. LineDecoder calls it for a tuple line its
+// scanner leaves to json.Unmarshal.
 func (e *BwEncoder) Positional(m *Msg, bt *BwTuple) error {
 	if m.T < 0 {
 		return fmt.Errorf("tuple t_ms %d is negative", m.T)

@@ -603,6 +603,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 	// Binary receive state, created on the connection's first frame.
 	var bdec *BwDecoder
 	var stScratch []stream.SourceTuple
+	lines := NewLineDecoder()
 	// hello records a well-formed BwHello on this connection: a worker
 	// serves its part stream only to a peer that announced bwire.
 	hello := false
@@ -643,8 +644,8 @@ func (s *Server) handleConn(c *ConnTrack) {
 			continue
 		}
 		c.CountLine()
-		var m Msg
-		if err := json.Unmarshal(line, &m); err != nil {
+		m, err := lines.Decode(line)
+		if err != nil {
 			s.ingestErrs.Add(1)
 			c.CountDecodeErr()
 			reply(errMsg("bad line: %v", err))
@@ -652,21 +653,13 @@ func (s *Server) handleConn(c *ConnTrack) {
 		}
 		switch m.Kind {
 		case KindTuple:
-			var err error
-			if s.cl != nil && (m.Shard != nil || m.Replica) {
-				// Routed tuples and replica copies travel only as bwire
-				// frames; a JSON line claiming either is refused, never
-				// ingested into the own slot.
-				err = errors.New("routed and replica tuples must arrive as bwire frames")
-			} else {
-				err = s.ingest(m)
-			}
+			n, err := s.ingestLine(m, lines, &stScratch)
+			s.ingested.Add(uint64(n))
 			if err != nil {
 				s.ingestErrs.Add(1)
+				c.CountDecodeErr()
 				reply(errMsg("%v", err))
-				continue
 			}
-			s.ingested.Add(1)
 		case KindPing:
 			pong := Msg{Kind: KindPong}
 			if s.cl != nil {
@@ -678,7 +671,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 				reply(errMsg("%q requires a cluster worker (-mode worker)", m.Kind))
 				continue
 			}
-			replies, err := s.cl.handleControl(m)
+			replies, err := s.cl.handleControl(*m)
 			if err != nil {
 				s.ingestErrs.Add(1)
 				reply(errMsg("%v", err))
@@ -727,7 +720,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 				// Cluster checkpoint: snapshot every hosted slot and reply
 				// one ckpt_ack per slot (the router installs them on the
 				// slots' replicas).
-				replies, err := s.cl.handleControl(m)
+				replies, err := s.cl.handleControl(*m)
 				if err != nil {
 					reply(errMsg("checkpoint: %v", err))
 					continue
@@ -771,10 +764,7 @@ func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.Sour
 		if err != nil {
 			return 0, err
 		}
-		if s.cl != nil {
-			return s.cl.handleBwTuples(bts, scratch)
-		}
-		return s.ingestBatch(bts, scratch)
+		return s.ingestTuples(bts, scratch)
 	case BwClose:
 		if s.cl == nil {
 			return 0, fmt.Errorf("close frames require a cluster worker (-mode worker)")
@@ -789,10 +779,36 @@ func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.Sour
 	}
 }
 
-// ingestBatch is the binary ingest fast path: where the JSON path pays an
-// epoch lookup, a source lookup, and a queue admission per tuple, a
-// 32-tuple frame pays each once. The scratch slice is per-connection and
-// reused — SourceTuples are copied into the queue's channel on send.
+// ingestLine ingests one JSON tuple line exactly as a one-tuple TUPLES
+// frame: checked, then handed to ingestTuples.
+func (s *Server) ingestLine(m *Msg, lines *LineDecoder, scratch *[]stream.SourceTuple) (int, error) {
+	if s.cl != nil && (m.Shard != nil || m.Replica) {
+		// Routed tuples and replica copies travel only as bwire frames; a
+		// JSON line claiming either is refused, never ingested into the own
+		// slot.
+		return 0, errors.New("routed and replica tuples must arrive as bwire frames")
+	}
+	bts, err := lines.Tuple()
+	if err != nil {
+		return 0, err
+	}
+	return s.ingestTuples(bts, scratch)
+}
+
+// ingestTuples ingests a batch of decoded tuples — a TUPLES frame, or a
+// JSON tuple line — returning how many were accepted: a worker routes them
+// by slot, a single-process server feeds its plan.
+func (s *Server) ingestTuples(bts []BwTuple, scratch *[]stream.SourceTuple) (int, error) {
+	if s.cl != nil {
+		return s.cl.handleBwTuples(bts, scratch)
+	}
+	return s.ingestBatch(bts, scratch)
+}
+
+// ingestBatch feeds a batch of tuples to the running plan: a batch pays
+// one epoch lookup, one source lookup and one queue admission, not one
+// per tuple. The scratch slice is per-connection and reused —
+// SourceTuples are copied into the queue's channel on send.
 func (s *Server) ingestBatch(bts []BwTuple, scratch *[]stream.SourceTuple) (int, error) {
 	source := sourceName(bts[0].Schema.Source)
 	if cap(*scratch) < len(bts) {
@@ -806,7 +822,8 @@ func (s *Server) ingestBatch(bts []BwTuple, scratch *[]stream.SourceTuple) (int,
 		}
 		t := core.Wrap(u)
 		// Routed cluster tuples carry the router partitioner's global
-		// arrival stamp (see ingest); client tuples leave it zero.
+		// arrival stamp; client tuples leave it zero, and the plan stamps
+		// arrival order itself.
 		t.Seq = bts[i].Seq
 		sts[i] = stream.SourceTuple{T: t}
 	}
@@ -844,21 +861,6 @@ func (s *Server) ingestBatch(bts []BwTuple, scratch *[]stream.SourceTuple) (int,
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// ingest parses and enqueues one tuple line. A tuple that lands in the gap
-// between epochs — the previous stream drained, the next plan still
-// compiling — waits briefly for the new epoch instead of failing, so back-
-// to-back replays never lose their first tuples.
-func (s *Server) ingest(m Msg) error {
-	u, err := ParseTuple(m)
-	if err != nil {
-		return err
-	}
-	t := core.Wrap(u)
-	// A zero stamp lets the plan stamp arrival order itself.
-	t.Seq = m.Seq
-	return s.enqueue(sourceName(m.Source), t)
 }
 
 // sourceName resolves a wire source name — either protocol — to a plan

@@ -1,11 +1,12 @@
-// Package server is the network ingest layer: a TCP JSON-lines front end
-// that parses client lines into uncertain tuples, feeds a compiled
-// (sharded) query plan running continuously (stream.Graph.RunLiveOpts),
-// streams alerts back to subscribers as windows close, and applies
-// backpressure through a bounded ingest queue. An optional HTTP endpoint
-// (/statsz) exposes per-box engine stats, queue depths, and throughput.
+// Package server is the network ingest layer: a TCP front end that decodes
+// client JSON lines and binary frames (bwire.go) into uncertain tuples,
+// feeds a compiled (sharded) query plan running continuously
+// (stream.Graph.RunLiveOpts), streams alerts back to subscribers as windows
+// close, and applies backpressure through a bounded ingest queue. An
+// optional HTTP endpoint (/statsz) exposes per-box engine stats, queue
+// depths, and throughput.
 //
-// The wire protocol is newline-delimited JSON, symmetric enough that a load
+// The line protocol is newline-delimited JSON, symmetric enough that a load
 // generator can diff a live run against an offline one byte for byte:
 //
 //	client → server
@@ -27,10 +28,20 @@
 // posteriors: the client decides how to summarize its distributions onto
 // the wire, and both the live plan and any offline reference consume the
 // identical parsed tuples, so equivalence checks stay byte-identical.
+//
+// The daemon decodes lines with a per-connection LineDecoder (jsonline.go):
+// a tuple line in the canonical shape above is scanned straight into the
+// positional tuple a binary TUPLES frame decodes to, and ingested as a
+// one-tuple frame; any other line goes through json.Unmarshal into Msg, the
+// reference path, which decides every result and error text. ParseTuple is
+// that reference's tuple builder, kept for offline use (rfidtrace -wire,
+// the benchmark's oracle, tests).
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -64,14 +75,22 @@ func (a Attr) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler: a number or a [mean, std]
 // array. The array arity is checked explicitly — Go decodes JSON arrays
-// into fixed-size Go arrays leniently ([] would become a certain 0), and
-// this is the ingest boundary, where a malformed value must be an error,
-// not a silent zero in a window aggregate.
+// into fixed-size Go arrays leniently ([] would become a certain 0) — and
+// so is null, which Go decodes into a float64 as a silent 0: this is the
+// ingest boundary, where a malformed value must be an error, not a silent
+// zero in a window aggregate. A value that opens with '[' goes straight to
+// the pair decode; any other value that is not a number reports the pair
+// decode's error too.
 func (a *Attr) UnmarshalJSON(b []byte) error {
-	var v float64
-	if err := json.Unmarshal(b, &v); err == nil {
-		*a = Attr{Mean: v}
-		return nil
+	if string(bytes.TrimSpace(b)) == "null" {
+		return errors.New("attr must be a number or a [mean, std] pair, not null")
+	}
+	if len(b) == 0 || b[0] != '[' {
+		var v float64
+		if err := json.Unmarshal(b, &v); err == nil {
+			*a = Attr{Mean: v}
+			return nil
+		}
 	}
 	var pair []float64
 	if err := json.Unmarshal(b, &pair); err != nil {
@@ -79,6 +98,11 @@ func (a *Attr) UnmarshalJSON(b []byte) error {
 	}
 	if len(pair) != 2 {
 		return fmt.Errorf("attr array has %d elements, want [mean, std]", len(pair))
+	}
+	// A decoded []float64 holds only numbers and nulls, and no number
+	// spells "null".
+	if bytes.Contains(b, []byte("null")) {
+		return errors.New("attr [mean, std] pair has a null element")
 	}
 	*a = Attr{Mean: pair[0], Std: pair[1]}
 	return nil
@@ -238,9 +262,9 @@ func AlertsField(n uint64) *uint64 { return &n }
 
 // ParseTuple validates a "tuple" message and builds the uncertain tuple it
 // describes. Attribute names are sorted so the tuple layout is independent
-// of JSON map iteration order. Errors are values, never panics: this is the
-// ingest boundary, and a malformed client line must cost one error reply,
-// not a box goroutine.
+// of JSON map iteration order. Errors are values, never panics. It is the
+// offline reference: the daemon lifts the same tuple, with the same checks
+// and error texts, through LineDecoder and BwTuple.UTuple.
 func ParseTuple(m Msg) (*core.UTuple, error) {
 	if m.T < 0 {
 		return nil, fmt.Errorf("tuple t_ms %d is negative", m.T)
