@@ -879,6 +879,14 @@ func (r *Router) feedPart(l *link, slot int, data []byte) {
 // emitClientAlert mirrors the single-process server's alert path: encode
 // once, broadcast to every subscriber.
 func (r *Router) emitClientAlert(ep *repoch, t *stream.Tuple) {
+	// A crashed router must go silent, as a crashed worker does (emitPart).
+	// Crash cancels the context before the hub closes, and a link-queue Put
+	// racing the cancel can drop a tuple batch yet deliver the close behind
+	// it (both select arms ready), so a window merged after the crash may
+	// be missing tuples. A real kill -9 emits nothing past the kill.
+	if r.crashed.Load() {
+		return
+	}
 	m, err := server.AlertMsg(t)
 	if err != nil {
 		r.encodeErrs.Add(1)

@@ -73,6 +73,11 @@ type clusterState struct {
 	// pendingReset is a router-recovery rewind waiting for the next epoch;
 	// the resets counter increments when one is applied.
 	pendingReset *ResetBlob
+	// fence is the accept-order id of the connection that sent the last
+	// reset (written under mu): every older connection is stale
+	// (Server.stale), since the router that reset this worker supersedes
+	// whichever one sent on them.
+	fence atomic.Uint64
 	// ownReleased silences the worker's own slot: its state migrated to
 	// another worker, so this plan keeps consuming closes (the clock still
 	// broadcasts to every link) but ships no parts.
@@ -323,10 +328,10 @@ func (cl *clusterState) emitPart(ep *epoch, pe *partEmitter, t *stream.Tuple) {
 // connection's schema table dies with the connection; the tail must not),
 // hosted-slot tuples feed their instance, and own-slot stragglers take the
 // single-tuple ingest path.
-func (cl *clusterState) handleBwTuples(bts []BwTuple, scratch *[]stream.SourceTuple) (int, error) {
+func (cl *clusterState) handleBwTuples(bts []BwTuple, in *connIngest) (int, error) {
 	own := int(cl.shard.Load())
 	if allOwn(bts, own) {
-		return cl.s.ingestBatch(bts, scratch)
+		return cl.s.ingestBatch(bts, in)
 	}
 	for i := range bts {
 		bt := &bts[i]
@@ -336,6 +341,10 @@ func (cl *clusterState) handleBwTuples(bts []BwTuple, scratch *[]stream.SourceTu
 			}
 			rec := EncodeTailTuple(bt)
 			cl.mu.Lock()
+			if cl.s.stale(in.id) {
+				cl.mu.Unlock()
+				return i, errStaleLink
+			}
 			cl.tails[bt.Shard] = append(cl.tails[bt.Shard], rec)
 			cl.mu.Unlock()
 			cl.replicaLines.Add(1)
@@ -348,9 +357,9 @@ func (cl *clusterState) handleBwTuples(bts []BwTuple, scratch *[]stream.SourceTu
 		t := core.Wrap(u)
 		t.Seq = bt.Seq
 		if bt.Shard >= 0 && bt.Shard != own {
-			err = cl.feedInstance(bt.Shard, sourceName(bt.Schema.Source), t)
+			err = cl.feedInstance(bt.Shard, sourceName(bt.Schema.Source), t, in.id)
 		} else {
-			err = cl.s.enqueue(sourceName(bt.Schema.Source), t)
+			err = cl.s.enqueue(sourceName(bt.Schema.Source), t, in.id)
 		}
 		if err != nil {
 			return i, err
@@ -370,15 +379,19 @@ func allOwn(bts []BwTuple, own int) bool {
 	return true
 }
 
-// feedInstance delivers a routed tuple to a promoted slot's instance. Like
-// Server.enqueue, it waits out the between-epochs gap: the next beginEpoch
-// re-spawns hosted instances, and tuples that race it must not be lost.
-func (cl *clusterState) feedInstance(slot int, source string, t *stream.Tuple) error {
+// feedInstance delivers a routed tuple from connection id to a promoted
+// slot's instance. Like Server.enqueue, it waits out the between-epochs
+// gap: the next beginEpoch re-spawns hosted instances, and tuples that race
+// it must not be lost.
+func (cl *clusterState) feedInstance(slot int, source string, t *stream.Tuple, id uint64) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		cl.mu.Lock()
-		inst, hosted := cl.insts[slot], cl.hosted[slot]
+		inst, hosted, stale := cl.insts[slot], cl.hosted[slot], cl.s.stale(id)
 		cl.mu.Unlock()
+		if stale {
+			return errStaleLink
+		}
 		if inst != nil {
 			err := cl.pushInstance(inst, source, t)
 			if !errors.Is(err, ErrQueueClosed) {
@@ -409,7 +422,7 @@ func (cl *clusterState) pushInstance(inst *instance, source string, t *stream.Tu
 
 // handleControl dispatches the cluster control kinds; replies (possibly
 // several, for multi-slot checkpoint acks) go back on the same connection.
-func (cl *clusterState) handleControl(m Msg) ([]Msg, error) {
+func (cl *clusterState) handleControl(m Msg, id uint64) ([]Msg, error) {
 	switch m.Kind {
 	case KindJoin:
 		return cl.handleJoin(m)
@@ -420,24 +433,31 @@ func (cl *clusterState) handleControl(m Msg) ([]Msg, error) {
 	case KindPromote:
 		return cl.handlePromote(m)
 	case KindReset:
-		return cl.handleReset(m)
+		return cl.handleReset(m, id)
 	case KindRelease:
 		return cl.handleRelease(m)
 	}
 	return nil, fmt.Errorf("unknown cluster kind %q", m.Kind)
 }
 
-// handleReset rewinds this worker to a router checkpoint cut: park the
-// composite blob, cut the current epoch (its drained output goes nowhere —
-// the recovering router has not subscribed yet), and wait for the next
+// handleReset rewinds this worker to a router checkpoint cut: fence every
+// connection older than id (the resetting router's), park the composite
+// blob, cut the current epoch (its drained output goes nowhere — the
+// recovering router has not subscribed yet), and wait for the next
 // beginEpoch to apply it. The ack returns only once the rewound epoch is
 // live, so the router's subsequent subscribe sees post-reset state only.
-func (cl *clusterState) handleReset(m Msg) ([]Msg, error) {
+// The fence goes up before the blob is parked, so it precedes the rewound
+// epoch: a dead router's frames still buffered on its old connection are
+// refused instead of feeding the new epoch, its tails or its instances.
+func (cl *clusterState) handleReset(m Msg, id uint64) ([]Msg, error) {
 	rb, err := DecodeResetBlob(m.Data)
 	if err != nil {
 		return nil, err
 	}
 	cl.mu.Lock()
+	if id > cl.fence.Load() {
+		cl.fence.Store(id)
+	}
 	cl.pendingReset = rb
 	cl.mu.Unlock()
 	before := cl.resets.Load()
@@ -531,7 +551,7 @@ func (cl *clusterState) handleJoin(m Msg) ([]Msg, error) {
 // punctuation — the merge counts one close per port per window. The tail
 // record is the frame's canonical re-encoding: self-contained, so replay
 // needs no connection state.
-func (cl *clusterState) handleBwClose(cm BwCloseMsg) error {
+func (cl *clusterState) handleBwClose(cm BwCloseMsg, id uint64) error {
 	if cm.T < 0 {
 		return fmt.Errorf("close t_ms %d is negative", cm.T)
 	}
@@ -540,6 +560,10 @@ func (cl *clusterState) handleBwClose(cm BwCloseMsg) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		cl.mu.Lock()
+		if cl.s.stale(id) {
+			cl.mu.Unlock()
+			return errStaleLink
+		}
 		if !cl.epochEnded {
 			break // still holding cl.mu
 		}
@@ -565,7 +589,7 @@ func (cl *clusterState) handleBwClose(cm BwCloseMsg) error {
 			return fmt.Errorf("slot %d: %w", inst.slot, err)
 		}
 	}
-	return cl.s.enqueue(source, stream.NewWindowClose(end, cm.Seq))
+	return cl.s.enqueue(source, stream.NewWindowClose(end, cm.Seq), id)
 }
 
 // handleCkpt takes a cluster checkpoint: snapshot the worker's own slot and

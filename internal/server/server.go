@@ -540,6 +540,7 @@ func (s *Server) startedEpoch() *epoch {
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var id uint64
 	for {
 		c, err := s.ln.Accept()
 		if err != nil {
@@ -555,7 +556,8 @@ func (s *Server) acceptLoop() {
 		s.conns[ct] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.handleConn(ct)
+		id++
+		go s.handleConn(ct, id)
 	}
 }
 
@@ -563,8 +565,9 @@ func (s *Server) acceptLoop() {
 // binary frames, dispatched per message by the magic-byte sniff. Errors
 // are strictly per-connection: a malformed message earns an "err" reply
 // (always JSON) and the connection (and every other connection, and the
-// engine) keeps running.
-func (s *Server) handleConn(c *ConnTrack) {
+// engine) keeps running. id numbers connections in accept order; a worker
+// fences every connection older than the one that last reset it.
+func (s *Server) handleConn(c *ConnTrack, id uint64) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
@@ -602,7 +605,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 	wr := NewWireReader(c, maxLine)
 	// Binary receive state, created on the connection's first frame.
 	var bdec *BwDecoder
-	var stScratch []stream.SourceTuple
+	in := &connIngest{id: id}
 	lines := NewLineDecoder()
 	// hello records a well-formed BwHello on this connection: a worker
 	// serves its part stream only to a peer that announced bwire.
@@ -622,12 +625,19 @@ func (s *Server) handleConn(c *ConnTrack) {
 			}
 			return
 		}
+		if s.stale(id) {
+			// A newer connection reset this worker: whatever this one still
+			// delivers was sent by a superseded router.
+			s.ingestErrs.Add(1)
+			reply(errMsg("%v", errStaleLink))
+			continue
+		}
 		if line == nil {
 			c.CountFrame()
 			if bdec == nil {
 				bdec = NewBwDecoder()
 			}
-			n, err := s.handleFrame(fr, bdec, &stScratch)
+			n, err := s.handleFrame(fr, bdec, in)
 			s.ingested.Add(uint64(n))
 			if fr.Kind == BwHello && err == nil {
 				hello = true
@@ -653,7 +663,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 		}
 		switch m.Kind {
 		case KindTuple:
-			n, err := s.ingestLine(m, lines, &stScratch)
+			n, err := s.ingestLine(m, lines, in)
 			s.ingested.Add(uint64(n))
 			if err != nil {
 				s.ingestErrs.Add(1)
@@ -671,7 +681,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 				reply(errMsg("%q requires a cluster worker (-mode worker)", m.Kind))
 				continue
 			}
-			replies, err := s.cl.handleControl(*m)
+			replies, err := s.cl.handleControl(*m, id)
 			if err != nil {
 				s.ingestErrs.Add(1)
 				reply(errMsg("%v", err))
@@ -720,7 +730,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 				// Cluster checkpoint: snapshot every hosted slot and reply
 				// one ckpt_ack per slot (the router installs them on the
 				// slots' replicas).
-				replies, err := s.cl.handleControl(*m)
+				replies, err := s.cl.handleControl(*m, id)
 				if err != nil {
 					reply(errMsg("checkpoint: %v", err))
 					continue
@@ -750,7 +760,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 // handleFrame dispatches one binary frame, returning how many tuples it
 // ingested. Frame-shape problems and per-tuple semantic problems alike
 // cost one error reply; the connection keeps running.
-func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.SourceTuple) (int, error) {
+func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, in *connIngest) (int, error) {
 	switch fr.Kind {
 	case BwHello:
 		// The frame's arrival already marked the connection binary; the
@@ -764,7 +774,7 @@ func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.Sour
 		if err != nil {
 			return 0, err
 		}
-		return s.ingestTuples(bts, scratch)
+		return s.ingestTuples(bts, in)
 	case BwClose:
 		if s.cl == nil {
 			return 0, fmt.Errorf("close frames require a cluster worker (-mode worker)")
@@ -773,7 +783,7 @@ func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.Sour
 		if err != nil {
 			return 0, err
 		}
-		return 0, s.cl.handleBwClose(cm)
+		return 0, s.cl.handleBwClose(cm, in.id)
 	default:
 		return 0, fmt.Errorf("unknown binary frame kind %#x", fr.Kind)
 	}
@@ -781,7 +791,7 @@ func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.Sour
 
 // ingestLine ingests one JSON tuple line exactly as a one-tuple TUPLES
 // frame: checked, then handed to ingestTuples.
-func (s *Server) ingestLine(m *Msg, lines *LineDecoder, scratch *[]stream.SourceTuple) (int, error) {
+func (s *Server) ingestLine(m *Msg, lines *LineDecoder, in *connIngest) (int, error) {
 	if s.cl != nil && (m.Shard != nil || m.Replica) {
 		// Routed tuples and replica copies travel only as bwire frames; a
 		// JSON line claiming either is refused, never ingested into the own
@@ -792,29 +802,47 @@ func (s *Server) ingestLine(m *Msg, lines *LineDecoder, scratch *[]stream.Source
 	if err != nil {
 		return 0, err
 	}
-	return s.ingestTuples(bts, scratch)
+	return s.ingestTuples(bts, in)
+}
+
+// connIngest is one connection's ingest state: its accept-order id, which
+// a worker's reset fence compares, and reused SourceTuple scratch.
+type connIngest struct {
+	id      uint64
+	scratch []stream.SourceTuple
+}
+
+// errStaleLink refuses what a superseded connection still delivers.
+var errStaleLink = errors.New("stale link: a newer connection has reset this worker")
+
+// stale reports whether connection id predates the worker's last reset. A
+// recovering router's reset rewinds the worker to its checkpoint cut; the
+// dead router's frames still buffered on an older connection must reach
+// neither the rewound epoch nor its tails and instances.
+func (s *Server) stale(id uint64) bool {
+	return s.cl != nil && id < s.cl.fence.Load()
 }
 
 // ingestTuples ingests a batch of decoded tuples — a TUPLES frame, or a
 // JSON tuple line — returning how many were accepted: a worker routes them
 // by slot, a single-process server feeds its plan.
-func (s *Server) ingestTuples(bts []BwTuple, scratch *[]stream.SourceTuple) (int, error) {
+func (s *Server) ingestTuples(bts []BwTuple, in *connIngest) (int, error) {
 	if s.cl != nil {
-		return s.cl.handleBwTuples(bts, scratch)
+		return s.cl.handleBwTuples(bts, in)
 	}
-	return s.ingestBatch(bts, scratch)
+	return s.ingestBatch(bts, in)
 }
 
 // ingestBatch feeds a batch of tuples to the running plan: a batch pays
 // one epoch lookup, one source lookup and one queue admission, not one
 // per tuple. The scratch slice is per-connection and reused —
 // SourceTuples are copied into the queue's channel on send.
-func (s *Server) ingestBatch(bts []BwTuple, scratch *[]stream.SourceTuple) (int, error) {
+func (s *Server) ingestBatch(bts []BwTuple, in *connIngest) (int, error) {
 	source := sourceName(bts[0].Schema.Source)
-	if cap(*scratch) < len(bts) {
-		*scratch = make([]stream.SourceTuple, len(bts))
+	if cap(in.scratch) < len(bts) {
+		in.scratch = make([]stream.SourceTuple, len(bts))
 	}
-	sts := (*scratch)[:len(bts)]
+	sts := in.scratch[:len(bts)]
 	for i := range bts {
 		u, err := bts[i].UTuple()
 		if err != nil {
@@ -835,6 +863,11 @@ func (s *Server) ingestBatch(bts []BwTuple, scratch *[]stream.SourceTuple) (int,
 	for {
 		ep := s.epoch()
 		if ep != nil {
+			// Checked after the epoch lookup: a reset fences before it
+			// publishes the rewound epoch, so a stale link never feeds it.
+			if s.stale(in.id) {
+				return off, errStaleLink
+			}
 			box, port, ok := ep.plan.LookupSource(source)
 			if !ok {
 				return off, fmt.Errorf("unknown source %q", source)
@@ -872,13 +905,16 @@ func sourceName(s string) string {
 	return s
 }
 
-// enqueue delivers one carrier tuple into the current epoch's ingest queue,
-// waiting out the between-epochs gap.
-func (s *Server) enqueue(source string, t *stream.Tuple) error {
+// enqueue delivers one carrier tuple from connection id into the current
+// epoch's ingest queue, waiting out the between-epochs gap.
+func (s *Server) enqueue(source string, t *stream.Tuple, id uint64) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ep := s.epoch()
 		if ep != nil {
+			if s.stale(id) {
+				return errStaleLink
+			}
 			box, port, ok := ep.plan.LookupSource(source)
 			if !ok {
 				return fmt.Errorf("unknown source %q", source)
