@@ -288,19 +288,27 @@ func BenchmarkQ1SyncVsChan(b *testing.B) {
 		WindowMS: 5 * stream.Second, ThresholdLbs: 200, AreaFt: 10,
 		Strategy: core.CFApprox, MinAlertProb: 0.5,
 	}
+	// The trace lift runs inside each iteration, as part of the measured work.
+	q1Trace := func() uop.Trace {
+		us := make([]*core.UTuple, len(lts))
+		for i, lt := range lts {
+			us[i] = uop.LocationUTuple(lt, w)
+		}
+		return uop.Trace{"locations": us}
+	}
 	throughput := func(b *testing.B) {
 		b.ReportMetric(float64(len(lts)*b.N)/b.Elapsed().Seconds(), "tuples/s")
 	}
 	b.Run("push", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = uop.RunQ1(lts, w, cfg)
+			_ = uop.Q1Alerts(uop.BuildQ1(cfg).Compile().Run(q1Trace(), 0))
 		}
 		throughput(b)
 	})
 	for _, buffer := range []int{16, 256} {
 		b.Run(fmt.Sprintf("chan-buffer=%d", buffer), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = uop.RunQ1Chan(lts, w, cfg, buffer)
+				_ = uop.Q1Alerts(uop.BuildQ1(cfg).Compile().Run(q1Trace(), buffer))
 			}
 			throughput(b)
 		})

@@ -54,7 +54,11 @@ func main() {
 	compiled := uop.BuildQ1(cfg).Compile()
 	fmt.Printf("\ncompiled Q1 diagram:\n%s", compiled.Describe())
 
-	alerts := uop.RunQ1(locations, w, cfg)
+	tr := uop.Trace{"locations": nil}
+	for _, lt := range locations {
+		tr["locations"] = append(tr["locations"], uop.LocationUTuple(lt, w))
+	}
+	alerts := uop.Q1Alerts(compiled.Run(tr, 0))
 
 	fmt.Printf("\n%d fire-code alerts (threshold 220 lbs, P >= 0.5):\n", len(alerts))
 	shown := 0

@@ -80,19 +80,14 @@ func main() {
 	}
 	compiled := uop.BuildQ2(w, cfg).Compile()
 	fmt.Printf("\ncompiled Q2 diagram (%d shards):\n%s", cfg.Shards, compiled.Describe())
-	feed := func(inject uop.Inject) {
-		var i, j int
-		for i < len(locations) || j < len(temps) {
-			if j >= len(temps) || (i < len(locations) && locations[i].T <= temps[j].TS) {
-				inject("locations", uop.LocationUTuple(locations[i], w))
-				i++
-			} else {
-				inject("temps", uop.TempUTuple(temps[j]))
-				j++
-			}
-		}
+	tr := uop.Trace{}
+	for _, lt := range locations {
+		tr["locations"] = append(tr["locations"], uop.LocationUTuple(lt, w))
 	}
-	alerts := uop.Q2AlertsOf(compiled.RunChan(64, feed))
+	for _, r := range temps {
+		tr["temps"] = append(tr["temps"], uop.TempUTuple(r))
+	}
+	alerts := uop.Q2Alerts(compiled.Run(tr, 64))
 
 	// Per-box traffic, shard instances included — the counters are atomics,
 	// so they are also readable while the graph is running.

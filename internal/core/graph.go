@@ -58,36 +58,31 @@ func NewSelectOp(name string, sel func(*UTuple) *UTuple) stream.Operator {
 	})
 }
 
-// dedupLatest keeps, per certain key, only the latest tuple (later arrival
-// wins timestamp ties), preserving arrival order of the survivors. Tuples
-// missing the key are never deduplicated: each one survives (and, in the
-// sharded plan, routes round-robin rather than panicking the partitioner).
-// dedupLatestTuples (shard.go) applies the same algorithm to carrier
-// tuples; both delegate to dedupLatestBy so the sharded and unsharded plans
-// can never drift apart.
-func dedupLatest(us []*UTuple, key string) []*UTuple {
-	return dedupLatestBy(us, key, func(u *UTuple) *UTuple { return u })
-}
-
-// dedupLatestBy is the one latest-wins dedup implementation, generic over
-// the element's UTuple accessor.
-func dedupLatestBy[T comparable](xs []T, key string, utuple func(T) *UTuple) []T {
-	latest := make(map[int64]T, len(xs))
-	for _, x := range xs {
-		u := utuple(x)
+// dedupLatestTuples keeps, per certain key, only the latest tuple of a
+// window of carrier tuples (later arrival wins timestamp ties), preserving
+// arrival order of the survivors. Tuples missing the key are never
+// deduplicated: each one survives (and, in the sharded plan, routes
+// round-robin rather than panicking the partitioner). The sharded and
+// unsharded plans share it, so their dedup cannot drift apart; within a
+// shard the result equals the unsharded dedup restricted to the shard's
+// keys, because the partitioner routes all of a key's tuples to one shard.
+func dedupLatestTuples(window []*stream.Tuple, key string) []*stream.Tuple {
+	latest := make(map[int64]*stream.Tuple, len(window))
+	for _, t := range window {
+		u := Unwrap(t)
 		if !u.HasKey(key) {
 			continue
 		}
 		k := u.Key(key)
-		if cur, ok := latest[k]; !ok || u.TS >= utuple(cur).TS {
-			latest[k] = x
+		if cur, ok := latest[k]; !ok || u.TS >= Unwrap(cur).TS {
+			latest[k] = t
 		}
 	}
-	out := make([]T, 0, len(latest))
-	for _, x := range xs {
-		u := utuple(x)
-		if !u.HasKey(key) || latest[u.Key(key)] == x {
-			out = append(out, x)
+	out := make([]*stream.Tuple, 0, len(latest))
+	for _, t := range window {
+		u := Unwrap(t)
+		if !u.HasKey(key) || latest[u.Key(key)] == t {
+			out = append(out, t)
 		}
 	}
 	return out

@@ -45,21 +45,6 @@ func SelectLess(u *UTuple, attr string, threshold, minProb float64) *UTuple {
 	return out
 }
 
-// SelectBetween applies lo < attr <= hi.
-func SelectBetween(u *UTuple, attr string, lo, hi, minProb float64) *UTuple {
-	d := u.Attr(attr)
-	p := dist.ProbBetween(d, lo, hi)
-	if p*u.Exist < minProb {
-		return nil
-	}
-	out := u.Clone()
-	out.Exist = u.Exist * p
-	if p < 1 {
-		out.SetAttr(attr, dist.NewTruncated(d, lo, hi))
-	}
-	return out
-}
-
 // PredicateProb returns P(attr > threshold) without modifying the tuple —
 // for callers that only need the alert confidence (the Having clause of Q1
 // reports P(sum > 200 lbs) rather than filtering hard).

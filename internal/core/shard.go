@@ -166,16 +166,6 @@ func (m momentDist) Sample(g *rng.RNG) float64  { return m.gated().Sample(g) }
 func (m momentDist) CF(t float64) complex128    { return m.gated().CF(t) }
 func (m momentDist) Support() (lo, hi float64)  { return m.gated().Support() }
 
-// dedupLatestTuples is dedupLatest over carrier tuples (the sequence stamp
-// lives on the stream.Tuple); it shares the dedupLatestBy implementation,
-// so the sharded plan's dedup is the unsharded plan's dedup by
-// construction. Within a shard the result equals the unsharded dedup
-// restricted to the shard's keys, because the partitioner routes all of a
-// key's tuples to one shard.
-func dedupLatestTuples(window []*stream.Tuple, key string) []*stream.Tuple {
-	return dedupLatestBy(window, key, Unwrap)
-}
-
 // mergeWin accumulates one window's partials until every shard has closed.
 type mergeWin struct {
 	end    stream.Time

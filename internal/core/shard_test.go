@@ -188,7 +188,7 @@ func TestGroupSumShardPlanCountWindowDuplicateTS(t *testing.T) {
 }
 
 // TestDedupLatestKeylessSurvives: tuples missing the dedup key are never
-// deduplicated, in both the UTuple and carrier-tuple forms.
+// deduplicated.
 func TestDedupLatestKeylessSurvives(t *testing.T) {
 	mk := func(ts stream.Time, tag int64) *UTuple {
 		u := NewUTuple(ts, []string{"x"}, []dist.Dist{dist.PointMass{V: 1}})
@@ -198,21 +198,16 @@ func TestDedupLatestKeylessSurvives(t *testing.T) {
 		return u
 	}
 	us := []*UTuple{mk(1, 5), mk(2, -1), mk(3, 5), mk(4, -1)}
-	got := dedupLatest(us, "tag")
-	if len(got) != 3 {
-		t.Fatalf("dedupLatest kept %d tuples, want 3 (two keyless + latest of tag 5)", len(got))
-	}
-	if got[0] != us[1] || got[1] != us[2] || got[2] != us[3] {
-		t.Errorf("dedupLatest survivors out of order: %v", got)
-	}
-
 	var ws []*stream.Tuple
 	for _, u := range us {
 		ws = append(ws, Wrap(u))
 	}
-	gt := dedupLatestTuples(ws, "tag")
-	if len(gt) != 3 || Unwrap(gt[0]) != us[1] || Unwrap(gt[1]) != us[2] || Unwrap(gt[2]) != us[3] {
-		t.Errorf("dedupLatestTuples disagrees with dedupLatest")
+	got := dedupLatestTuples(ws, "tag")
+	if len(got) != 3 {
+		t.Fatalf("dedupLatestTuples kept %d tuples, want 3 (two keyless + latest of tag 5)", len(got))
+	}
+	if Unwrap(got[0]) != us[1] || Unwrap(got[1]) != us[2] || Unwrap(got[2]) != us[3] {
+		t.Errorf("dedupLatestTuples survivors out of order: %v", got)
 	}
 }
 

@@ -66,14 +66,6 @@ func ProbAbove(d Dist, x float64) float64 {
 	return mathx.Clamp(1-d.CDF(x), 0, 1)
 }
 
-// ProbBetween returns P(lo < X <= hi).
-func ProbBetween(d Dist, lo, hi float64) float64 {
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	return mathx.Clamp(d.CDF(hi)-d.CDF(lo), 0, 1)
-}
-
 // Interval is a closed interval, used for confidence regions (§3's
 // "confidence region" delivery mode).
 type Interval struct {

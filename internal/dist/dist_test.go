@@ -312,13 +312,6 @@ func TestConfidenceIntervalAndProbs(t *testing.T) {
 	if math.Abs(ProbAbove(n, 0)-0.5) > 1e-12 {
 		t.Errorf("ProbAbove = %g", ProbAbove(n, 0))
 	}
-	want := n.CDF(1) - n.CDF(-1)
-	if math.Abs(ProbBetween(n, -1, 1)-want) > 1e-12 {
-		t.Errorf("ProbBetween = %g", ProbBetween(n, -1, 1))
-	}
-	if ProbBetween(n, 1, -1) != want {
-		t.Error("ProbBetween should normalize reversed bounds")
-	}
 }
 
 func TestVarianceDistanceBasics(t *testing.T) {

@@ -20,7 +20,8 @@ type QueriesConfig struct {
 	Objects, Events int
 	// Particles per object for the T operator.
 	Particles int
-	// Buffer is the channel executor's per-box input buffer (batches).
+	// Buffer is the channel executor's per-box input buffer (batches); it
+	// must be positive, since Compiled.Run reads 0 as the Push executor.
 	Buffer int
 	// Shards sizes the shard-parallel arm (0 = one per CPU).
 	Shards int
@@ -96,11 +97,26 @@ func RunQueries(cfg QueriesConfig) []QueriesRow {
 			TuplesPerS: float64(inputs) / wall.Seconds(),
 		})
 	}
-	measure("Q1", "push", len(lts), func() int { return len(uop.RunQ1(lts, w, q1)) })
-	measure("Q1", "chan", len(lts), func() int { return len(uop.RunQ1Chan(lts, w, q1, cfg.Buffer)) })
+	// Operators treat input tuples as immutable, so every run replays the
+	// same lifted traces; each run counts result tuples, one per alert.
+	locs := make([]*core.UTuple, len(lts))
+	for i, lt := range lts {
+		locs[i] = uop.LocationUTuple(lt, w)
+	}
+	hot := make([]*core.UTuple, len(temps))
+	for i, r := range temps {
+		hot[i] = uop.TempUTuple(r)
+	}
+	q1Trace := uop.Trace{"locations": locs}
+	q2Trace := uop.Trace{"locations": locs, "temps": hot}
+	run := func(q *uop.Query, tr uop.Trace, buffer int) func() int {
+		return func() int { return len(q.Compile().Run(tr, buffer)) }
+	}
+	measure("Q1", "push", len(lts), run(uop.BuildQ1(q1), q1Trace, 0))
+	measure("Q1", "chan", len(lts), run(uop.BuildQ1(q1), q1Trace, cfg.Buffer))
 	q2Inputs := len(lts) + len(temps)
-	measure("Q2", "push", q2Inputs, func() int { return len(uop.RunQ2(lts, temps, w, q2)) })
-	measure("Q2", "chan", q2Inputs, func() int { return len(uop.RunQ2Chan(lts, temps, w, q2, cfg.Buffer)) })
+	measure("Q2", "push", q2Inputs, run(uop.BuildQ2(w, q2), q2Trace, 0))
+	measure("Q2", "chan", q2Inputs, run(uop.BuildQ2(w, q2), q2Trace, cfg.Buffer))
 	// The shard-parallel plans: same queries, keyed/round-robin partitioned
 	// across one shard instance per CPU. Alert counts must match the
 	// single-instance plans exactly (the merge reunifies deterministically).
@@ -113,7 +129,7 @@ func RunQueries(cfg QueriesConfig) []QueriesRow {
 	// ASCII mode tag: cmd/repro pads table cells with %-7s, which counts
 	// bytes, so a multi-byte rune would skew the column.
 	mode := fmt.Sprintf("chan/%d", shards)
-	measure("Q1", mode, len(lts), func() int { return len(uop.RunQ1Chan(lts, w, sq1, cfg.Buffer)) })
-	measure("Q2", mode, q2Inputs, func() int { return len(uop.RunQ2Chan(lts, temps, w, sq2, cfg.Buffer)) })
+	measure("Q1", mode, len(lts), run(uop.BuildQ1(sq1), q1Trace, cfg.Buffer))
+	measure("Q2", mode, q2Inputs, run(uop.BuildQ2(w, sq2), q2Trace, cfg.Buffer))
 	return rows
 }

@@ -1,27 +1,20 @@
 // Package mathx provides the numerical substrate for the uncertainty-aware
 // stream system: special functions for the normal distribution, adaptive
-// quadrature, FFT, root finding, and small dense linear algebra.
+// quadrature, FFT, monotone inversion and Nelder-Mead minimization.
 //
 // Everything is implemented on top of the standard library only; the package
 // exists because Go's standard library stops at math.Erf and the paper's
-// techniques (characteristic-function inversion, KL-minimizing fits,
-// multivariate Gaussians) need quadrature, inverse CDFs and Cholesky factors.
+// techniques (characteristic-function inversion, KL-minimizing fits) need
+// quadrature and inverse CDFs.
 package mathx
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Ln2Pi is log(2*pi), used by Gaussian log densities.
 const Ln2Pi = 1.8378770664093454835606594728112353
 
 // Sqrt2Pi is sqrt(2*pi), the Gaussian normalization constant.
 const Sqrt2Pi = 2.5066282746310005024157652848110453
-
-// ErrNoConvergence is returned by iterative routines that exceed their
-// iteration budget without meeting the requested tolerance.
-var ErrNoConvergence = errors.New("mathx: iteration did not converge")
 
 // Clamp limits x to the closed interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {

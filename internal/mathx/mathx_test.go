@@ -99,52 +99,3 @@ func TestClampProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCholeskySolve(t *testing.T) {
-	// A = [[4,2],[2,3]], b = [2,3] -> x = [0,1].
-	a := NewMat(2, 2)
-	a.Set(0, 0, 4)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 3)
-	l, err := a.Cholesky()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Verify L Lᵀ = A.
-	llt := l.Mul(l.Transpose())
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if math.Abs(llt.At(i, j)-a.At(i, j)) > 1e-12 {
-				t.Errorf("LLᵀ(%d,%d) = %g, want %g", i, j, llt.At(i, j), a.At(i, j))
-			}
-		}
-	}
-	x := SolveCholesky(l, []float64{2, 3})
-	if math.Abs(x[0]-0) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
-		t.Errorf("solve = %v, want [0 1]", x)
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewMat(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 1)
-	if _, err := a.Cholesky(); err == nil {
-		t.Error("expected error for indefinite matrix")
-	}
-}
-
-func TestQuadFormAndDot(t *testing.T) {
-	a := NewMat(2, 2)
-	a.Set(0, 0, 2)
-	a.Set(1, 1, 3)
-	if got := QuadForm(a, []float64{1, 2}); math.Abs(got-14) > 1e-12 {
-		t.Errorf("QuadForm = %g, want 14", got)
-	}
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %g, want 32", got)
-	}
-}

@@ -59,22 +59,6 @@ func TestTrapz(t *testing.T) {
 	}
 }
 
-func TestBrentRoot(t *testing.T) {
-	root, err := Brent(func(x float64) float64 { return x*x*x - 2 }, 0, 2, 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Cbrt(2)) > 1e-10 {
-		t.Errorf("Brent cbrt(2) = %.15g", root)
-	}
-}
-
-func TestBrentNoBracket(t *testing.T) {
-	if _, err := Brent(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12); err == nil {
-		t.Error("expected error for non-bracketing interval")
-	}
-}
-
 func TestBisectMonotone(t *testing.T) {
 	g := func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 	x := BisectMonotone(g, 0.75, -20, 20, 1e-12)

@@ -378,14 +378,8 @@ func TestErrorEstimator(t *testing.T) {
 
 func TestPointOps(t *testing.T) {
 	p := Point{3, 4}
-	if p.Norm() != 5 {
-		t.Error("Norm")
-	}
 	if q := p.Add(Point{1, 1}).Sub(Point{1, 1}); q != p {
 		t.Error("Add/Sub")
-	}
-	if p.Scale(2) != (Point{6, 8}) {
-		t.Error("Scale")
 	}
 	if (Cov2{XX: 4, YY: 0}).SpreadRadius() != 2 {
 		t.Error("SpreadRadius")

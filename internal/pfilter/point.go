@@ -23,17 +23,11 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p - q.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by a.
-func (p Point) Scale(a float64) Point { return Point{p.X * a, p.Y * a} }
-
 // Dist returns the Euclidean distance to q.
 func (p Point) Dist(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return math.Sqrt(dx*dx + dy*dy)
 }
-
-// Norm returns the Euclidean norm.
-func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
 
 // Cov2 is a 2x2 symmetric covariance (XX, YY, XY).
 type Cov2 struct {

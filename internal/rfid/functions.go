@@ -9,14 +9,9 @@ import (
 	"repro/internal/dist"
 )
 
-// AreaID names the square-foot floor cell containing (x, y) — the area()
+// areaName names a floor cell "A<x>_<y>", without fmt — the area()
 // function of Q1 ("the square foot area that each object belongs to,
 // computed by a function on its (x,y,z) location").
-func AreaID(x, y Feet) string {
-	return areaName(int(math.Floor(x)), int(math.Floor(y)))
-}
-
-// areaName renders "A<x>_<y>" without fmt.
 func areaName(xi, yi int) string {
 	var buf [2 * strconv.IntSize]byte
 	b := append(buf[:0], 'A')
@@ -80,13 +75,6 @@ func (t *nameTable) len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.m)
-}
-
-// AreaOfDist maps an uncertain location to the area of its mean — the MAP
-// assignment used by the fast path of the uncertain GROUP BY. The full
-// probabilistic assignment (mass per area cell) is AppendAreaMasses.
-func AreaOfDist(x, y dist.Dist) string {
-	return AreaID(x.Mean(), y.Mean())
 }
 
 // cellScratch is how many cells per axis AppendAreaMasses keeps on the

@@ -188,14 +188,8 @@ func TestAccuracyEstimatorTracksShelfError(t *testing.T) {
 }
 
 func TestAreaFunctions(t *testing.T) {
-	if AreaID(3.7, 9.2) != "A3_9" {
-		t.Errorf("AreaID = %s", AreaID(3.7, 9.2))
-	}
 	x := dist.NewNormal(3.5, 0.1)
 	y := dist.NewNormal(9.5, 0.1)
-	if AreaOfDist(x, y) != "A3_9" {
-		t.Error("AreaOfDist wrong")
-	}
 	masses := AppendAreaMasses(nil, x, y, 1, 0.01, newAreaMass)
 	var total float64
 	found := false

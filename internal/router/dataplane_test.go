@@ -305,3 +305,28 @@ func TestRouterJSONClientLines(t *testing.T) {
 		t.Errorf("per-connection decode errors %v: want the ingest connection at 2", decodeErrs)
 	}
 }
+
+// TestRouterRejectsNullKeyAndTime: the router's JSON client edge rejects a
+// tuple line with a null key value or t_ms, as streamd does, instead of
+// routing it with a zero tag or timestamp.
+func TestRouterRejectsNullKeyAndTime(t *testing.T) {
+	cl := startCluster(t, 1, clusterQ1Cfg(), nil)
+	c := dialRouter(t, cl.rt)
+	for _, tc := range []struct{ line, want string }{
+		{`{"kind":"tuple","t_ms":5,"keys":{"tag":null},"attrs":{"x":1,"y":1,"weight":1}}`, `bad line: tuple key "tag" is null`},
+		{`{"kind":"tuple","t_ms":null,"keys":{"tag":1},"attrs":{"x":1,"y":1,"weight":1}}`, "bad line: tuple t_ms is null"},
+	} {
+		if _, err := c.w.WriteString(tc.line + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if m := c.recv(5 * time.Second); m.Kind != server.KindErr || m.Error != tc.want {
+			t.Errorf("%s: reply %+v, want error %q", tc.line, m, tc.want)
+		}
+	}
+	if st := cl.rt.Stats(); st.Ingested != 0 || st.IngestErrors != 2 {
+		t.Errorf("ingested %d with %d errors, want 0 with 2", st.Ingested, st.IngestErrors)
+	}
+}

@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 )
 
@@ -45,9 +48,11 @@ func NewLineDecoder() *LineDecoder {
 }
 
 // Decode reads one protocol line. A line json.Unmarshal rejects returns
-// its error. Otherwise the result is the line's message, valid until the
-// next call; for a tuple line the scanner took, it carries only Kind,
-// Source and T, and the columns are left for Tuple.
+// its error, and so does a tuple line with a null t_ms or key value, which
+// json.Unmarshal would read as a silent zero. Otherwise the result is the
+// line's message, valid until the next call; for a tuple line the scanner
+// took, it carries only Kind, Source and T, and the columns are left for
+// Tuple.
 func (d *LineDecoder) Decode(line []byte) (*Msg, error) {
 	if d.scan(line) {
 		return &d.msg, nil
@@ -56,7 +61,34 @@ func (d *LineDecoder) Decode(line []byte) (*Msg, error) {
 	if err := json.Unmarshal(line, &d.msg); err != nil {
 		return nil, err
 	}
+	if d.msg.Kind == KindTuple && bytes.Contains(line, []byte("null")) {
+		if err := checkTupleNulls(line); err != nil {
+			return nil, err
+		}
+	}
 	return &d.msg, nil
+}
+
+// checkTupleNulls rejects a tuple line whose t_ms or a key value is null.
+// The scanner never takes such a line (its integers are literals), so only
+// the json.Unmarshal path needs it; the line has already decoded once.
+func checkTupleNulls(line []byte) error {
+	var raw struct {
+		T    json.RawMessage            `json:"t_ms"`
+		Keys map[string]json.RawMessage `json:"keys"`
+	}
+	if err := json.Unmarshal(line, &raw); err != nil {
+		return err
+	}
+	if string(raw.T) == "null" {
+		return fmt.Errorf("tuple t_ms is null")
+	}
+	for _, k := range slices.Sorted(maps.Keys(raw.Keys)) {
+		if string(raw.Keys[k]) == "null" {
+			return fmt.Errorf("tuple key %q is null", k)
+		}
+	}
+	return nil
 }
 
 // Tuple returns the tuple of the line Decode just read as a one-tuple

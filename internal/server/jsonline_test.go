@@ -27,8 +27,8 @@ func liftedBytes(t testing.TB, u *core.UTuple) string {
 }
 
 // referenceLine is what the daemon made of a line before LineDecoder:
-// json.Unmarshal into Msg, then ParseTuple for a tuple (carrying the
-// line's seq and source).
+// json.Unmarshal into Msg, the null t_ms and key check for a tuple, then
+// ParseTuple (carrying the line's seq and source).
 func referenceLine(t testing.TB, line []byte) string {
 	var m Msg
 	if err := json.Unmarshal(line, &m); err != nil {
@@ -36,6 +36,9 @@ func referenceLine(t testing.TB, line []byte) string {
 	}
 	if m.Kind != KindTuple {
 		return "kind " + m.Kind
+	}
+	if err := checkTupleNulls(line); err != nil {
+		return "bad line: " + err.Error()
 	}
 	u, err := ParseTuple(m)
 	if err != nil {
@@ -214,6 +217,30 @@ func TestAttrNullRejected(t *testing.T) {
 		}
 		if _, err := NewLineDecoder().Decode([]byte(tc.line)); err == nil || err.Error() != tc.want {
 			t.Errorf("LineDecoder %s: error %v, want %q", tc.line, err, tc.want)
+		}
+	}
+}
+
+// TestKeyAndTimeNullRejected: a null t_ms or key value is an error on the
+// JSON line path, not the silent zero json.Unmarshal decodes it to.
+func TestKeyAndTimeNullRejected(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{`{"kind":"tuple","t_ms":5,"keys":{"tag":null},"attrs":{"x":1,"weight":1}}`, `tuple key "tag" is null`},
+		{`{"kind":"tuple","t_ms":5,"keys":{"tag":3,"bin":null,"aisle":null},"attrs":{"x":1}}`, `tuple key "aisle" is null`},
+		{`{"kind":"tuple","t_ms":null,"keys":{"tag":1},"attrs":{"x":1,"weight":1}}`, "tuple t_ms is null"},
+		{`{"kind":"tuple","source":"temps","T_MS":null,"attrs":{"temp":[60,2]}}`, "tuple t_ms is null"},
+	} {
+		if _, err := NewLineDecoder().Decode([]byte(tc.line)); err == nil || err.Error() != tc.want {
+			t.Errorf("LineDecoder %s: error %v, want %q", tc.line, err, tc.want)
+		}
+	}
+	// A null elsewhere — a string member, a whole keys object — stays valid.
+	for _, line := range []string{
+		`{"kind":"tuple","t_ms":5,"keys":null,"attrs":{"x":1}}`,
+		`{"kind":"tuple","source":"null","t_ms":5,"attrs":{"x":1}}`,
+	} {
+		if _, err := NewLineDecoder().Decode([]byte(line)); err != nil {
+			t.Errorf("LineDecoder %s: %v", line, err)
 		}
 	}
 }

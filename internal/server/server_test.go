@@ -293,6 +293,8 @@ func TestServerMalformedLines(t *testing.T) {
 		`{"kind":"tuple","t_ms":100,"attrs":{"x":[1,-2],"weight":140}}`,            // negative std
 		`{"kind":"tuple","t_ms":100,"attrs":{"x":{"not":"an attr"},"weight":140}}`, // wrong attr shape
 		`{"kind":"tuple","t_ms":-5,"attrs":{"x":1,"weight":140}}`,                  // negative time
+		`{"kind":"tuple","t_ms":100,"keys":{"tag":null},"attrs":{"x":1}}`,          // null key
+		`{"kind":"tuple","t_ms":null,"attrs":{"x":1,"weight":140}}`,                // null time
 		`{"kind":"tuple","source":"nonexistent","t_ms":100,"attrs":{"x":1}}`,       // unknown source
 		`{"kind":"frobnicate"}`, // unknown kind
 	}

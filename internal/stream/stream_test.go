@@ -10,10 +10,6 @@ func TestSchemaBasics(t *testing.T) {
 	if s.Index("b") != 1 || s.Index("zz") != -1 {
 		t.Error("Index wrong")
 	}
-	ext := s.Extend("d")
-	if ext.Index("d") != 3 {
-		t.Error("Extend wrong")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate field should panic")

@@ -67,12 +67,6 @@ func (s *Schema) MustIndex(name string) int {
 	return i
 }
 
-// Extend returns a new schema with extra fields appended.
-func (s *Schema) Extend(names ...string) *Schema {
-	all := append(append([]string(nil), s.Names...), names...)
-	return NewSchema(all...)
-}
-
 var tupleIDs atomic.Uint64
 
 // NextTupleID allocates a process-unique tuple id (used for lineage).

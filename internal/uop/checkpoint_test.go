@@ -44,7 +44,7 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := formatQ1(RunQ1(lts, w, tc.cfg))
+			ref := formatQ1(Q1Alerts(runTrace(BuildQ1(tc.cfg), lts, nil, w, 0)))
 			if ref == "" {
 				t.Fatal("reference run produced no alerts")
 			}
@@ -66,7 +66,7 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 				for _, lt := range lts[cut:] {
 					c2.Push("locations", LocationUTuple(lt, w))
 				}
-				got := formatQ1(q1Alerts(pre)) + formatQ1(q1Alerts(c2.Close()))
+				got := formatQ1(Q1Alerts(pre)) + formatQ1(Q1Alerts(c2.Close()))
 				if got != ref {
 					t.Fatalf("cut %d: recovered alerts diverge:\nref:\n%s\ngot:\n%s", cut, ref, got)
 				}
@@ -118,7 +118,7 @@ func TestCheckpointOfRestoredGraphIsStable(t *testing.T) {
 func TestCheckpointLiveBarrierByteIdentical(t *testing.T) {
 	lts, w := seededTrace(t, 40, 300, 0)
 	cfg := ckptQ1Config(2*stream.Second, 2, false)
-	ref := formatQ1(RunQ1(lts, w, cfg))
+	ref := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0)))
 	if ref == "" {
 		t.Fatal("reference run produced no alerts")
 	}
@@ -179,7 +179,7 @@ func TestCheckpointLiveBarrierByteIdentical(t *testing.T) {
 	mu.Lock()
 	pre := append([]*stream.Tuple(nil), live[:n1]...)
 	mu.Unlock()
-	got := formatQ1(q1Alerts(pre)) + formatQ1(q1Alerts(c2.Close()))
+	got := formatQ1(Q1Alerts(pre)) + formatQ1(Q1Alerts(c2.Close()))
 	if got != ref {
 		t.Fatalf("recovered live alerts diverge:\nref:\n%s\ngot:\n%s", ref, got)
 	}

@@ -79,7 +79,7 @@ func runQ1Cluster(t *testing.T, lts []rfid.LocationTuple, w *rfid.Warehouse, cfg
 	}
 	part.Flush(emit)
 	head.Graph.Close()
-	return q1Alerts(alerts)
+	return Q1Alerts(alerts)
 }
 
 func TestQ1ClusterSplitMatchesSingleProcess(t *testing.T) {
@@ -95,7 +95,7 @@ func TestQ1ClusterSplitMatchesSingleProcess(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := q1ShardCfg()
 			tc.mut(&cfg)
-			ref := formatQ1(RunQ1(lts, w, cfg))
+			ref := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0)))
 			if ref == "" {
 				t.Fatal("reference produced no alerts; test inputs too light")
 			}
@@ -121,7 +121,7 @@ func TestQ1ClusterSplitStraggler(t *testing.T) {
 	cfg := q1ShardCfg()
 	for _, slide := range []stream.Time{0, 2 * stream.Second} {
 		cfg.SlideMS = slide
-		ref := formatQ1(RunQ1(lts, w, cfg))
+		ref := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0)))
 		if ref == "" {
 			t.Fatalf("slide=%d: reference produced no alerts", slide)
 		}

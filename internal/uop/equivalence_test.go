@@ -15,7 +15,7 @@ import (
 // The tests in this file pin the redesign's acceptance criterion: the
 // compiled box-arrow diagrams must produce byte-identical alerts to the
 // pre-refactor batch loops, under both synchronous Push and channel-
-// parallel RunChan execution.
+// parallel execution through Compiled.Run.
 
 // batchQ1 is the pre-refactor hand-rolled batch evaluation of Q1 (the
 // window/dedup/group/having loop that used to live in core.RunQ1), kept
@@ -169,12 +169,12 @@ func TestQ1GraphMatchesBatchReference(t *testing.T) {
 	if ref == "" {
 		t.Fatal("reference produced no alerts; test inputs too light")
 	}
-	if got := formatQ1(RunQ1(lts, w, cfg)); got != ref {
+	if got := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0))); got != ref {
 		t.Errorf("Push-path Q1 diverges from batch reference:\nref:\n%s\ngot:\n%s", ref, got)
 	}
 	for _, buffer := range []int{1, 64} {
-		if got := formatQ1(RunQ1Chan(lts, w, cfg, buffer)); got != ref {
-			t.Errorf("RunChan(buffer=%d) Q1 diverges from batch reference:\nref:\n%s\ngot:\n%s",
+		if got := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, buffer))); got != ref {
+			t.Errorf("Run(buffer=%d) Q1 diverges from batch reference:\nref:\n%s\ngot:\n%s",
 				buffer, ref, got)
 		}
 	}
@@ -205,12 +205,12 @@ func TestQ2GraphMatchesBatchReference(t *testing.T) {
 	if ref == "" {
 		t.Fatal("reference produced no alerts; test inputs too light")
 	}
-	if got := formatQ2(RunQ2(lts, temps, w, cfg)); got != ref {
+	if got := formatQ2(Q2Alerts(runTrace(BuildQ2(w, cfg), lts, temps, w, 0))); got != ref {
 		t.Errorf("Push-path Q2 diverges from batch reference:\nref:\n%s\ngot:\n%s", ref, got)
 	}
 	for _, buffer := range []int{1, 64} {
-		if got := formatQ2(RunQ2Chan(lts, temps, w, cfg, buffer)); got != ref {
-			t.Errorf("RunChan(buffer=%d) Q2 diverges from batch reference:\nref:\n%s\ngot:\n%s",
+		if got := formatQ2(Q2Alerts(runTrace(BuildQ2(w, cfg), lts, temps, w, buffer))); got != ref {
+			t.Errorf("Run(buffer=%d) Q2 diverges from batch reference:\nref:\n%s\ngot:\n%s",
 				buffer, ref, got)
 		}
 	}

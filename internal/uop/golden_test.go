@@ -33,7 +33,7 @@ func TestQ1AlertsMatchGolden(t *testing.T) {
 			Strategy:     strat,
 			MinAlertProb: 0.3,
 		}
-		got += strat.String() + "\n" + formatQ1(RunQ1(lts, w, cfg))
+		got += strat.String() + "\n" + formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0)))
 	}
 	if got == "" {
 		t.Fatal("no alerts produced; trace too light for a golden pin")

@@ -13,7 +13,7 @@ import (
 // criterion: on a sliding-window Q1 over a seeded T-operator trace, the
 // delta-maintained path (per-group sum accumulators fed by window deltas)
 // must produce byte-identical alerts to the per-slide recompute path, under
-// both the synchronous Push executor and the channel-parallel RunChan — and
+// both the synchronous Push executor and the channel executor through Compiled.Run — and
 // with parallel per-group emission, which the heavy strategies fan out to.
 
 func slidingQ1Config(slide stream.Time) Q1Config {
@@ -39,17 +39,17 @@ func TestSlidingQ1IncrementalMatchesRecompute(t *testing.T) {
 			cfg.Agg = core.AggOptions{GridN: 256}
 			rec := cfg
 			rec.Recompute = true
-			ref := formatQ1(RunQ1(lts, w, rec))
+			ref := formatQ1(Q1Alerts(runTrace(BuildQ1(rec), lts, nil, w, 0)))
 			if ref == "" {
 				t.Fatal("recompute reference produced no alerts; test inputs too light")
 			}
-			if got := formatQ1(RunQ1(lts, w, cfg)); got != ref {
+			if got := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0))); got != ref {
 				t.Errorf("slide=%d %v: incremental Push diverges from recompute:\nref:\n%s\ngot:\n%s",
 					slide, strat, ref, got)
 			}
 			for _, buffer := range []int{1, 64} {
-				if got := formatQ1(RunQ1Chan(lts, w, cfg, buffer)); got != ref {
-					t.Errorf("slide=%d %v: incremental RunChan(buffer=%d) diverges:\nref:\n%s\ngot:\n%s",
+				if got := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, buffer))); got != ref {
+					t.Errorf("slide=%d %v: incremental Run(buffer=%d) diverges:\nref:\n%s\ngot:\n%s",
 						slide, strat, buffer, ref, got)
 				}
 			}
@@ -68,11 +68,11 @@ func TestSlidingQ1IncrementalStrategies(t *testing.T) {
 		cfg.Agg = core.AggOptions{GridN: 256}
 		rec := cfg
 		rec.Recompute = true
-		ref := formatQ1(RunQ1(lts, w, rec))
+		ref := formatQ1(Q1Alerts(runTrace(BuildQ1(rec), lts, nil, w, 0)))
 		if ref == "" {
 			t.Fatalf("%v: recompute reference produced no alerts", strat)
 		}
-		if got := formatQ1(RunQ1(lts, w, cfg)); got != ref {
+		if got := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0))); got != ref {
 			t.Errorf("%v: incremental diverges from recompute:\nref:\n%s\ngot:\n%s", strat, ref, got)
 		}
 	}
@@ -86,8 +86,8 @@ func TestSlidingQ1SupersetOfTumbling(t *testing.T) {
 	lts, w := seededTrace(t, 60, 400, 0)
 	tumble := slidingQ1Config(0)
 	slide := slidingQ1Config(tumble.WindowMS)
-	ref := formatQ1(RunQ1(lts, w, tumble))
-	got := formatQ1(RunQ1(lts, w, slide))
+	ref := formatQ1(Q1Alerts(runTrace(BuildQ1(tumble), lts, nil, w, 0)))
+	got := formatQ1(Q1Alerts(runTrace(BuildQ1(slide), lts, nil, w, 0)))
 	// The tumbling flush stamps its final partial window at winStart +
 	// Duration; the sliding drain emits the same content, so alert lines
 	// must match one-for-one.

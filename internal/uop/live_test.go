@@ -15,8 +15,8 @@ import (
 // rewrite, whose watermark merges used to stall sparse streams — and must
 // deliver alerts while the stream is still open (no terminal Flush).
 
-// TestQ1LiveMatchesPush pins the channel executor byte-identical to RunQ1
-// across window shapes and shard counts; the finite source's end triggers
+// TestQ1LiveMatchesPush pins the channel executor byte-identical to the
+// Push executor across window shapes and shard counts; the finite source's end triggers
 // the graceful drain, so final windows flush exactly like Close.
 func TestQ1LiveMatchesPush(t *testing.T) {
 	lts, w := seededTrace(t, 50, 350, 0)
@@ -29,12 +29,12 @@ func TestQ1LiveMatchesPush(t *testing.T) {
 		{"sliding-sharded", Q1Config{WindowMS: 5 * stream.Second, SlideMS: 1 * stream.Second, ThresholdLbs: 120, AreaFt: 10, Strategy: core.CFApprox, MinAlertProb: 0.3, Shards: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := formatQ1(RunQ1(lts, w, tc.cfg))
+			ref := formatQ1(Q1Alerts(runTrace(BuildQ1(tc.cfg), lts, nil, w, 0)))
 			if ref == "" {
 				t.Fatal("reference produced no alerts; test inputs too light")
 			}
-			if got := formatQ1(RunQ1Chan(lts, w, tc.cfg, 16)); got != ref {
-				t.Errorf("RunQ1Chan diverges from Push path:\nref:\n%s\ngot:\n%s", ref, got)
+			if got := formatQ1(Q1Alerts(runTrace(BuildQ1(tc.cfg), lts, nil, w, 16))); got != ref {
+				t.Errorf("Run on the channel executor diverges from Push path:\nref:\n%s\ngot:\n%s", ref, got)
 			}
 		})
 	}
@@ -61,11 +61,11 @@ func TestQ1LiveAlertsWithoutClose(t *testing.T) {
 	for _, lt := range lts {
 		refC.Push("locations", LocationUTuple(lt, w))
 	}
-	ref := formatQ1(q1Alerts(refC.Results()))
+	ref := formatQ1(Q1Alerts(refC.Results()))
 	if ref == "" {
 		t.Fatal("prefix produced no pre-Close alerts; test inputs too light")
 	}
-	refN := len(q1Alerts(refC.Close())) // remaining drain-only alerts, for the final check
+	refN := len(Q1Alerts(refC.Close())) // remaining drain-only alerts, for the final check
 
 	c := BuildQ1(cfg).Compile()
 	alerts := make(chan *stream.Tuple, 1024)
@@ -96,7 +96,7 @@ func TestQ1LiveAlertsWithoutClose(t *testing.T) {
 			t.Fatalf("live plan delivered %d of %d pre-Close alerts, then stalled — batching/watermark latency regression", len(got), want)
 		}
 	}
-	if gotS := formatQ1(q1Alerts(got)); gotS != ref {
+	if gotS := formatQ1(Q1Alerts(got)); gotS != ref {
 		t.Errorf("live pre-Close alerts diverge from offline prefix:\nref:\n%s\ngot:\n%s", ref, gotS)
 	}
 
@@ -142,11 +142,11 @@ func TestQ1LiveStragglerParity(t *testing.T) {
 		WindowMS: 5 * stream.Second, ThresholdLbs: 120, AreaFt: 10,
 		Strategy: core.CFApprox, MinAlertProb: 0.3, Shards: 2,
 	}
-	ref := formatQ1(RunQ1(lts, w, cfg))
+	ref := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0)))
 	if ref == "" {
 		t.Fatal("reference produced no alerts")
 	}
-	if got := formatQ1(RunQ1Chan(lts, w, cfg, 8)); got != ref {
+	if got := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 8))); got != ref {
 		t.Errorf("straggler trace diverges under the channel executor:\nref:\n%s\ngot:\n%s", ref, got)
 	}
 }

@@ -1,8 +1,7 @@
 // The reference queries of §2.1, expressed in the builder API and executed
-// as compiled box-arrow diagrams. RunQ1/RunQ2 run a finite trace through the
-// synchronous Push executor (the reference), RunQ1Chan/RunQ2Chan through the
-// channel executor; BuildQ1..BuildQ4 expose the query chains for callers
-// that feed a live source through RunLiveOpts.
+// as compiled box-arrow diagrams. BuildQ1..BuildQ4 return the query chains;
+// Compiled.Run evaluates a finite trace under either executor, and
+// Q1Alerts/Q2Alerts read its output in the reference shape.
 package uop
 
 import (
@@ -122,8 +121,9 @@ func BuildQ1(cfg Q1Config) *Query {
 		Having(Greater(cfg.ThresholdLbs, cfg.MinAlertProb))
 }
 
-// q1Alerts converts collected alert tuples into the reference shape.
-func q1Alerts(ts []*stream.Tuple) []Q1Alert {
+// Q1Alerts converts collected Q1 (or Q3) alert tuples into the reference
+// shape.
+func Q1Alerts(ts []*stream.Tuple) []Q1Alert {
 	var out []Q1Alert
 	for _, t := range ts {
 		u := core.Unwrap(t)
@@ -133,29 +133,6 @@ func q1Alerts(ts []*stream.Tuple) []Q1Alert {
 		})
 	}
 	return out
-}
-
-// RunQ1 evaluates Q1 over a location-tuple batch through the compiled
-// diagram's synchronous Push path.
-func RunQ1(lts []rfid.LocationTuple, w *rfid.Warehouse, cfg Q1Config) []Q1Alert {
-	c := BuildQ1(cfg).Compile()
-	for _, lt := range lts {
-		c.Push("locations", LocationUTuple(lt, w))
-	}
-	return q1Alerts(c.Close())
-}
-
-// RunQ1Chan evaluates Q1 through the channel executor: one goroutine per
-// box, pipeline parallelism across boxes, the trace replayed as a finite
-// source.
-func RunQ1Chan(lts []rfid.LocationTuple, w *rfid.Warehouse, cfg Q1Config, buffer int) []Q1Alert {
-	c := BuildQ1(cfg).Compile()
-	out := c.RunChan(buffer, func(inject Inject) {
-		for _, lt := range lts {
-			inject("locations", LocationUTuple(lt, w))
-		}
-	})
-	return q1Alerts(out)
 }
 
 // Q3Config parameterizes the streaming-quantile query (PR 10): the
@@ -360,10 +337,10 @@ func BuildQ2(w *rfid.Warehouse, cfg Q2Config) *Query {
 	return flam.JoinProb(hot, cfg.RangeMS, []string{"x", "y"}, cfg.LocTolFt, cfg.MinProb)
 }
 
-// q2Alerts converts joined tuples into the reference shape, sorted
-// deterministically (join emission order depends on arrival interleaving
-// under channel execution; the set of matches does not).
-func q2Alerts(ts []*stream.Tuple) []Q2Alert {
+// Q2Alerts converts collected Q2 join output tuples into the reference
+// shape, sorted deterministically (join emission order depends on arrival
+// interleaving under channel execution; the set of matches does not).
+func Q2Alerts(ts []*stream.Tuple) []Q2Alert {
 	var out []Q2Alert
 	for _, t := range ts {
 		u := core.Unwrap(t)
@@ -375,11 +352,6 @@ func q2Alerts(ts []*stream.Tuple) []Q2Alert {
 	sortQ2Alerts(out)
 	return out
 }
-
-// Q2AlertsOf converts collected Q2 join output tuples into the reference
-// alert shape, canonically sorted — for callers driving compiled diagrams
-// directly (e.g. to read per-box stats afterwards).
-func Q2AlertsOf(ts []*stream.Tuple) []Q2Alert { return q2Alerts(ts) }
 
 // sortQ2Alerts orders alerts deterministically by (time, tag, probability,
 // conditional temperature).
@@ -397,42 +369,4 @@ func sortQ2Alerts(out []Q2Alert) {
 		}
 		return a.Temp.Mean() < b.Temp.Mean()
 	})
-}
-
-// feedQ2 streams both inputs into the diagram merged in timestamp order
-// (sources are sorted per side first, as the symmetric window join
-// expects approximately time-ordered inputs).
-func feedQ2(lts []rfid.LocationTuple, temps []TempReading, w *rfid.Warehouse, inject Inject) {
-	lts = append([]rfid.LocationTuple(nil), lts...)
-	temps = append([]TempReading(nil), temps...)
-	sort.SliceStable(lts, func(i, j int) bool { return lts[i].T < lts[j].T })
-	sort.SliceStable(temps, func(i, j int) bool { return temps[i].TS < temps[j].TS })
-	i, j := 0, 0
-	for i < len(lts) || j < len(temps) {
-		if j >= len(temps) || (i < len(lts) && lts[i].T <= temps[j].TS) {
-			inject("locations", LocationUTuple(lts[i], w))
-			i++
-		} else {
-			inject("temps", TempUTuple(temps[j]))
-			j++
-		}
-	}
-}
-
-// RunQ2 evaluates Q2 over batches through the compiled diagram's
-// synchronous Push path.
-func RunQ2(lts []rfid.LocationTuple, temps []TempReading, w *rfid.Warehouse, cfg Q2Config) []Q2Alert {
-	c := BuildQ2(w, cfg).Compile()
-	feedQ2(lts, temps, w, func(source string, u *core.UTuple) { c.Push(source, u) })
-	return q2Alerts(c.Close())
-}
-
-// RunQ2Chan evaluates Q2 through the channel executor, with both inputs
-// merged into one time-ordered finite source.
-func RunQ2Chan(lts []rfid.LocationTuple, temps []TempReading, w *rfid.Warehouse, cfg Q2Config, buffer int) []Q2Alert {
-	c := BuildQ2(w, cfg).Compile()
-	out := c.RunChan(buffer, func(inject Inject) {
-		feedQ2(lts, temps, w, inject)
-	})
-	return q2Alerts(out)
 }

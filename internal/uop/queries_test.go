@@ -27,18 +27,32 @@ func syntheticLocations(w *rfid.Warehouse, n int, sd float64) []rfid.LocationTup
 	return out
 }
 
+// runTrace compiles q and runs it through Compiled.Run over the trace of lts
+// (source "locations") and temps (source "temps", when non-nil); buffer 0
+// selects the Push executor.
+func runTrace(q *Query, lts []rfid.LocationTuple, temps []TempReading, w *rfid.Warehouse, buffer int) []*stream.Tuple {
+	tr := Trace{"locations": nil}
+	for _, lt := range lts {
+		tr["locations"] = append(tr["locations"], LocationUTuple(lt, w))
+	}
+	for _, r := range temps {
+		tr["temps"] = append(tr["temps"], TempUTuple(r))
+	}
+	return q.Compile().Run(tr, buffer)
+}
+
 func TestRunQ1DetectsOverweightArea(t *testing.T) {
 	w := rfid.NewWarehouse(rfid.WarehouseConfig{NumObjects: 60, Seed: 21})
 	// Tight locations: ~6 objects per shelf at ~5-50 lbs each. With a
 	// 10 ft area cell each shelf cell carries its objects' total weight.
 	lts := syntheticLocations(w, 60, 0.2)
-	alerts := RunQ1(lts, w, Q1Config{
+	alerts := Q1Alerts(runTrace(BuildQ1(Q1Config{
 		WindowMS:     10 * stream.Second,
 		ThresholdLbs: 100,
 		AreaFt:       10,
 		Strategy:     core.CFInvert,
 		MinAlertProb: 0.5,
-	})
+	}), lts, nil, w, 0))
 	if len(alerts) == 0 {
 		t.Fatal("no Q1 alerts for clearly overweight areas")
 	}
@@ -57,13 +71,13 @@ func TestRunQ1NoFalseAlertsWhenLight(t *testing.T) {
 	lts := syntheticLocations(w, 20, 0.2)
 	// Threshold far above any cell total (20 objects ≤ 50 lbs each over
 	// many cells).
-	alerts := RunQ1(lts, w, Q1Config{
+	alerts := Q1Alerts(runTrace(BuildQ1(Q1Config{
 		WindowMS:     10 * stream.Second,
 		ThresholdLbs: 5000,
 		AreaFt:       10,
 		Strategy:     core.CFApprox,
 		MinAlertProb: 0.3,
-	})
+	}), lts, nil, w, 0))
 	if len(alerts) != 0 {
 		t.Errorf("unexpected alerts: %v", alerts)
 	}
@@ -74,14 +88,14 @@ func TestRunQ1UncertainLocationSoftensAlerts(t *testing.T) {
 	// violation confidence drops — the paper's core point: the system knows
 	// when its answers are unreliable.
 	w := rfid.NewWarehouse(rfid.WarehouseConfig{NumObjects: 30, Seed: 23})
-	tight := RunQ1(syntheticLocations(w, 30, 0.2), w, Q1Config{
+	tight := Q1Alerts(runTrace(BuildQ1(Q1Config{
 		WindowMS: 10 * stream.Second, ThresholdLbs: 60, AreaFt: 10,
 		Strategy: core.CFInvert, MinAlertProb: 0.05, MinAreaMass: 0.001,
-	})
-	loose := RunQ1(syntheticLocations(w, 30, 8), w, Q1Config{
+	}), syntheticLocations(w, 30, 0.2), nil, w, 0))
+	loose := Q1Alerts(runTrace(BuildQ1(Q1Config{
 		WindowMS: 10 * stream.Second, ThresholdLbs: 60, AreaFt: 10,
 		Strategy: core.CFInvert, MinAlertProb: 0.05, MinAreaMass: 0.001,
-	})
+	}), syntheticLocations(w, 30, 8), nil, w, 0))
 	maxP := func(as []Q1Alert) float64 {
 		var m float64
 		for _, a := range as {
@@ -127,7 +141,7 @@ func TestRunQ2AlertsOnHotFlammable(t *testing.T) {
 		// Hot reading far away: must not alert.
 		{TS: 1500, X: o.Pos.X + 500, Y: o.Pos.Y, Temp: dist.NewNormal(90, 5)},
 	}
-	alerts := RunQ2(lts, temps, w, Q2Config{LocTolFt: 3, MinProb: 0.05})
+	alerts := Q2Alerts(runTrace(BuildQ2(w, Q2Config{LocTolFt: 3, MinProb: 0.05}), lts, temps, w, 0))
 	if len(alerts) != 1 {
 		t.Fatalf("alerts = %d, want 1", len(alerts))
 	}
@@ -159,7 +173,7 @@ func TestRunQ2IgnoresNonFlammable(t *testing.T) {
 		X: dist.NewNormal(o.Pos.X, 0.5), Y: dist.NewNormal(o.Pos.Y, 0.5), Z: dist.PointMass{V: 0},
 	}}
 	temps := []TempReading{{TS: 0, X: o.Pos.X, Y: o.Pos.Y, Temp: dist.NewNormal(90, 2)}}
-	if alerts := RunQ2(lts, temps, w, Q2Config{}); len(alerts) != 0 {
+	if alerts := Q2Alerts(runTrace(BuildQ2(w, Q2Config{}), lts, temps, w, 0)); len(alerts) != 0 {
 		t.Errorf("solid object alerted: %v", alerts)
 	}
 }
@@ -174,7 +188,7 @@ func TestRunQ2WindowExcludesStaleReadings(t *testing.T) {
 	temps := []TempReading{{TS: 0, X: o.Pos.X, Y: o.Pos.Y, Temp: dist.NewNormal(90, 2)}}
 	// Reading is 100 s older than the location tuple; a 3 s window must
 	// exclude it.
-	if alerts := RunQ2(lts, temps, w, Q2Config{RangeMS: 3 * stream.Second}); len(alerts) != 0 {
+	if alerts := Q2Alerts(runTrace(BuildQ2(w, Q2Config{RangeMS: 3 * stream.Second}), lts, temps, w, 0)); len(alerts) != 0 {
 		t.Errorf("stale reading joined: %v", alerts)
 	}
 }

@@ -3,6 +3,7 @@ package uop
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -12,8 +13,8 @@ import (
 // Query is a fluent, side-effect-free description of a continuous query
 // over uncertain streams. Each clause returns a new value, so prefixes can
 // be shared and composed; Compile turns the finished chain into a
-// stream.Graph box-arrow diagram runnable via Push or the channel executor
-// (RunChan for a finite trace, RunLiveOpts for a live source).
+// stream.Graph box-arrow diagram: Run evaluates a finite trace under either
+// executor, Push and Graph.RunLiveOpts feed a live source.
 //
 //	q := uop.From("locations").
 //		Window(5 * stream.Second).
@@ -83,21 +84,25 @@ func (q *Query) Shards(n int) *Query {
 	return q.with(func(c *Query) { c.shards = n })
 }
 
-// Select appends a projection/extension stage.
-func (q *Query) Select(name string, fn func(*core.UTuple) *core.UTuple) *Query {
-	return q.stage(func() stream.Operator { return USelect(name, fn) })
-}
-
 // Where appends a certain-predicate selection stage.
 func (q *Query) Where(name string, pred func(*core.UTuple) bool) *Query {
-	return q.stage(func() stream.Operator { return UFilter(name, pred) })
+	return q.stage(func() stream.Operator {
+		return core.NewSelectOp(name, func(u *core.UTuple) *core.UTuple {
+			if pred(u) {
+				return u
+			}
+			return nil
+		})
+	})
 }
 
 // WhereGreater appends an uncertain-predicate selection stage
 // (attr > threshold, survivors keep truncated conditionals).
 func (q *Query) WhereGreater(attr string, threshold, minProb float64) *Query {
 	return q.stage(func() stream.Operator {
-		return UFilterGreater(fmt.Sprintf("σ(%s>%g)", attr, threshold), attr, threshold, minProb)
+		return core.NewSelectOp(fmt.Sprintf("σ(%s>%g)", attr, threshold), func(u *core.UTuple) *core.UTuple {
+			return core.SelectGreater(u, attr, threshold, minProb)
+		})
 	})
 }
 
@@ -152,7 +157,7 @@ func (q *Query) windowAgg(verb, label, aggAttr string, agg func() core.UAgg) *Qu
 	win, dedup, member, recompute := *q.win, q.dedup, q.member, q.recompute
 	name := fmt.Sprintf("γ%s(%s)", verb, label)
 	s := q.stage(func() stream.Operator {
-		return UWindowAgg(name, core.WindowAggConfig{
+		return core.NewWindowAggOp(name, core.WindowAggConfig{
 			Window: win, DedupKey: dedup, Member: member,
 			Agg: agg(), Recompute: recompute,
 		})
@@ -205,7 +210,7 @@ func (q *Query) Having(h HavingClause) *Query {
 		panic("uop: Having requires a preceding aggregate")
 	}
 	return q.stage(func() stream.Operator {
-		return UHaving(fmt.Sprintf("having(P(%s>%g)≥%g)", attr, h.Threshold, h.MinProb),
+		return having(fmt.Sprintf("having(P(%s>%g)≥%g)", attr, h.Threshold, h.MinProb),
 			attr, h.Threshold, h.MinProb)
 	})
 }
@@ -220,13 +225,10 @@ func (q *Query) JoinProb(r *Query, rangeMS stream.Time, locAttrs []string, tol, 
 	return &Query{
 		left: q, right: r, shards: q.shards,
 		makeOp: func() stream.Operator {
-			return UJoinProb(fmt.Sprintf("⋈(loc_equals±%g)", tol), rangeMS, attrs, tol, minProb)
+			return core.NewJoinOp(fmt.Sprintf("⋈(loc_equals±%g)", tol), rangeMS, attrs, tol, minProb)
 		},
 	}
 }
-
-// Inject feeds one uncertain tuple into a named source of a running graph.
-type Inject func(source string, u *core.UTuple)
 
 // Compiled is a query compiled to a box-arrow diagram, with a Collect sink
 // attached after the final stage. A Compiled carries window/join state and
@@ -365,7 +367,7 @@ func buildShardedStateless(g *stream.Graph, pb *stream.Box, first stream.Operato
 // one shard, so the match set — and every match's probability arithmetic —
 // is identical to the unsharded join); a union reunifies. Emission order
 // across shards follows arrival interleaving, exactly as the unsharded
-// join's does under channel execution; consumers canonicalize (q2Alerts
+// join's does under channel execution; consumers canonicalize (Q2Alerts
 // sorts) in both cases.
 func buildShardedJoin(g *stream.Graph, lb, rb *stream.Box, makeOp func() stream.Operator, p int) *stream.Box {
 	first := makeOp()
@@ -409,17 +411,9 @@ func (c *Compiled) LookupSource(name string) (b *stream.Box, port int, ok bool) 
 	return e.box, e.port, true
 }
 
-// srcEntry resolves a source name to its injection point; "" selects the
-// sole source of single-source queries.
+// srcEntry resolves a source name to its injection point, panicking on a
+// name the query does not read.
 func (c *Compiled) srcEntry(name string) srcEntry {
-	if name == "" {
-		if len(c.entry) != 1 {
-			panic(fmt.Sprintf("uop: query has %d sources, name one explicitly", len(c.entry)))
-		}
-		for _, e := range c.entry {
-			return e
-		}
-	}
 	e, ok := c.entry[name]
 	if !ok {
 		panic(fmt.Sprintf("uop: unknown source %q", name))
@@ -459,16 +453,51 @@ func (c *Compiled) Close() []*stream.Tuple {
 	return c.Results()
 }
 
-// RunChan runs a finite trace on the channel executor (one goroutine per
-// box, the paper's pipeline-parallel reading): feed injects every source
-// tuple, the tuples replay as a stream.SliceSource through RunLiveOpts, and
-// RunChan returns the collected results once every box has flushed.
-func (c *Compiled) RunChan(buffer int, feed func(Inject)) []*stream.Tuple {
+// Trace is a finite input for Run: each source's uncertain tuples, keyed
+// by source name, in arrival order.
+type Trace map[string][]*core.UTuple
+
+// Run evaluates a finite trace and returns every result tuple. It is the
+// one place sources are merged by timestamp: each source keeps its own
+// order, the next tuple is the earliest among the sources' heads, and on
+// a tie the source whose name sorts first goes first. A source the query
+// does not read panics, as Push does. buffer 0 runs the synchronous Push
+// executor (the reference) and then Close; buffer > 0 replays the merged
+// trace as a stream.SliceSource through the channel executor
+// (Graph.RunLiveOpts, one goroutine per box) with that per-box buffer.
+func (c *Compiled) Run(tr Trace, buffer int) []*stream.Tuple {
+	names := make([]string, 0, len(tr))
+	for name := range tr {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	srcs := make([][]*core.UTuple, len(names))
+	entries := make([]srcEntry, len(names))
+	for i, name := range names {
+		srcs[i], entries[i] = tr[name], c.srcEntry(name)
+	}
 	var sts []stream.SourceTuple
-	feed(func(source string, u *core.UTuple) {
-		e := c.srcEntry(source)
-		sts = append(sts, stream.SourceTuple{Box: e.box, Port: e.port, T: core.Wrap(u)})
-	})
+	for {
+		k := -1
+		for i, src := range srcs {
+			if len(src) > 0 && (k < 0 || src[0].TS < srcs[k][0].TS) {
+				k = i
+			}
+		}
+		if k < 0 {
+			break
+		}
+		e, t := entries[k], core.Wrap(srcs[k][0])
+		srcs[k] = srcs[k][1:]
+		if buffer == 0 {
+			c.Graph.Push(e.box, e.port, t)
+		} else {
+			sts = append(sts, stream.SourceTuple{Box: e.box, Port: e.port, T: t})
+		}
+	}
+	if buffer == 0 {
+		return c.Close()
+	}
 	// A background context never cancels, so the run cannot fail.
 	_ = c.Graph.RunLiveOpts(context.Background(), stream.SliceSource(sts), stream.LiveOptions{Buffer: buffer})
 	return c.Results()

@@ -32,21 +32,21 @@ func q1ShardCfg() Q1Config {
 func TestQ1ShardedMatchesUnsharded(t *testing.T) {
 	lts, w := seededTrace(t, 60, 400, 0)
 	cfg := q1ShardCfg()
-	ref := formatQ1(RunQ1(lts, w, cfg))
+	ref := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0)))
 	if ref == "" {
 		t.Fatal("reference produced no alerts; test inputs too light")
 	}
-	if got := formatQ1(RunQ1Chan(lts, w, cfg, 64)); got != ref {
+	if got := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 64))); got != ref {
 		t.Fatalf("unsharded chan diverges from unsharded sync:\nref:\n%s\ngot:\n%s", ref, got)
 	}
 	for _, p := range shardCounts {
 		scfg := cfg
 		scfg.Shards = p
-		if got := formatQ1(RunQ1(lts, w, scfg)); got != ref {
+		if got := formatQ1(Q1Alerts(runTrace(BuildQ1(scfg), lts, nil, w, 0))); got != ref {
 			t.Errorf("sharded sync P=%d diverges:\nref:\n%s\ngot:\n%s", p, ref, got)
 		}
 		for _, buffer := range []int{1, 64} {
-			if got := formatQ1(RunQ1Chan(lts, w, scfg, buffer)); got != ref {
+			if got := formatQ1(Q1Alerts(runTrace(BuildQ1(scfg), lts, nil, w, buffer))); got != ref {
 				t.Errorf("sharded chan P=%d buffer=%d diverges:\nref:\n%s\ngot:\n%s", p, buffer, ref, got)
 			}
 		}
@@ -60,19 +60,19 @@ func TestQ1ShardedSlidingMatchesIncremental(t *testing.T) {
 	lts, w := seededTrace(t, 50, 350, 0)
 	cfg := q1ShardCfg()
 	cfg.SlideMS = 1500 * stream.Millisecond
-	ref := formatQ1(RunQ1(lts, w, cfg)) // unsharded incremental
+	ref := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0))) // unsharded incremental
 	if ref == "" {
 		t.Fatal("reference produced no alerts; test inputs too light")
 	}
 	rcfg := cfg
 	rcfg.Recompute = true
-	if got := formatQ1(RunQ1(lts, w, rcfg)); got != ref {
+	if got := formatQ1(Q1Alerts(runTrace(BuildQ1(rcfg), lts, nil, w, 0))); got != ref {
 		t.Fatalf("recompute baseline diverges from incremental:\nref:\n%s\ngot:\n%s", ref, got)
 	}
 	for _, p := range shardCounts {
 		scfg := cfg
 		scfg.Shards = p
-		if got := formatQ1(RunQ1Chan(lts, w, scfg, 32)); got != ref {
+		if got := formatQ1(Q1Alerts(runTrace(BuildQ1(scfg), lts, nil, w, 32))); got != ref {
 			t.Errorf("sharded sliding P=%d diverges:\nref:\n%s\ngot:\n%s", p, ref, got)
 		}
 	}
@@ -97,17 +97,17 @@ func TestQ1ShardedStraggler(t *testing.T) {
 	cfg := q1ShardCfg()
 	for _, slide := range []stream.Time{0, 2 * stream.Second} {
 		cfg.SlideMS = slide
-		ref := formatQ1(RunQ1(lts, w, cfg))
+		ref := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0)))
 		if ref == "" {
 			t.Fatalf("slide=%d: reference produced no alerts; test inputs too light", slide)
 		}
 		for _, p := range shardCounts {
 			scfg := cfg
 			scfg.Shards = p
-			if got := formatQ1(RunQ1(lts, w, scfg)); got != ref {
+			if got := formatQ1(Q1Alerts(runTrace(BuildQ1(scfg), lts, nil, w, 0))); got != ref {
 				t.Errorf("slide=%d sharded sync P=%d diverges:\nref:\n%s\ngot:\n%s", slide, p, ref, got)
 			}
-			if got := formatQ1(RunQ1Chan(lts, w, scfg, 16)); got != ref {
+			if got := formatQ1(Q1Alerts(runTrace(BuildQ1(scfg), lts, nil, w, 16))); got != ref {
 				t.Errorf("slide=%d sharded chan P=%d diverges:\nref:\n%s\ngot:\n%s", slide, p, ref, got)
 			}
 		}
@@ -123,14 +123,14 @@ func TestQ1ShardedHeavyStrategies(t *testing.T) {
 		cfg := q1ShardCfg()
 		cfg.Strategy = strat
 		cfg.Agg = core.AggOptions{Seed: 5}
-		ref := formatQ1(RunQ1(lts, w, cfg))
+		ref := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0)))
 		if ref == "" {
 			t.Fatalf("%v: reference produced no alerts", strat)
 		}
 		for _, p := range []int{2, 4} {
 			scfg := cfg
 			scfg.Shards = p
-			if got := formatQ1(RunQ1Chan(lts, w, scfg, 32)); got != ref {
+			if got := formatQ1(Q1Alerts(runTrace(BuildQ1(scfg), lts, nil, w, 32))); got != ref {
 				t.Errorf("%v sharded P=%d diverges:\nref:\n%s\ngot:\n%s", strat, p, ref, got)
 			}
 		}
@@ -157,18 +157,18 @@ func TestQ2ShardedMatchesUnsharded(t *testing.T) {
 		)
 	}
 	cfg := Q2Config{RangeMS: 3 * stream.Second, TempThreshold: 60, LocTolFt: 6, MinProb: 0.05}
-	ref := formatQ2(RunQ2(lts, temps, w, cfg))
+	ref := formatQ2(Q2Alerts(runTrace(BuildQ2(w, cfg), lts, temps, w, 0)))
 	if ref == "" {
 		t.Fatal("reference produced no alerts; test inputs too light")
 	}
 	for _, p := range shardCounts {
 		scfg := cfg
 		scfg.Shards = p
-		if got := formatQ2(RunQ2(lts, temps, w, scfg)); got != ref {
+		if got := formatQ2(Q2Alerts(runTrace(BuildQ2(w, scfg), lts, temps, w, 0))); got != ref {
 			t.Errorf("sharded sync P=%d diverges:\nref:\n%s\ngot:\n%s", p, ref, got)
 		}
 		for _, buffer := range []int{1, 64} {
-			if got := formatQ2(RunQ2Chan(lts, temps, w, scfg, buffer)); got != ref {
+			if got := formatQ2(Q2Alerts(runTrace(BuildQ2(w, scfg), lts, temps, w, buffer))); got != ref {
 				t.Errorf("sharded chan P=%d buffer=%d diverges:\nref:\n%s\ngot:\n%s", p, buffer, ref, got)
 			}
 		}
@@ -205,7 +205,7 @@ func TestQ1ShardedMissingKey(t *testing.T) {
 			Strategy: cfg.Strategy, MinAlertProb: cfg.MinAlertProb, Shards: shards,
 		}).Compile()
 		feed(c)
-		return formatQ1(q1Alerts(c.Close()))
+		return formatQ1(Q1Alerts(c.Close()))
 	}
 	_ = w
 	ref := run(0)

@@ -97,19 +97,11 @@ func slidingTrace(lts []rfid.LocationTuple, w *rfid.Warehouse) []*core.UTuple {
 }
 
 func pushU(q *Query, us []*core.UTuple) string {
-	c := q.Compile()
-	for _, u := range us {
-		c.Push("locations", u)
-	}
-	return formatUAlerts(c.Close())
+	return formatUAlerts(q.Compile().Run(Trace{"locations": us}, 0))
 }
 
 func chanU(q *Query, us []*core.UTuple, buffer int) string {
-	return formatUAlerts(q.Compile().RunChan(buffer, func(inject Inject) {
-		for _, u := range us {
-			inject("locations", u)
-		}
-	}))
+	return formatUAlerts(q.Compile().Run(Trace{"locations": us}, buffer))
 }
 
 func liveU(t *testing.T, q *Query, us []*core.UTuple) string {
@@ -135,7 +127,7 @@ func liveU(t *testing.T, q *Query, us []*core.UTuple) string {
 // behind the run-merging merge — emit the %.17g bytes of the unsharded
 // incremental plan and of the Recompute plan, for sum (CFApprox, CFInvert,
 // ungrouped), quantile and top-k, P ∈ {1, 2, 4, 7}, under Push and the
-// channel executor with a collecting (RunChan) and a streaming (OnResult)
+// channel executor with a collecting (Run) and a streaming (OnResult)
 // sink.
 func TestShardedSlidingByteIdentical(t *testing.T) {
 	lts, w := seededTrace(t, 40, 160, 0)
@@ -158,7 +150,7 @@ func TestShardedSlidingByteIdentical(t *testing.T) {
 						t.Errorf("%s: Push P=%d diverges at line %d", name, p, firstDiffLine(ref, got))
 					}
 					if got := chanU(tc.build(p, shape, false), slidingTrace(lts, w), 8); got != ref {
-						t.Errorf("%s: RunChan P=%d diverges at line %d", name, p, firstDiffLine(ref, got))
+						t.Errorf("%s: Run P=%d diverges at line %d", name, p, firstDiffLine(ref, got))
 					}
 					if got := liveU(t, tc.build(p, shape, false), slidingTrace(lts, w)); got != ref {
 						t.Errorf("%s: RunLiveOpts+OnResult P=%d diverges at line %d", name, p, firstDiffLine(ref, got))

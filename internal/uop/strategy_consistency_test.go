@@ -28,13 +28,13 @@ func TestQ1StrategyConsistency(t *testing.T) {
 	}
 	run := func(strat core.Strategy) map[string]float64 {
 		out := map[string]float64{}
-		for _, a := range RunQ1(lts, w, Q1Config{
+		for _, a := range Q1Alerts(runTrace(BuildQ1(Q1Config{
 			WindowMS:     60 * stream.Second,
 			ThresholdLbs: 120,
 			AreaFt:       10,
 			Strategy:     strat,
 			MinAlertProb: 0.3,
-		}) {
+		}), lts, nil, w, 0)) {
 			out[a.Area] = a.PViolation
 		}
 		return out
@@ -71,7 +71,7 @@ func TestQ2ToleranceMonotonicity(t *testing.T) {
 	temps := []TempReading{{TS: 0, X: o.Pos.X + 2, Y: o.Pos.Y, Temp: dist.NewNormal(85, 3)}}
 	var prev float64
 	for _, tol := range []float64{1, 3, 6, 12} {
-		alerts := RunQ2(lts, temps, w, Q2Config{LocTolFt: tol, MinProb: 0.0001})
+		alerts := Q2Alerts(runTrace(BuildQ2(w, Q2Config{LocTolFt: tol, MinProb: 0.0001}), lts, temps, w, 0))
 		var p float64
 		if len(alerts) > 0 {
 			p = alerts[0].P

@@ -17,9 +17,10 @@ import (
 // pluggable aggregates (streaming quantiles, probabilistic top-k
 // dominating, and the ungrouped sum that joined them on the spine):
 // identical alert bytes across every execution mode the grouped sum
-// supports — synchronous Push, channel-parallel RunChan, the continuous
-// live executor, incremental vs rescan realizations, in-process sharding,
-// checkpoint/restore at mid-window split points, and the cluster split.
+// supports — synchronous Push, the channel executor through Run, the
+// continuous live executor, incremental vs rescan realizations, in-process
+// sharding, checkpoint/restore at mid-window split points, and the cluster
+// split.
 
 // uaggCase describes one new-aggregate query shape, parameterized over the
 // execution knobs each test sweeps.
@@ -110,21 +111,11 @@ func formatUAlerts(ts []*stream.Tuple) string {
 }
 
 func pushAlerts(q *Query, lts []rfid.LocationTuple, w *rfid.Warehouse) string {
-	c := q.Compile()
-	for _, lt := range lts {
-		c.Push("locations", LocationUTuple(lt, w))
-	}
-	return formatUAlerts(c.Close())
+	return formatUAlerts(runTrace(q, lts, nil, w, 0))
 }
 
 func chanAlerts(q *Query, lts []rfid.LocationTuple, w *rfid.Warehouse, buffer int) string {
-	c := q.Compile()
-	out := c.RunChan(buffer, func(inject Inject) {
-		for _, lt := range lts {
-			inject("locations", LocationUTuple(lt, w))
-		}
-	})
-	return formatUAlerts(out)
+	return formatUAlerts(runTrace(q, lts, nil, w, buffer))
 }
 
 func liveAlerts(t *testing.T, q *Query, lts []rfid.LocationTuple, w *rfid.Warehouse) string {
@@ -148,8 +139,8 @@ func liveAlerts(t *testing.T, q *Query, lts []rfid.LocationTuple, w *rfid.Wareho
 
 // TestNewAggModesByteIdentical sweeps both new aggregates across the
 // single-process execution modes: the rescan reference vs the incremental
-// path, Push vs RunChan vs RunLiveOpts with an OnResult sink, and Shards
-// {2, 3} — all byte-identical.
+// path, Push vs Run on the channel executor vs RunLiveOpts with an OnResult
+// sink, and Shards {2, 3} — all byte-identical.
 func TestNewAggModesByteIdentical(t *testing.T) {
 	lts, w := seededTrace(t, 50, 350, 0)
 	for _, tc := range uaggCases() {
@@ -167,7 +158,7 @@ func TestNewAggModesByteIdentical(t *testing.T) {
 				}
 				for _, buffer := range []int{1, 64} {
 					if got := chanAlerts(tc.build(0, win.slide, false), lts, w, buffer); got != ref {
-						t.Errorf("%s: RunChan(buffer=%d) diverges:\nref:\n%s\ngot:\n%s", win.name, buffer, ref, got)
+						t.Errorf("%s: Run(buffer=%d) diverges:\nref:\n%s\ngot:\n%s", win.name, buffer, ref, got)
 					}
 				}
 				if got := liveAlerts(t, tc.build(0, win.slide, false), lts, w); got != ref {

@@ -98,7 +98,7 @@ func TestBuilderStagesAfterSumKeepGroupColumn(t *testing.T) {
 		GroupBy(one).
 		Sum("v", core.CFApprox, core.AggOptions{}).
 		Where("keep-all", func(*core.UTuple) bool { return true }).
-		Select("shift", func(u *core.UTuple) *core.UTuple { return u.Clone() }).
+		WhereGreater("v", 0, 0.5).
 		Having(Greater(5, 0.5))
 	c := q.Compile()
 	c.Push("s", uval(0, dist.PointMass{V: 10}))
@@ -141,7 +141,9 @@ func TestBuilderPanicsOnHavingWithoutAggregate(t *testing.T) {
 
 func TestUFilterGreaterScalesExistence(t *testing.T) {
 	g := stream.NewGraph()
-	f := g.AddBox(UFilterGreater("hot", "v", 0, 0.01))
+	f := g.AddBox(core.NewSelectOp("hot", func(u *core.UTuple) *core.UTuple {
+		return core.SelectGreater(u, "v", 0, 0.01)
+	}))
 	sink := &stream.Collect{}
 	g.Connect(f, g.AddBox(sink), 0)
 	g.Push(f, 0, core.Wrap(uval(0, dist.NewNormal(0, 1))))
@@ -197,16 +199,8 @@ func TestCompiledRunChanMatchesPush(t *testing.T) {
 	for i := range feedVals {
 		feedVals[i] = uval(stream.Time(i), dist.NewNormal(float64(i), 2))
 	}
-	p := build()
-	for _, u := range feedVals {
-		p.Push("s", u)
-	}
-	sync := p.Close()
-	ch := build().RunChan(4, func(inject Inject) {
-		for _, u := range feedVals {
-			inject("s", u)
-		}
-	})
+	sync := build().Run(Trace{"s": feedVals}, 0)
+	ch := build().Run(Trace{"s": feedVals}, 4)
 	if len(sync) != len(ch) {
 		t.Fatalf("push emitted %d windows, chan %d", len(sync), len(ch))
 	}
@@ -219,7 +213,7 @@ func TestCompiledRunChanMatchesPush(t *testing.T) {
 }
 
 func TestCompiledPanicsOnUnknownSource(t *testing.T) {
-	c := From("s").Select("id", func(u *core.UTuple) *core.UTuple { return u }).Compile()
+	c := From("s").Where("id", func(*core.UTuple) bool { return true }).Compile()
 	defer func() {
 		if recover() == nil {
 			t.Error("pushing to an unknown source should panic")
