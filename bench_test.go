@@ -1,5 +1,5 @@
 // Package repro's root benchmark suite regenerates the performance side of
-// every table and figure in the paper (see DESIGN.md §7 for the experiment
+// the paper's tables and figures (see DESIGN.md §7 for the experiment
 // index and EXPERIMENTS.md for paper-vs-measured numbers):
 //
 //	BenchmarkTable1AveragingSweep  — Table 1 (moment generation + detection per size)
@@ -9,14 +9,20 @@
 //	BenchmarkAggregationStrategies — §5.1 strategy ablation (incl. [9]'s n−1 integrals)
 //	BenchmarkTupleApproximation    — §4.3 Gaussian vs AIC-mixture tuple compression
 //	BenchmarkCorrelatedAggregation — §5.1 MA-CLT vs Monte Carlo on correlated series
-//	BenchmarkQ1SyncVsChan          — §3 compiled Q1 diagram: Push vs channel-parallel executor
+//	BenchmarkAdaptiveAveraging     — the radar extension policy's overhead
+//	BenchmarkCFInversionGrid       — the exact method's FFT grid-size knob
+//	BenchmarkJoinEqualProb         — Q2's loc_equals kernel
+//	BenchmarkFinalSumLineage       — §5.2 lineage-aware final operator
 //
 // Absolute numbers are machine-dependent; the shape (who wins, by what
-// factor) is the reproduction target.
+// factor) is the reproduction target. The engine, wire and cluster paths
+// are measured by the repository benchmark in bench/ (bash bench/run.sh),
+// which reads the same ledger rows on every run; their allocation counts
+// are pinned by AllocsPerRun tests beside the code (internal/uop's
+// TestQ1EngineAllocs and TestCheckpointAllocs among them).
 package repro_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -28,9 +34,7 @@ import (
 	"repro/internal/radar"
 	"repro/internal/rfid"
 	"repro/internal/rng"
-	"repro/internal/stream"
 	"repro/internal/timeseries"
-	"repro/internal/uop"
 )
 
 // BenchmarkTable1AveragingSweep measures the moment-generation + detection
@@ -269,245 +273,6 @@ func BenchmarkCFInversionGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkQ1SyncVsChan runs the compiled Q1 diagram over one seeded
-// T-operator trace under both engine paths: the synchronous depth-first
-// Push and the per-box-goroutine channel executor. Alert output is
-// identical (the equivalence tests pin that); this measures what the
-// pipeline parallelism costs or buys at each buffer size.
-func BenchmarkQ1SyncVsChan(b *testing.B) {
-	w := rfid.NewWarehouse(rfid.WarehouseConfig{NumObjects: 120, Seed: 51, MoveProb: -1})
-	trace := rfid.GenerateTrace(w, rfid.Reader{}, rfid.TraceConfig{Events: 600, Seed: 52})
-	tx := rfid.NewTransformer(w, rfid.SensingConfig{}, rfid.TransformerConfig{
-		Particles: 50, UseIndex: true, NegativeEvidence: true, Seed: 53,
-	})
-	var lts []rfid.LocationTuple
-	for _, ev := range trace.Events {
-		lts = append(lts, tx.Process(ev)...)
-	}
-	cfg := uop.Q1Config{
-		WindowMS: 5 * stream.Second, ThresholdLbs: 200, AreaFt: 10,
-		Strategy: core.CFApprox, MinAlertProb: 0.5,
-	}
-	// The trace lift runs inside each iteration, as part of the measured work.
-	q1Trace := func() uop.Trace {
-		us := make([]*core.UTuple, len(lts))
-		for i, lt := range lts {
-			us[i] = uop.LocationUTuple(lt, w)
-		}
-		return uop.Trace{"locations": us}
-	}
-	throughput := func(b *testing.B) {
-		b.ReportMetric(float64(len(lts)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-	}
-	b.Run("push", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = uop.Q1Alerts(uop.BuildQ1(cfg).Compile().Run(q1Trace(), 0))
-		}
-		throughput(b)
-	})
-	for _, buffer := range []int{16, 256} {
-		b.Run(fmt.Sprintf("chan-buffer=%d", buffer), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = uop.Q1Alerts(uop.BuildQ1(cfg).Compile().Run(q1Trace(), buffer))
-			}
-			throughput(b)
-		})
-	}
-}
-
-// BenchmarkSlidingWindowIncremental is the incremental-aggregation
-// headline: sliding Q1 (Range 5 s) at several window/slide ratios, the
-// per-slide recompute path versus the delta-maintained path (per-group sum
-// accumulators fed by window deltas, membership and gating evaluated once
-// per tuple). The recompute
-// cost per tuple grows with Range/Slide; the incremental cost does not —
-// the gap is the point. allocs/op tracks the window-path allocation win.
-func BenchmarkSlidingWindowIncremental(b *testing.B) {
-	// 3000 tags at warehouse scan rates: each tag reports well under once
-	// per 5 s range, so windows hold mostly-distinct tags — the regime where
-	// the recompute path's per-slide cost really is O(window), not O(tags).
-	w := rfid.NewWarehouse(rfid.WarehouseConfig{NumObjects: 3000, Seed: 51, MoveProb: -1})
-	trace := rfid.GenerateTrace(w, rfid.Reader{}, rfid.TraceConfig{Events: 1500, Seed: 52})
-	tx := rfid.NewTransformer(w, rfid.SensingConfig{}, rfid.TransformerConfig{
-		Particles: 50, UseIndex: true, NegativeEvidence: true, Seed: 53,
-	})
-	// Pre-build and pre-wrap the tuple stream once: the benchmark measures
-	// the query engine (window + group + aggregate + having), not
-	// trace-to-tuple conversion. Operators treat inputs as immutable, so
-	// graphs compiled per iteration replay the same stream. Timestamps are
-	// compressed 8× (~225 tuples/s) — one reader's scan cycle yields only
-	// ~28 tuples/s; a deployment aggregates several readers, and window
-	// cost is about tuples per window, not wall time.
-	var tuples []*stream.Tuple
-	for _, ev := range trace.Events {
-		for _, lt := range tx.Process(ev) {
-			lt.T /= 8
-			tuples = append(tuples, core.Wrap(uop.LocationUTuple(lt, w)))
-		}
-	}
-	for _, slide := range []stream.Time{250 * stream.Millisecond, 500 * stream.Millisecond, 1 * stream.Second, 2500 * stream.Millisecond} {
-		for _, arm := range []string{"recompute", "incremental"} {
-			cfg := uop.Q1Config{
-				WindowMS: 5 * stream.Second, SlideMS: slide,
-				ThresholdLbs: 200, AreaFt: 50,
-				Strategy: core.CFApprox, MinAlertProb: 0.5,
-				Recompute: arm == "recompute",
-			}
-			b.Run(fmt.Sprintf("slide=%dms/%s", int64(slide), arm), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c := uop.BuildQ1(cfg).Compile()
-					for _, t := range tuples {
-						c.PushTuple("locations", t)
-					}
-					_ = c.Close()
-				}
-				b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-			})
-		}
-	}
-}
-
-// runLive replays pre-wrapped "locations" tuples through c's channel
-// executor as one finite source.
-func runLive(b *testing.B, c *uop.Compiled, tuples []*stream.Tuple, buffer int) {
-	box, port, ok := c.LookupSource("locations")
-	if !ok {
-		b.Fatal("plan lost its locations source")
-	}
-	sts := make([]stream.SourceTuple, len(tuples))
-	for i, t := range tuples {
-		sts[i] = stream.SourceTuple{Box: box, Port: port, T: t}
-	}
-	if err := c.RunLiveOpts(context.Background(), stream.SliceSource(sts), stream.LiveOptions{Buffer: buffer}); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkQ1Sharded is the shard-parallel headline: the compiled Q1
-// diagram on a 3000-tag trace, tumbling Range 5 s, with the keyed group
-// aggregate either as one box (the single-goroutine baseline, under Push
-// and under the channel executor) or as P data-parallel shard instances
-// behind the Partition/Merge rewrite. The per-tuple heavy work — window
-// dedup, membership evaluation, Bernoulli gating, moment extraction — runs
-// inside the shards; the merge only refolds cached cumulants, so on a
-// multi-core host throughput scales with shards until the partitioner or
-// merge saturates a core. tuples/s is the comparable metric; interpret
-// scaling against GOMAXPROCS (a single-core host serializes the shards and
-// shows only the protocol overhead).
-func BenchmarkQ1Sharded(b *testing.B) {
-	w := rfid.NewWarehouse(rfid.WarehouseConfig{NumObjects: 3000, Seed: 51, MoveProb: -1})
-	trace := rfid.GenerateTrace(w, rfid.Reader{}, rfid.TraceConfig{Events: 1500, Seed: 52})
-	tx := rfid.NewTransformer(w, rfid.SensingConfig{}, rfid.TransformerConfig{
-		Particles: 50, UseIndex: true, NegativeEvidence: true, Seed: 53,
-	})
-	// Pre-build and pre-wrap the tuple stream once (timestamps compressed 8×
-	// as in BenchmarkSlidingWindowIncremental: window cost is tuples per
-	// window, not wall time).
-	var tuples []*stream.Tuple
-	for _, ev := range trace.Events {
-		for _, lt := range tx.Process(ev) {
-			lt.T /= 8
-			tuples = append(tuples, core.Wrap(uop.LocationUTuple(lt, w)))
-		}
-	}
-	mkCfg := func(shards int) uop.Q1Config {
-		return uop.Q1Config{
-			WindowMS: 5 * stream.Second, ThresholdLbs: 200, AreaFt: 10,
-			Strategy: core.CFApprox, MinAlertProb: 0.5, Shards: shards,
-		}
-	}
-	run := func(b *testing.B, cfg uop.Q1Config, chanBuf int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c := uop.BuildQ1(cfg).Compile()
-			if chanBuf > 0 {
-				runLive(b, c, tuples, chanBuf)
-			} else {
-				for _, t := range tuples {
-					c.PushTuple("locations", t)
-				}
-				c.Close()
-			}
-		}
-		b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-	}
-	b.Run("push", func(b *testing.B) { run(b, mkCfg(0), 0) })
-	b.Run("chan-shards=0", func(b *testing.B) { run(b, mkCfg(0), 256) })
-	for _, p := range []int{1, 2, 4, 7} {
-		b.Run(fmt.Sprintf("chan-shards=%d", p), func(b *testing.B) { run(b, mkCfg(p), 256) })
-	}
-}
-
-// BenchmarkUAggOperators is the pluggable-accumulator headline (PR 10): the
-// three windowed uncertain aggregates — gated SUM (Q1), streaming QUANTILE
-// (Q3), and probabilistic TOP-K DOMINATING (Q4) — on the same 3000-tag
-// trace, tumbling Range 5 s, under the synchronous Push executor and with
-// the aggregate sharded 4-way behind the Partition/Merge rewrite. The spine
-// (window + dedup + membership + handle-addressed accumulator) is shared;
-// the per-aggregate delta is Prepare/Finalize cost: a moment fold for sum, a
-// weighted-sample sketch fold for quantile, an O(n·k·dims) dominance scan
-// for top-k. tuples/s is the comparable metric.
-func BenchmarkUAggOperators(b *testing.B) {
-	w := rfid.NewWarehouse(rfid.WarehouseConfig{NumObjects: 3000, Seed: 51, MoveProb: -1})
-	trace := rfid.GenerateTrace(w, rfid.Reader{}, rfid.TraceConfig{Events: 1500, Seed: 52})
-	tx := rfid.NewTransformer(w, rfid.SensingConfig{}, rfid.TransformerConfig{
-		Particles: 50, UseIndex: true, NegativeEvidence: true, Seed: 53,
-	})
-	var tuples []*stream.Tuple
-	for _, ev := range trace.Events {
-		for _, lt := range tx.Process(ev) {
-			lt.T /= 8
-			tuples = append(tuples, core.Wrap(uop.LocationUTuple(lt, w)))
-		}
-	}
-	builds := []struct {
-		name string
-		mk   func(shards int) *uop.Query
-	}{
-		{"sum", func(shards int) *uop.Query {
-			return uop.BuildQ1(uop.Q1Config{
-				WindowMS: 5 * stream.Second, ThresholdLbs: 200, AreaFt: 10,
-				Strategy: core.CFApprox, MinAlertProb: 0.5, Shards: shards,
-			})
-		}},
-		{"quantile", func(shards int) *uop.Query {
-			return uop.BuildQ3(uop.Q3Config{
-				WindowMS: 5 * stream.Second, ThresholdLbs: 25, AreaFt: 10,
-				MinAlertProb: 0.5, Shards: shards,
-			})
-		}},
-		{"topk", func(shards int) *uop.Query {
-			return uop.BuildQ4(uop.Q4Config{
-				WindowMS: 5 * stream.Second, K: 3, Shards: shards,
-			})
-		}},
-	}
-	for _, bc := range builds {
-		for _, shards := range []int{0, 4} {
-			name := fmt.Sprintf("%s/push", bc.name)
-			if shards > 0 {
-				name = fmt.Sprintf("%s/chan-shards=%d", bc.name, shards)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c := bc.mk(shards).Compile()
-					if shards > 0 {
-						runLive(b, c, tuples, 256)
-					} else {
-						for _, t := range tuples {
-							c.PushTuple("locations", t)
-						}
-						c.Close()
-					}
-				}
-				b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-			})
-		}
-	}
-}
-
 // BenchmarkJoinEqualProb measures Q2's loc_equals probability kernel.
 func BenchmarkJoinEqualProb(b *testing.B) {
 	x := dist.NewNormal(0, 1)
@@ -550,76 +315,5 @@ func BenchmarkFinalSumLineage(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = core.SumTuples(tuples, "v", core.CFApprox, core.AggOptions{})
 		}
-	})
-}
-
-// BenchmarkQ1Checkpointing is the durability tax: the same sliding sharded
-// Q1 stream pushed with no persistence (the baseline the snapshot refactor
-// must not regress), with a full engine checkpoint every K tuples, and —
-// separately — the restore cost of reviving a mid-stream checkpoint into a
-// freshly compiled plan. ckpt-bytes records the blob size; the cadence
-// sweep shows the amortized cost shrinking as checkpoints spread out.
-func BenchmarkQ1Checkpointing(b *testing.B) {
-	w := rfid.NewWarehouse(rfid.WarehouseConfig{NumObjects: 1000, Seed: 51, MoveProb: -1})
-	trace := rfid.GenerateTrace(w, rfid.Reader{}, rfid.TraceConfig{Events: 900, Seed: 52})
-	tx := rfid.NewTransformer(w, rfid.SensingConfig{}, rfid.TransformerConfig{
-		Particles: 50, UseIndex: true, NegativeEvidence: true, Seed: 53,
-	})
-	var tuples []*stream.Tuple
-	for _, ev := range trace.Events {
-		for _, lt := range tx.Process(ev) {
-			lt.T /= 8
-			tuples = append(tuples, core.Wrap(uop.LocationUTuple(lt, w)))
-		}
-	}
-	cfg := uop.Q1Config{
-		WindowMS: 5 * stream.Second, SlideMS: 1 * stream.Second,
-		ThresholdLbs: 200, AreaFt: 10,
-		Strategy: core.CFApprox, MinAlertProb: 0.5, Shards: 2,
-	}
-	run := func(b *testing.B, every int) {
-		b.ReportAllocs()
-		var ckptBytes, ckpts int
-		for i := 0; i < b.N; i++ {
-			c := uop.BuildQ1(cfg).Compile()
-			for j, t := range tuples {
-				c.PushTuple("locations", t)
-				if every > 0 && (j+1)%every == 0 {
-					blob, err := c.Checkpoint()
-					if err != nil {
-						b.Fatal(err)
-					}
-					ckptBytes += len(blob)
-					ckpts++
-				}
-			}
-			c.Close()
-		}
-		b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
-		if ckpts > 0 {
-			b.ReportMetric(float64(ckptBytes)/float64(ckpts), "ckpt-bytes")
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, 0) })
-	for _, every := range []int{2000, 500} {
-		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) { run(b, every) })
-	}
-	b.Run("restore", func(b *testing.B) {
-		c := uop.BuildQ1(cfg).Compile()
-		for _, t := range tuples[:len(tuples)/2] {
-			c.PushTuple("locations", t)
-		}
-		blob, err := c.Checkpoint()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := uop.BuildQ1(cfg).Compile().RestoreFrom(blob); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(blob)), "ckpt-bytes")
 	})
 }

@@ -138,28 +138,78 @@ func TestSumAccAllocs(t *testing.T) {
 		for i := range us {
 			us[i] = sumInput(dist.NewNormal(100+float64(i), 3))
 		}
-		acc := NewSumAgg("v", tc.strat, tc.opts).NewAcc()
-		handles := make([]uint64, 0, 4096)
-		next := 0
-		step := func() {
-			next++
-			handles = append(handles, acc.Add(us[next%len(us)], 0.25+0.25*float64(next%3)))
-			if len(handles) > 40 {
-				acc.Remove(handles[0])
-				handles = handles[1:]
-			}
-		}
-		for i := 0; i < 500; i++ { // warm the log past its compaction threshold
-			step()
-		}
-		handles = append(make([]uint64, 0, 4096), handles...) // room for the measured steps
-		perContrib := testing.AllocsPerRun(1000, step)
-		dst := acc.Result(nil)
-		perEm := testing.AllocsPerRun(50, func() { dst = acc.Result(dst) })
+		perContrib, perEm := accAllocs(NewSumAgg("v", tc.strat, tc.opts).NewAcc(), us, 40)
 		t.Logf("%v: %v allocs per Add+Remove, %v per Result", tc.strat, perContrib, perEm)
 		if perContrib > tc.perContrib || perEm > tc.perEm {
 			t.Errorf("%v: %v allocs per Add+Remove, %v per Result; budget %v and %v",
 				tc.strat, perContrib, perEm, tc.perContrib, tc.perEm)
+		}
+	}
+}
+
+// accAllocs warms acc as a sliding window of live contributions drawn
+// round-robin from us, then returns the allocations per Add+Remove step and
+// per Result.
+func accAllocs(acc Acc, us []*UTuple, live int) (perContrib, perEm float64) {
+	handles := make([]uint64, 0, 4096)
+	next := 0
+	step := func() {
+		next++
+		handles = append(handles, acc.Add(us[next%len(us)], 0.25+0.25*float64(next%3)))
+		if len(handles) > live {
+			acc.Remove(handles[0])
+			handles = handles[1:]
+		}
+	}
+	for i := 0; i < 500; i++ { // warm the log past its compaction threshold
+		step()
+	}
+	handles = append(make([]uint64, 0, 4096), handles...) // room for the measured steps
+	perContrib = testing.AllocsPerRun(1000, step)
+	dst := acc.Result(nil)
+	perEm = testing.AllocsPerRun(50, func() { dst = acc.Result(dst) })
+	return perContrib, perEm
+}
+
+// TestQuantileTopKAccAllocs pins the quantile and top-k accumulators the
+// way TestSumAccAllocs pins the sum's: allocations per Add+Remove and per
+// Result in a warm sliding window. The quantile runs a 14-contribution
+// window of certain weights (the exact kernel at q3_slide_ckpt's mean
+// window) and a 64-contribution window of Normals (the sketch estimator
+// past MaxExact); top-k ranks 40 objects with Normal coordinates. Each
+// budget is the count recorded when the test was written, plus at most
+// 5 %.
+func TestQuantileTopKAccAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := rng.New(41)
+	atoms := make([]*UTuple, 96)
+	normals := make([]*UTuple, 96)
+	points := make([]*UTuple, 96)
+	for i := range atoms {
+		atoms[i] = sumInput(dist.PointMass{V: float64(1 + i%37)})
+		normals[i] = sumInput(dist.NewNormal(100+float64(i), 3))
+		points[i] = topkUTuple(int64(i), int64(i),
+			dist.NewNormal(g.Normal(0, 10), 1+g.Float64()), dist.NewNormal(g.Normal(0, 10), 1+g.Float64()))
+	}
+	for _, tc := range []struct {
+		name              string
+		agg               UAgg
+		us                []*UTuple
+		live              int
+		perContrib, perEm float64
+	}{
+		// Recorded: 1 and 3, 1 and 1, 2 and 31.
+		{"quantile/atoms/14", NewQuantileAgg("v", 0.5, QuantileOptions{}), atoms, 14, 1, 3},
+		{"quantile/normal/64", NewQuantileAgg("v", 0.5, QuantileOptions{}), normals, 64, 1, 1},
+		{"topk/normal/40", NewTopKDominatingAgg([]string{"x", "y"}, 3, TopKOptions{Label: "tag"}), points, 40, 2, 32},
+	} {
+		perContrib, perEm := accAllocs(tc.agg.NewAcc(), tc.us, tc.live)
+		t.Logf("%s: %v allocs per Add+Remove, %v per Result", tc.name, perContrib, perEm)
+		if perContrib > tc.perContrib || perEm > tc.perEm {
+			t.Errorf("%s: %v allocs per Add+Remove, %v per Result; budget %v and %v",
+				tc.name, perContrib, perEm, tc.perContrib, tc.perEm)
 		}
 	}
 }

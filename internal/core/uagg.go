@@ -128,7 +128,12 @@ type WindowAggConfig struct {
 	// Agg is the aggregate implementation.
 	Agg UAgg
 	// Recompute forces the rescan path even for window shapes the
-	// incremental path covers.
+	// incremental path covers. No production plan sets it: it is the
+	// oracle selector of the tests that hold the delta path against the
+	// rescan — core's TestIncGroupSumMatchesRescan, TestIncSumMatchesRescan,
+	// TestIncGroupSumDedupEvictionInterplay and
+	// TestDeltaPartialMatchesRescanPartial, and every uop test that builds
+	// through the unexported rescan builder step.
 	Recompute bool
 }
 

@@ -63,7 +63,7 @@ func (r *Router) handleConn(c *server.ConnTrack) {
 		w.Flush()
 	}
 	errReply := func(format string, args ...any) {
-		reply(server.Msg{Kind: server.KindErr, Error: sprintf(format, args...)})
+		reply(server.Msg{Kind: server.KindErr, Error: fmt.Sprintf(format, args...)})
 	}
 	wr := server.NewWireReader(c, 1<<20)
 	ic := newIngestConn()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/stream"
 	"repro/internal/uop"
@@ -231,6 +232,88 @@ func TestRouteFrameAllocs(t *testing.T) {
 	t.Logf("%.3f allocs per routed tuple", perTuple)
 	if perTuple > 2 {
 		t.Errorf("routing a %d-tuple frame costs %.3f allocs per tuple, want <= 2", server.BwBatch, perTuple)
+	}
+}
+
+// recordedPart runs the wire trace through Q1's worker plan behind a
+// one-slot partition, as a router feeds a worker, and returns the payload of
+// the BwPart frame that would carry the largest partial the worker emits.
+func recordedPart(t *testing.T) []byte {
+	t.Helper()
+	plan, err := uop.BuildQ1(clusterQ1Cfg()).Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp := plan.CompileWorker()
+	var best []byte
+	wp.OnResult(func(pt *stream.Tuple) {
+		if _, isClose := stream.WindowCloseOf(pt); isClose {
+			return
+		}
+		data, err := stream.EncodeWireTuple(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > len(best) {
+			best = data
+		}
+	})
+	spec := plan.Window
+	part := stream.NewPartition("route", 1, stream.PartitionSpec{
+		Clock: &spec,
+		Route: func(*stream.Tuple) (int, bool) { return 0, true },
+	})
+	emit := func(out *stream.Tuple) {
+		if end, ok := stream.WindowCloseOf(out); ok {
+			seq, _ := stream.CloseSeq(out)
+			out = stream.NewWindowClose(end, seq)
+		}
+		wp.PushTuple(plan.Source, out)
+	}
+	for _, m := range wireTrace(t, 40, 300) {
+		u, err := server.ParseTuple(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part.Process(0, core.Wrap(u), emit)
+	}
+	part.Flush(emit)
+	wp.Close()
+	if best == nil {
+		t.Fatal("the worker plan emitted no partials")
+	}
+	_, fr, err := server.NewWireReader(bytes.NewReader(server.EncodeBwPart(1, best)), 0).Next()
+	if err != nil || fr.Kind != server.BwPart {
+		t.Fatalf("part frame: kind %#x, %v", fr.Kind, err)
+	}
+	return fr.Payload
+}
+
+// TestDecodePartAllocs pins the router's cost of taking in one worker
+// partial — DecodeBwPart, then stream.DecodeWireTuple, as linkReader and
+// feedPart do — on the largest partial of the wire trace. The budget is
+// the count recorded when the test was written (658), plus under 5 %; a
+// positional part codec is expected to cut it. The part's size drifts by a
+// few bytes between runs in one process (tuple ids come from a
+// process-wide counter); its allocation count does not.
+func TestDecodePartAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	payload := recordedPart(t)
+	decode := func() {
+		slot, data, err := server.DecodeBwPart(payload)
+		if err != nil || slot != 1 {
+			t.Fatalf("DecodeBwPart: slot %d, %v", slot, err)
+		}
+		if _, err := stream.DecodeWireTuple(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, decode)
+	t.Logf("%d-byte part: %v allocs per decode", len(payload), allocs)
+	if allocs > 690 {
+		t.Errorf("decoding the %d-byte part costs %v allocs, budget 690", len(payload), allocs)
 	}
 }
 

@@ -154,6 +154,7 @@ func decodeRouterState(data []byte) (*routerState, error) {
 		for i := range st.replicaSlot {
 			st.replicaSlot[i] = int(r.Varint())
 		}
+		st.checkIndices(r)
 		st.snaps = make([]roundSnap, s)
 		for i := range st.snaps {
 			if r.Bool() {
@@ -184,6 +185,26 @@ func decodeRouterState(data []byte) (*routerState, error) {
 		return nil, fmt.Errorf("router state blob: %w", err)
 	}
 	return st, nil
+}
+
+// checkIndices fails r unless every index the recovery path dereferences is
+// in range: slot-table entries name a roster link or -1 (none), and roster
+// homes name a slot or -1 (a joiner never given one).
+func (st *routerState) checkIndices(r *snap.Reader) {
+	for i, re := range st.roster {
+		if re.home < -1 || re.home >= st.nslots {
+			r.Fail("router state: roster entry %d has home slot %d of %d", i, re.home, st.nslots)
+		}
+	}
+	links := func(table string, slots []int) {
+		for slot, li := range slots {
+			if li < -1 || li >= len(st.roster) {
+				r.Fail("router state: %s slot %d names link %d of %d", table, slot, li, len(st.roster))
+			}
+		}
+	}
+	links("route", st.routeSlot)
+	links("replica", st.replicaSlot)
 }
 
 // loadNewestState returns the decoded highest-epoch blob, or nil with no

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -302,8 +303,8 @@ func statsDump(rt *Router) string {
 	st := rt.Stats()
 	var b strings.Builder
 	for _, w := range st.Workers {
-		b.WriteString(sprintf("worker %d alive=%v serves=%v; ", w.Slot, w.Alive, w.ServesSlots))
+		b.WriteString(fmt.Sprintf("worker %d alive=%v serves=%v; ", w.Slot, w.Alive, w.ServesSlots))
 	}
-	b.WriteString(sprintf("degraded=%v", st.Degraded))
+	b.WriteString(fmt.Sprintf("degraded=%v", st.Degraded))
 	return b.String()
 }

@@ -2,15 +2,12 @@ package router
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"time"
 
 	"repro/internal/server"
 )
-
-func sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
 
 // MemberStatsz is one ring member's row.
 type MemberStatsz struct {

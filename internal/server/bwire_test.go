@@ -261,16 +261,12 @@ func TestBwireDecodeTuplesRejects(t *testing.T) {
 	}
 }
 
-// TestBwireDecodeAllocs pins the tentpole's core claim: steady-state
-// tuple decoding allocates nothing — the schema table, tuple scratch,
-// and key/attr scratch are all reused across frames.
-func TestBwireDecodeAllocs(t *testing.T) {
-	msgs := wireTrace(t, 10, 60)
-	raw := encodeBinary(t, msgs)
-	// Collect the tuples-frame payloads once (copies: decode scratch must
-	// not alias the reader buffer for this test's repeated replay).
+// tuplePayloads registers raw's schema frames on dec and returns copies of
+// its tuples-frame payloads (decode scratch must not alias the reader
+// buffer for a repeated replay).
+func tuplePayloads(t *testing.T, dec *BwDecoder, raw []byte) [][]byte {
+	t.Helper()
 	wr := NewWireReader(bytes.NewReader(raw), 0)
-	dec := NewBwDecoder()
 	var payloads [][]byte
 	for {
 		_, fr, err := wr.Next()
@@ -291,6 +287,15 @@ func TestBwireDecodeAllocs(t *testing.T) {
 	if len(payloads) == 0 {
 		t.Fatal("no tuples frames")
 	}
+	return payloads
+}
+
+// TestBwireDecodeAllocs pins the tentpole's core claim: steady-state
+// tuple decoding allocates nothing — the schema table, tuple scratch,
+// and key/attr scratch are all reused across frames.
+func TestBwireDecodeAllocs(t *testing.T) {
+	dec := NewBwDecoder()
+	payloads := tuplePayloads(t, dec, encodeBinary(t, wireTrace(t, 10, 60)))
 	// Warm the decoder scratch, then demand zero allocations per frame.
 	for _, p := range payloads {
 		if _, err := dec.DecodeTuples(p); err != nil {
@@ -306,6 +311,41 @@ func TestBwireDecodeAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state DecodeTuples allocates %.1f allocs per replay, want 0", avg)
+	}
+}
+
+// TestBwTupleLiftAllocs pins the other half of the binary ingest path: the
+// UTuple lift of a decoded tuple (its attribute slice, one boxed Dist per
+// attribute, the tuple and its copied keys). Decoding is free (see
+// TestBwireDecodeAllocs), so every allocation counted here is the lift's.
+// The budget is the count recorded when the test was written: 7 on the
+// wire trace's four attributes.
+func TestBwTupleLiftAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	dec := NewBwDecoder()
+	payloads := tuplePayloads(t, dec, encodeBinary(t, wireTrace(t, 10, 60)))
+	n := 0
+	replay := func() {
+		n = 0
+		for _, p := range payloads {
+			bts, err := dec.DecodeTuples(p)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			for i := range bts {
+				if _, err := bts[i].UTuple(); err != nil {
+					t.Fatalf("lift: %v", err)
+				}
+			}
+			n += len(bts)
+		}
+	}
+	perTuple := testing.AllocsPerRun(50, replay) / float64(n)
+	t.Logf("%d tuples: %.4f allocs per lift", n, perTuple)
+	if perTuple > 7 {
+		t.Errorf("UTuple lift costs %.4f allocs per tuple, budget 7", perTuple)
 	}
 }
 

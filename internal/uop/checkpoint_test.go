@@ -10,12 +10,11 @@ import (
 )
 
 // ckptQ1Config builds the Q1 shape the checkpoint tests sweep: window
-// policy × sharding × aggregation path.
-func ckptQ1Config(slide stream.Time, shards int, recompute bool) Q1Config {
+// policy × sharding.
+func ckptQ1Config(slide stream.Time, shards int) Q1Config {
 	return Q1Config{
 		WindowMS:     5 * stream.Second,
 		SlideMS:      slide,
-		Recompute:    recompute,
 		ThresholdLbs: 120,
 		AreaFt:       10,
 		Strategy:     core.CFApprox,
@@ -33,24 +32,25 @@ func ckptQ1Config(slide stream.Time, shards int, recompute bool) Q1Config {
 func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	lts, w := seededTrace(t, 50, 350, 0)
 	configs := []struct {
-		name string
-		cfg  Q1Config
+		name      string
+		cfg       Q1Config
+		recompute bool
 	}{
-		{"tumbling", ckptQ1Config(0, 0, false)},
-		{"tumbling/shards=2", ckptQ1Config(0, 2, false)},
-		{"sliding-incremental", ckptQ1Config(2*stream.Second, 0, false)},
-		{"sliding-incremental/shards=3", ckptQ1Config(2*stream.Second, 3, false)},
-		{"sliding-recompute/shards=2", ckptQ1Config(2*stream.Second, 2, true)},
+		{"tumbling", ckptQ1Config(0, 0), false},
+		{"tumbling/shards=2", ckptQ1Config(0, 2), false},
+		{"sliding-incremental", ckptQ1Config(2*stream.Second, 0), false},
+		{"sliding-incremental/shards=3", ckptQ1Config(2*stream.Second, 3), false},
+		{"sliding-recompute/shards=2", ckptQ1Config(2*stream.Second, 2), true},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := formatQ1(Q1Alerts(runTrace(BuildQ1(tc.cfg), lts, nil, w, 0)))
+			ref := formatQ1(Q1Alerts(runTrace(buildQ1(tc.cfg, tc.recompute), lts, nil, w, 0)))
 			if ref == "" {
 				t.Fatal("reference run produced no alerts")
 			}
 			for _, frac := range []int{1, 2, 3} {
 				cut := len(lts) * frac / 4
-				c1 := BuildQ1(tc.cfg).Compile()
+				c1 := buildQ1(tc.cfg, tc.recompute).Compile()
 				for _, lt := range lts[:cut] {
 					c1.Push("locations", LocationUTuple(lt, w))
 				}
@@ -59,7 +59,7 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cut %d: checkpoint: %v", cut, err)
 				}
-				c2 := BuildQ1(tc.cfg).Compile()
+				c2 := buildQ1(tc.cfg, tc.recompute).Compile()
 				if err := c2.RestoreFrom(blob); err != nil {
 					t.Fatalf("cut %d: restore: %v", cut, err)
 				}
@@ -82,8 +82,8 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 func TestCheckpointOfRestoredGraphIsStable(t *testing.T) {
 	lts, w := seededTrace(t, 40, 250, 0)
 	for _, cfg := range []Q1Config{
-		ckptQ1Config(0, 2, false),
-		ckptQ1Config(2*stream.Second, 3, false),
+		ckptQ1Config(0, 2),
+		ckptQ1Config(2*stream.Second, 3),
 	} {
 		c1 := BuildQ1(cfg).Compile()
 		for _, lt := range lts[:len(lts)/2] {
@@ -117,7 +117,7 @@ func TestCheckpointOfRestoredGraphIsStable(t *testing.T) {
 // uninterrupted run byte for byte.
 func TestCheckpointLiveBarrierByteIdentical(t *testing.T) {
 	lts, w := seededTrace(t, 40, 300, 0)
-	cfg := ckptQ1Config(2*stream.Second, 2, false)
+	cfg := ckptQ1Config(2*stream.Second, 2)
 	ref := formatQ1(Q1Alerts(runTrace(BuildQ1(cfg), lts, nil, w, 0)))
 	if ref == "" {
 		t.Fatal("reference run produced no alerts")
@@ -190,7 +190,7 @@ func TestCheckpointLiveBarrierByteIdentical(t *testing.T) {
 // both would otherwise replay tuples into the wrong state silently.
 func TestRestoreRejectsDrift(t *testing.T) {
 	lts, w := seededTrace(t, 20, 150, 0)
-	cfg := ckptQ1Config(0, 2, false)
+	cfg := ckptQ1Config(0, 2)
 	c1 := BuildQ1(cfg).Compile()
 	for _, lt := range lts[:len(lts)/2] {
 		c1.Push("locations", LocationUTuple(lt, w))
@@ -199,7 +199,7 @@ func TestRestoreRejectsDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := BuildQ1(ckptQ1Config(0, 3, false)).Compile().RestoreFrom(blob); err == nil {
+	if err := BuildQ1(ckptQ1Config(0, 3)).Compile().RestoreFrom(blob); err == nil {
 		t.Error("restore into a different shard topology did not fail")
 	}
 	if err := BuildQ1(cfg).Compile().RestoreFrom(blob[:len(blob)-5]); err == nil {

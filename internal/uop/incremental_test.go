@@ -37,9 +37,7 @@ func TestSlidingQ1IncrementalMatchesRecompute(t *testing.T) {
 			cfg := slidingQ1Config(slide)
 			cfg.Strategy = strat
 			cfg.Agg = core.AggOptions{GridN: 256}
-			rec := cfg
-			rec.Recompute = true
-			ref := formatQ1(Q1Alerts(runTrace(BuildQ1(rec), lts, nil, w, 0)))
+			ref := formatQ1(Q1Alerts(runTrace(buildQ1(cfg, true), lts, nil, w, 0)))
 			if ref == "" {
 				t.Fatal("recompute reference produced no alerts; test inputs too light")
 			}
@@ -66,9 +64,7 @@ func TestSlidingQ1IncrementalStrategies(t *testing.T) {
 		cfg := slidingQ1Config(1 * stream.Second)
 		cfg.Strategy = strat
 		cfg.Agg = core.AggOptions{GridN: 256}
-		rec := cfg
-		rec.Recompute = true
-		ref := formatQ1(Q1Alerts(runTrace(BuildQ1(rec), lts, nil, w, 0)))
+		ref := formatQ1(Q1Alerts(runTrace(buildQ1(cfg, true), lts, nil, w, 0)))
 		if ref == "" {
 			t.Fatalf("%v: recompute reference produced no alerts", strat)
 		}

@@ -33,9 +33,6 @@ type Q1Config struct {
 	// [Range WindowMS] re-emitted every SlideMS — instead of tumbling.
 	// Sliding windows take the incremental aggregation path.
 	SlideMS stream.Time
-	// Recompute pins the per-window rescan path (the reference semantics)
-	// even for sliding windows; the benchmark baseline.
-	Recompute bool
 	// Shards >= 1 compiles the diagram shard-parallel: the keyed group
 	// aggregate runs as that many data-parallel instances (hash of the tag
 	// dedup key) and the stateless stages replicate round-robin, with
@@ -106,15 +103,19 @@ func q1Member(cfg Q1Config) core.Membership {
 // contribution per tag per window, probabilistic GROUP BY area, SUM(weight)
 // with full result distributions, confidence-annotated HAVING — as a query
 // chain over the source stream "locations".
-func BuildQ1(cfg Q1Config) *Query {
+func BuildQ1(cfg Q1Config) *Query { return buildQ1(cfg, false) }
+
+// buildQ1 is BuildQ1 with the aggregate optionally pinned to the per-window
+// rescan path: the reference the tests hold the incremental plan against.
+func buildQ1(cfg Q1Config, recompute bool) *Query {
 	cfg = cfg.withDefaults()
 	q := From("locations").
 		Shards(cfg.Shards).
 		WindowSpec(stream.WindowSpec{Duration: cfg.WindowMS, Slide: cfg.SlideMS}).
 		DedupLatest("tag").
 		GroupBy(q1Member(cfg))
-	if cfg.Recompute {
-		q = q.Recompute()
+	if recompute {
+		q = q.rescan()
 	}
 	return q.
 		Sum("weight", cfg.Strategy, cfg.Agg).

@@ -29,7 +29,7 @@ type Query struct {
 	left, right *Query
 	makeOp      func() stream.Operator
 
-	// Pending clauses accumulated by Window/DedupLatest/GroupBy/Recompute
+	// Pending clauses accumulated by Window/DedupLatest/GroupBy/rescan
 	// and consumed by the next aggregate stage.
 	win       *stream.WindowSpec
 	dedup     string
@@ -130,10 +130,10 @@ func (q *Query) GroupBy(member core.Membership) *Query {
 	return q.with(func(c *Query) { c.member = member })
 }
 
-// Recompute pins the next aggregate to the per-window rescan path even
-// when the window shape admits incremental maintenance — the reference
-// semantics and the baseline arm of the incremental benchmarks.
-func (q *Query) Recompute() *Query {
+// rescan pins the next aggregate to the per-window rescan path even when
+// the window shape admits incremental maintenance: the reference semantics
+// the tests hold the incremental and sharded plans against.
+func (q *Query) rescan() *Query {
 	return q.with(func(c *Query) { c.recompute = true })
 }
 

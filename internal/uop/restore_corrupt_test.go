@@ -14,7 +14,7 @@ var corruptRestoreCases = []struct {
 	name  string
 	build func() *Query
 }{
-	{"q1-sliding/shards=2", func() *Query { return BuildQ1(ckptQ1Config(2*stream.Second, 2, false)) }},
+	{"q1-sliding/shards=2", func() *Query { return BuildQ1(ckptQ1Config(2*stream.Second, 2)) }},
 	{"q3-sliding/shards=2", func() *Query {
 		return BuildQ3(Q3Config{SlideMS: 2 * stream.Second, Shards: 2, ThresholdLbs: 25, AreaFt: 10})
 	}},

@@ -64,9 +64,7 @@ func TestQ1ShardedSlidingMatchesIncremental(t *testing.T) {
 	if ref == "" {
 		t.Fatal("reference produced no alerts; test inputs too light")
 	}
-	rcfg := cfg
-	rcfg.Recompute = true
-	if got := formatQ1(Q1Alerts(runTrace(BuildQ1(rcfg), lts, nil, w, 0))); got != ref {
+	if got := formatQ1(Q1Alerts(runTrace(buildQ1(cfg, true), lts, nil, w, 0))); got != ref {
 		t.Fatalf("recompute baseline diverges from incremental:\nref:\n%s\ngot:\n%s", ref, got)
 	}
 	for _, p := range shardCounts {

@@ -46,7 +46,7 @@ func slidingAggCases() []slidingCase {
 	q := func(shards int, spec stream.WindowSpec, recompute bool) *Query {
 		q := From("locations").Shards(shards).WindowSpec(spec).DedupLatest("tag").GroupBy(uaggMember())
 		if recompute {
-			q = q.Recompute()
+			q = q.rescan()
 		}
 		return q
 	}
@@ -66,7 +66,7 @@ func slidingAggCases() []slidingCase {
 		{"sum-ungrouped", func(s int, sp stream.WindowSpec, rc bool) *Query {
 			q := From("locations").Shards(s).WindowSpec(sp).DedupLatest("tag")
 			if rc {
-				q = q.Recompute()
+				q = q.rescan()
 			}
 			return q.Sum("weight", core.CFApprox, core.AggOptions{}).Having(allRows)
 		}},
@@ -213,7 +213,7 @@ func TestRestoreRejectsRescanPartialCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = BuildQ1(ckptQ1Config(2*stream.Second, 2, false)).Compile().RestoreFrom(blob)
+	err = BuildQ1(ckptQ1Config(2*stream.Second, 2)).Compile().RestoreFrom(blob)
 	if err == nil {
 		t.Fatal("a rescan-partial checkpoint restored into delta partials")
 	}

@@ -41,7 +41,7 @@ func uaggCases() []uaggCase {
 			DedupLatest("tag").
 			GroupBy(uaggMember())
 		if recompute {
-			q = q.Recompute()
+			q = q.rescan()
 		}
 		return q
 	}
@@ -69,7 +69,7 @@ func uaggCases() []uaggCase {
 				WindowSpec(stream.WindowSpec{Duration: 5 * stream.Second, Slide: sl}).
 				DedupLatest("tag")
 			if rc {
-				q = q.Recompute()
+				q = q.rescan()
 			}
 			return q.Sum("weight", core.CFApprox, core.AggOptions{}).Having(Greater(0, 0.2))
 		}},
@@ -346,7 +346,7 @@ func TestUngroupedSpineAggregates(t *testing.T) {
 			}
 			sliding := stream.WindowSpec{Duration: 5 * stream.Second, Slide: stream.Second}
 			inc := pushAlerts(tc.agg(src(sliding)), lts, w)
-			rc := pushAlerts(tc.agg(src(sliding).Recompute()), lts, w)
+			rc := pushAlerts(tc.agg(src(sliding).rescan()), lts, w)
 			if inc != rc {
 				t.Errorf("ungrouped sliding %s: incremental vs rescan diverge at line %d", tc.name, firstDiffLine(rc, inc))
 			}
@@ -372,7 +372,7 @@ func TestUngroupedSumSkipsImpossibleWindow(t *testing.T) {
 		q    *Query
 	}{
 		{"push", From("s").WindowSpec(spec)},
-		{"recompute", From("s").WindowSpec(spec).Recompute()},
+		{"recompute", From("s").WindowSpec(spec).rescan()},
 		{"shards=2", From("s").Shards(2).WindowSpec(spec)},
 	} {
 		c := tc.q.Sum("weight", core.CFApprox, core.AggOptions{}).Compile()

@@ -71,7 +71,6 @@ var surfaceExempt = map[string]string{
 	"repro/internal/mathx.NormalMills":                     "(e) TestNormalMills",
 	"repro/internal/mathx.Trapz":                           "(e) TestTrapz",
 	"repro/internal/pfilter.ObjectFilter.ESS":              "(a) fixture in TestResamplePreservesMean",
-	"repro/internal/pfilter.NewLatencyController":          "(e) TestLatencyControllerMaximizesWithinBudget, TestLatencyControllerPinsAtMax, TestLatencyControllerReentersOnViolation",
 	"repro/internal/radar.Atmosphere.DopplerAt":            "(a) fixture in TestDopplerSignConvention and the averager tests",
 	"repro/internal/radar.ChainFor":                        "(c)",
 	"repro/internal/radar.NewTransformer":                  "(c) builds the voxel tuples ChainFor reads",
@@ -88,7 +87,7 @@ var surfaceExempt = map[string]string{
 	"repro/internal/stream.EncodeWireTuple":                "(a) oracle in TestWireEncoderMatchesEncodeWireTuple",
 	"repro/internal/stream.FuncOp":                         "(a) fixture in TestPartitionKeyRouting",
 	"repro/internal/stream.Graph.Closed":                   "(a) fixture in TestCloseIsIdempotent",
-	"repro/internal/stream.Millisecond":                    "(a) fixture in the daemon tests; (d) BenchmarkSlidingWindowIncremental",
+	"repro/internal/stream.Millisecond":                    "(a) fixture in the daemon tests",
 	"repro/internal/stream.NewFilter":                      "(a) fixture in TestDescribeLinearChain and TestSeqMergeRestoresOrder",
 	"repro/internal/stream.Tuple.Float":                    "(a) fixture in the stream engine tests",
 	"repro/internal/stream.NewGroupWindow":                 "(e) TestGroupWindowDeterministicOrder",
