@@ -421,7 +421,7 @@ func (b *incWindowAgg) emitPartials(end stream.Time, emit stream.Emit) {
 			st.sent = st.parts.appendLive(make([]*PartialContrib, 0, st.parts.liveN))
 			st.dirty = false
 		}
-		emit(stream.NewTuple(partialSchema, end, &groupPartial{end: end, group: g, contribs: st.sent}))
+		emit(stream.NewTuple(partialSchema, end, &groupPartial{end: end, group: g, contribs: st.sent, agg: b.cfg.Agg}))
 	}
 }
 

@@ -129,6 +129,9 @@ type groupPartial struct {
 	end      stream.Time
 	group    string
 	contribs []*PartialContrib
+	// agg is the emitting aggregate, read only by the link codec to project
+	// carriers (partcodec.go). Nil on decoded partials: they ship whole.
+	agg UAgg
 }
 
 // partialSchema carries groupPartial payloads between shard and merge.

@@ -139,7 +139,12 @@ func decodeUTuple(r *snap.Reader) (*UTuple, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	u.Lin = lineage.FromSorted(ids)
+	lin, err := lineage.Adopt(ids)
+	if err != nil {
+		r.Fail("utuple %v", err)
+		return nil, r.Err()
+	}
+	u.Lin = lin
 	return u, nil
 }
 

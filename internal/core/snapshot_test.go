@@ -71,6 +71,29 @@ func TestUTupleCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeUTupleRejectsUnsortedLineage: a lineage list that is not
+// strictly increasing is a decode error. Checkpoint restore and snapshot
+// install run this decoder on stored bytes, so a corrupt list must not
+// panic in the lineage constructor.
+func TestDecodeUTupleRejectsUnsortedLineage(t *testing.T) {
+	for _, ids := range [][]uint64{{5, 3}, {4, 4}, {1, 9, 2}} {
+		w := &snap.Writer{}
+		w.U8(utupleSnapV1)
+		w.Varint(1000)
+		w.Uvarint(5)
+		w.Uvarint(0) // no attributes
+		w.F64(1)
+		w.Uvarint(uint64(len(ids)))
+		for _, id := range ids {
+			w.Uvarint(id)
+		}
+		w.Uvarint(0) // no keys
+		if _, err := decodeUTuple(snap.NewReader(w.Bytes())); err == nil {
+			t.Errorf("lineage %v decoded without error", ids)
+		}
+	}
+}
+
 // TestUTupleCodecKeylessAndLineageless: the sparse shapes (no keys map, unit
 // existence, singleton lineage) round-trip too.
 func TestUTupleCodecMinimal(t *testing.T) {

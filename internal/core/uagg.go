@@ -249,7 +249,7 @@ func (r windowAggRescan) finalize(window []*stream.Tuple, end stream.Time, emit 
 
 func (r windowAggRescan) partials(window []*stream.Tuple, end stream.Time, emit stream.Emit) {
 	for _, g := range r.prepare(window) {
-		emit(stream.NewTuple(partialSchema, end, &groupPartial{end: end, group: g.name, contribs: refs(g.cs)}))
+		emit(stream.NewTuple(partialSchema, end, &groupPartial{end: end, group: g.name, contribs: refs(g.cs), agg: r.cfg.Agg}))
 	}
 }
 

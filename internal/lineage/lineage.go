@@ -6,7 +6,10 @@
 // computation across results with overlapping lineage.
 package lineage
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Set is a sorted, deduplicated set of base-tuple IDs.
 type Set struct {
@@ -57,6 +60,23 @@ func FromSorted(ids []uint64) Set {
 		}
 	}
 	return Set{ids: append([]uint64(nil), ids...)}
+}
+
+// Adopt builds a set over ids without copying: the caller hands the slice
+// over and never writes it again. It is the decoders' constructor — ids read
+// off the wire into a slice the decoder already owns — so, unlike
+// FromSorted, it reports a list that is not strictly increasing as an error
+// instead of panicking.
+func Adopt(ids []uint64) (Set, error) {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return Set{}, fmt.Errorf("lineage: id %d after %d, want strictly increasing", ids[i], ids[i-1])
+		}
+	}
+	if len(ids) == 0 {
+		return Set{}, nil
+	}
+	return Set{ids: ids}, nil
 }
 
 // UnionAll returns the union of all the given sets in one pass — collect,

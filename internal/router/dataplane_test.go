@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/snap"
 	"repro/internal/stream"
 	"repro/internal/uop"
 )
@@ -135,7 +137,9 @@ func TestRouterFailoverFullLinkQueue(t *testing.T) {
 // sinkWorker is a stand-in worker that acks the link handshake and then
 // reads and discards everything, allocating nothing in steady state — so
 // an allocation count taken around the router measures the router alone.
-func sinkWorker(t *testing.T) string {
+// A non-nil reply is written back once, on the first TUPLES frame: by then
+// the router's epoch is live, so the reply reaches its merge.
+func sinkWorker(t *testing.T, reply []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -152,10 +156,18 @@ func sinkWorker(t *testing.T) string {
 				defer c.Close()
 				wr := server.NewWireReader(c, 1<<26)
 				ok := mustLine(server.Msg{Kind: server.KindOK})
+				pending := reply
 				for {
-					line, _, err := wr.Next()
+					line, fr, err := wr.Next()
 					if err != nil {
 						return
+					}
+					if line == nil {
+						if fr.Kind == server.BwTuples && pending != nil {
+							c.Write(pending)
+							pending = nil
+						}
+						continue
 					}
 					if len(line) == 0 {
 						continue
@@ -169,6 +181,43 @@ func sinkWorker(t *testing.T) string {
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// TestRouterRejectsRetiredPartKind: a worker still shipping parts as the
+// retired kind-0x05 frames (a stream.TupleCodec blob of the tuple) costs
+// the router one worker error per frame and merges nothing; the same close
+// in a current part frame right behind it is merged.
+func TestRouterRejectsRetiredPartKind(t *testing.T) {
+	plan, err := uop.BuildQ1(clusterQ1Cfg()).Cluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := stream.NewWindowClose(5*stream.Second, 1)
+	var w snap.Writer
+	w.Uvarint(0) // slot
+	var blob snap.Writer
+	if err := stream.NewTupleCodec().Encode(&blob, wc); err != nil {
+		t.Fatal(err)
+	}
+	w.Blob(blob.Bytes())
+	retired := append([]byte{server.BwMagic, 0x05}, binary.LittleEndian.AppendUint32(nil, uint32(len(w.Bytes())))...)
+	retired = append(retired, w.Bytes()...)
+	data, err := new(core.PartCodec).Encode(wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := append(retired, server.EncodeBwPart(0, data)...)
+	rt, err := New(Config{Addr: "127.0.0.1:0", Workers: []string{sinkWorker(t, reply)}, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	in := dialRouter(t, rt)
+	in.send(wireTrace(t, 5, 20)[0])
+	waitStats(t, rt, func(st Statsz) bool { return len(st.Closes) == 1 && st.Closes[0] >= 1 })
+	if st := rt.Stats(); st.WorkerErrors != 1 || st.Closes[0] != 1 {
+		t.Fatalf("worker errors %d, closes merged %v; want 1 and [1]", st.WorkerErrors, st.Closes)
+	}
 }
 
 // TestRouteFrameAllocs pins the router's per-tuple allocation cost: routing
@@ -185,7 +234,7 @@ func TestRouteFrameAllocs(t *testing.T) {
 	}
 	rt, err := New(Config{
 		Addr:     "127.0.0.1:0",
-		Workers:  []string{sinkWorker(t), sinkWorker(t)},
+		Workers:  []string{sinkWorker(t, nil), sinkWorker(t, nil)},
 		Replicas: 2,
 		Plan:     plan,
 	})
@@ -236,26 +285,31 @@ func TestRouteFrameAllocs(t *testing.T) {
 }
 
 // recordedPart runs the wire trace through Q1's worker plan behind a
-// one-slot partition, as a router feeds a worker, and returns the payload of
-// the BwPart frame that would carry the largest partial the worker emits.
-func recordedPart(t *testing.T) []byte {
+// one-slot partition, as a router feeds a worker, and returns the largest
+// partial the worker emits together with the payload of the BwPart frame
+// that carries it.
+func recordedPart(t *testing.T) (*stream.Tuple, []byte) {
 	t.Helper()
 	plan, err := uop.BuildQ1(clusterQ1Cfg()).Cluster()
 	if err != nil {
 		t.Fatal(err)
 	}
 	wp := plan.CompileWorker()
-	var best []byte
+	var (
+		best     *stream.Tuple
+		bestData []byte
+		enc      core.PartCodec
+	)
 	wp.OnResult(func(pt *stream.Tuple) {
 		if _, isClose := stream.WindowCloseOf(pt); isClose {
 			return
 		}
-		data, err := stream.EncodeWireTuple(pt)
+		data, err := enc.Encode(pt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(data) > len(best) {
-			best = data
+		if len(data) > len(bestData) {
+			best, bestData = pt, append([]byte(nil), data...)
 		}
 	})
 	spec := plan.Window
@@ -282,38 +336,62 @@ func recordedPart(t *testing.T) []byte {
 	if best == nil {
 		t.Fatal("the worker plan emitted no partials")
 	}
-	_, fr, err := server.NewWireReader(bytes.NewReader(server.EncodeBwPart(1, best)), 0).Next()
+	_, fr, err := server.NewWireReader(bytes.NewReader(server.EncodeBwPart(1, bestData)), 0).Next()
 	if err != nil || fr.Kind != server.BwPart {
 		t.Fatalf("part frame: kind %#x, %v", fr.Kind, err)
 	}
-	return fr.Payload
+	return best, fr.Payload
 }
 
 // TestDecodePartAllocs pins the router's cost of taking in one worker
-// partial — DecodeBwPart, then stream.DecodeWireTuple, as linkReader and
-// feedPart do — on the largest partial of the wire trace. The budget is
-// the count recorded when the test was written (658), plus under 5 %; a
-// positional part codec is expected to cut it. The part's size drifts by a
-// few bytes between runs in one process (tuple ids come from a
-// process-wide counter); its allocation count does not.
+// partial — DecodeBwPart, then the link's core.PartCodec, as linkReader
+// does — on the largest partial of the wire trace (36 contributions). The
+// budget is the count recorded when the positional part codec replaced the
+// tuple-blob codec (81; 658 before, on a 5 965-byte part), plus under 5 %:
+// one backing array per kind of decoded value, then per contribution one box
+// for the carrier's weight and one for its gated moments. The part's
+// size drifts by a few bytes between runs in one process (tuple ids come
+// from a process-wide counter); its allocation count does not.
 func TestDecodePartAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	payload := recordedPart(t)
+	_, payload := recordedPart(t)
+	var dec core.PartCodec
 	decode := func() {
 		slot, data, err := server.DecodeBwPart(payload)
 		if err != nil || slot != 1 {
 			t.Fatalf("DecodeBwPart: slot %d, %v", slot, err)
 		}
-		if _, err := stream.DecodeWireTuple(data); err != nil {
+		if _, err := dec.Decode(data); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, decode)
 	t.Logf("%d-byte part: %v allocs per decode", len(payload), allocs)
-	if allocs > 690 {
-		t.Errorf("decoding the %d-byte part costs %v allocs, budget 690", len(payload), allocs)
+	if allocs > 85 {
+		t.Errorf("decoding the %d-byte part costs %v allocs, budget 85", len(payload), allocs)
+	}
+}
+
+// TestEncodePartAllocs pins the worker's cost of shipping a partial: once
+// its scratch has grown, a part emitter's codec encodes the largest partial
+// of the wire trace without allocating. The frame itself (EncodeBwPart's
+// one exact-size copy) is the only allocation per part left in emitPart.
+func TestEncodePartAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	pt, _ := recordedPart(t)
+	var enc core.PartCodec
+	encode := func() {
+		if _, err := enc.Encode(pt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encode()
+	if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+		t.Errorf("encoding a partial costs %v allocs in steady state, want 0", allocs)
 	}
 }
 

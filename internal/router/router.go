@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ring"
 	"repro/internal/server"
 	"repro/internal/stream"
@@ -782,6 +783,7 @@ func (r *Router) linkReader(l *link) {
 	defer r.wg.Done()
 	// ckpt_ack lines carry whole plan checkpoints (base64).
 	wr := server.NewWireReader(l.conn, 1<<26)
+	var dec core.PartCodec
 	for {
 		line, fr, err := wr.Next()
 		if err != nil {
@@ -798,7 +800,12 @@ func (r *Router) linkReader(l *link) {
 				r.workerErrs.Add(1)
 				continue
 			}
-			r.feedPart(l, slot, data)
+			t, derr := dec.Decode(data)
+			if derr != nil {
+				r.workerErrs.Add(1)
+				continue
+			}
+			r.feedPart(l, slot, t)
 			continue
 		}
 		line = bytes.TrimSpace(line)
@@ -840,18 +847,9 @@ func (r *Router) linkReader(l *link) {
 // feedPart buffers a worker's partials per port and releases each window to
 // the merge atomically when the port's close arrives. Everything below
 // headMu: PushTuple runs the merge (and post stages, and alert emission)
-// synchronously. data is the stream.EncodeWireTuple blob of a BwPart
-// frame.
-func (r *Router) feedPart(l *link, slot int, data []byte) {
-	if len(data) == 0 {
-		r.workerErrs.Add(1)
-		return
-	}
-	t, err := stream.DecodeWireTuple(data)
-	if err != nil {
-		r.workerErrs.Add(1)
-		return
-	}
+// synchronously. t is the decoded payload of a BwPart frame: a partial or
+// a forwarded close, decoded by the link's reader outside headMu.
+func (r *Router) feedPart(l *link, slot int, t *stream.Tuple) {
 	r.headMu.Lock()
 	defer r.headMu.Unlock()
 	ep := r.ep

@@ -70,9 +70,11 @@ const (
 	BwTuples byte = 0x03
 	// BwClose is a window-close punctuation (router → worker).
 	BwClose byte = 0x04
-	// BwPart ships a partial-aggregate blob (worker → router):
-	// slot uvarint + stream.EncodeWireTuple bytes.
-	BwPart byte = 0x05
+	// BwPart ships a partial aggregate or a forwarded close (worker →
+	// router): slot uvarint + a length-prefixed core.PartCodec encoding.
+	// Kind 0x05, the retired tuple-blob part frame, is never sent: a peer
+	// still speaking it gets worker errors, not misdecoded partials.
+	BwPart byte = 0x07
 	// BwTail is a self-contained tuple record (schema inline) that never
 	// crosses the wire: workers append it to replica replay tails, which
 	// outlive the connection whose schema table defined the tuple.
@@ -823,7 +825,7 @@ func EncodeBwPart(slot int, data []byte) []byte {
 }
 
 // DecodeBwPart reverses EncodeBwPart. data aliases payload — decode it
-// (stream.DecodeWireTuple copies) before the buffer is reused.
+// (core.PartCodec.Decode copies) before the buffer is reused.
 func DecodeBwPart(payload []byte) (slot int, data []byte, err error) {
 	r := snap.NewReader(payload)
 	slot = int(r.Uvarint())

@@ -17,7 +17,8 @@ import (
 // internal/router) owns the window clock and key routing; this worker runs
 // one partial-aggregate plan over its key subset and ships every result —
 // per-group partials, then the forwarded close, per window — back to the
-// router as BwPart frames carrying stream.EncodeWireTuple blobs. Routed
+// router as BwPart frames carrying core.PartCodec encodings: positional,
+// self-contained, and projected to what the router's merge reads. Routed
 // tuples, replica copies and closes arrive only as bwire frames too; the
 // control verbs (join, ckpt, snap, promote, reset, release) stay JSON.
 //
@@ -120,9 +121,9 @@ type partEmitter struct {
 	slot     int
 	ordinal  atomic.Uint64
 	suppress atomic.Uint64
-	// wenc is the part encoder's scratch, reused across parts: emitPart
+	// codec is the part encoder's scratch, reused across parts: emitPart
 	// runs on the plan's one sink goroutine.
-	wenc stream.WireEncoder
+	codec core.PartCodec
 }
 
 // releaseFloor silences an emitter permanently (slot released/migrated).
@@ -306,7 +307,7 @@ func (cl *clusterState) emitPart(ep *epoch, pe *partEmitter, t *stream.Tuple) {
 			return // never joined; nobody is listening
 		}
 	}
-	data, err := pe.wenc.Encode(t)
+	data, err := pe.codec.Encode(t)
 	if err != nil {
 		cl.s.encodeErrs.Add(1)
 		return

@@ -10,20 +10,21 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lineage"
+	"repro/internal/snap"
 	"repro/internal/stream"
 )
 
-// liftedBytes is a tuple's core codec encoding with its fresh identity
+// liftedBytes is a tuple's snapshot codec encoding with its fresh identity
 // (ID and lineage, which every lift draws anew) zeroed, so two lifts of
 // the same input compare equal.
 func liftedBytes(t testing.TB, u *core.UTuple) string {
 	t.Helper()
 	u.ID, u.Lin = 0, lineage.NewSet(0)
-	b, err := stream.EncodeWireTuple(core.Wrap(u))
-	if err != nil {
+	var w snap.Writer
+	if err := stream.NewTupleCodec().Encode(&w, core.Wrap(u)); err != nil {
 		t.Fatalf("encode lifted tuple: %v", err)
 	}
-	return fmt.Sprintf("%x", b)
+	return fmt.Sprintf("%x", w.Bytes())
 }
 
 // referenceLine is what the daemon made of a line before LineDecoder:

@@ -290,48 +290,6 @@ func (c *TupleCodec) Decode(r *snap.Reader) *Tuple {
 	return t
 }
 
-// EncodeWireTuple serializes one tuple standalone — a fresh codec per
-// tuple, so the blob carries its schema inline and any receiver can decode
-// it without shared intern state. The cluster tier ships partial-aggregate
-// tuples and close punctuations between processes this way; the canonical
-// schema registry on the decode side restores pointer-identical schemas,
-// which control handling and the partial merge rely on.
-func EncodeWireTuple(t *Tuple) ([]byte, error) {
-	var e WireEncoder
-	return e.Encode(t)
-}
-
-// WireEncoder is EncodeWireTuple with reused state: one writer and one
-// codec, both reset per tuple, so every blob is byte-identical to
-// EncodeWireTuple's while steady-state encoding allocates nothing. Not safe
-// for concurrent use.
-type WireEncoder struct {
-	w snap.Writer
-	c TupleCodec
-}
-
-// Encode serializes t standalone. The returned bytes alias the encoder's
-// buffer: valid only until the next call.
-func (e *WireEncoder) Encode(t *Tuple) ([]byte, error) {
-	e.w.Reset()
-	clear(e.c.encIdx)
-	e.c.schemas = e.c.schemas[:0]
-	if err := e.c.Encode(&e.w, t); err != nil {
-		return nil, err
-	}
-	return e.w.Bytes(), nil
-}
-
-// DecodeWireTuple reverses EncodeWireTuple.
-func DecodeWireTuple(data []byte) (*Tuple, error) {
-	r := snap.NewReader(data)
-	t := NewTupleCodec().Decode(r)
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 func encodeTuples(w *snap.Writer, c *TupleCodec, ts []*Tuple) error {
 	w.Uvarint(uint64(len(ts)))
 	for _, t := range ts {

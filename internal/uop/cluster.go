@@ -13,10 +13,11 @@ import (
 // network edge. The router (internal/router) runs the partition side — the
 // window clock and key routing — and the deterministic merge plus any
 // post-aggregate stages; each worker process runs one partial-aggregate
-// instance over its key subset. Because partials and close punctuations
-// travel between processes as opaque stream.EncodeWireTuple blobs, the
-// merge sees exactly the port streams an in-process Partition box would
-// deliver, and the alert bytes match the single-process plan.
+// instance over its key subset. Partials and close punctuations travel
+// between processes in core.PartCodec frames, which carry every value the
+// merge reads bit for bit (and only those), so the merge sees the port
+// streams an in-process Partition box would deliver, and the alert bytes
+// match the single-process plan.
 
 // ClusterPlan is a query split for cluster execution.
 type ClusterPlan struct {

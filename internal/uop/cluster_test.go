@@ -11,18 +11,19 @@ import (
 
 // The tests in this file pin the cluster split in-process: partitioning at
 // the router (window clock + key routing), worker-side partial aggregates
-// whose outputs round-trip through the wire tuple codec, and the head-side
+// whose outputs round-trip through the cluster part codec, and the head-side
 // merge must together reproduce the single-process alert stream
 // byte-identically, for worker counts {1, 2, 4}.
 
-// runQ1Cluster evaluates Q1 through the cluster split without sockets: a
-// manually driven partition routes carriers to `workers` CompileWorker
-// graphs; every partial and close a worker emits is serialized with
-// EncodeWireTuple, decoded fresh (as the router would after a network
-// hop), and pushed into the CompileHead merge.
-func runQ1Cluster(t *testing.T, lts []rfid.LocationTuple, w *rfid.Warehouse, cfg Q1Config, workers int) []Q1Alert {
+// runCluster evaluates a clusterable query through the cluster split
+// without sockets: a manually driven partition routes carriers to `workers`
+// CompileWorker graphs; every partial and close a worker emits is encoded
+// with that worker's core.PartCodec, decoded by the port's own codec (as a
+// router link's reader decodes after the network hop), and pushed into the
+// CompileHead merge. It returns the head's alert tuples.
+func runCluster(t *testing.T, q *Query, lts []rfid.LocationTuple, w *rfid.Warehouse, workers int) []*stream.Tuple {
 	t.Helper()
-	plan, err := BuildQ1(cfg).Cluster()
+	plan, err := q.Cluster()
 	if err != nil {
 		t.Fatalf("Cluster(): %v", err)
 	}
@@ -34,12 +35,13 @@ func runQ1Cluster(t *testing.T, lts []rfid.LocationTuple, w *rfid.Warehouse, cfg
 	for i := range wps {
 		wp := plan.CompileWorker()
 		port := ClusterPort(i)
+		var enc, dec core.PartCodec
 		wp.OnResult(func(pt *stream.Tuple) {
-			data, err := stream.EncodeWireTuple(pt)
+			data, err := enc.Encode(pt)
 			if err != nil {
 				t.Fatalf("encode partial: %v", err)
 			}
-			rt, err := stream.DecodeWireTuple(data)
+			rt, err := dec.Decode(data)
 			if err != nil {
 				t.Fatalf("decode partial: %v", err)
 			}
@@ -79,7 +81,13 @@ func runQ1Cluster(t *testing.T, lts []rfid.LocationTuple, w *rfid.Warehouse, cfg
 	}
 	part.Flush(emit)
 	head.Graph.Close()
-	return Q1Alerts(alerts)
+	return alerts
+}
+
+// runQ1Cluster is runCluster for Q1, decoded into alerts.
+func runQ1Cluster(t *testing.T, lts []rfid.LocationTuple, w *rfid.Warehouse, cfg Q1Config, workers int) []Q1Alert {
+	t.Helper()
+	return Q1Alerts(runCluster(t, BuildQ1(cfg), lts, w, workers))
 }
 
 func TestQ1ClusterSplitMatchesSingleProcess(t *testing.T) {

@@ -174,77 +174,24 @@ func TestNewAggModesByteIdentical(t *testing.T) {
 	}
 }
 
-// runClusterAlerts drives a query through the cluster split in-process:
-// router-side partition (window clock + key routing), per-worker partial
-// graphs whose outputs round-trip the wire codec, head-side merge.
-func runClusterAlerts(t *testing.T, q *Query, lts []rfid.LocationTuple, w *rfid.Warehouse, workers int) string {
-	t.Helper()
-	plan, err := q.Cluster()
-	if err != nil {
-		t.Fatalf("Cluster(): %v", err)
-	}
-	head := plan.CompileHead(workers)
-	var alerts []*stream.Tuple
-	head.OnResult(func(a *stream.Tuple) { alerts = append(alerts, a) })
-
-	wps := make([]*Compiled, workers)
-	for i := range wps {
-		wp := plan.CompileWorker()
-		port := ClusterPort(i)
-		wp.OnResult(func(pt *stream.Tuple) {
-			data, err := stream.EncodeWireTuple(pt)
-			if err != nil {
-				t.Fatalf("encode partial: %v", err)
-			}
-			rt, err := stream.DecodeWireTuple(data)
-			if err != nil {
-				t.Fatalf("decode partial: %v", err)
-			}
-			head.PushTuple(port, rt)
-		})
-		wps[i] = wp
-	}
-
-	spec := plan.Window
-	key := plan.Key
-	part := stream.NewPartition("route", workers, stream.PartitionSpec{
-		Clock: &spec,
-		Route: func(ct *stream.Tuple) (int, bool) {
-			u := core.Unwrap(ct)
-			if key == "" || !u.HasKey(key) {
-				return 0, false
-			}
-			return stream.ShardOfKey(u.Key(key), workers), true
-		},
-	})
-	emit := func(out *stream.Tuple) {
-		if end, ok := stream.WindowCloseOf(out); ok {
-			seq, _ := stream.CloseSeq(out)
-			for _, wp := range wps {
-				wp.PushTuple(plan.Source, stream.NewWindowClose(end, seq))
-			}
-			return
-		}
-		slot, ok := out.RouteShard()
-		if !ok {
-			t.Fatalf("partition emitted unrouted data tuple %v", out)
-		}
-		wps[slot].PushTuple(plan.Source, out)
-	}
-	for _, lt := range lts {
-		part.Process(0, core.Wrap(LocationUTuple(lt, w)), emit)
-	}
-	part.Flush(emit)
-	head.Graph.Close()
-	return formatUAlerts(alerts)
-}
-
 // TestNewAggClusterMatchesSingleProcess: the cluster split must reproduce
-// the single-process alert bytes for both new aggregates, tumbling and
-// sliding, worker counts {1, 2, 4}.
+// the single-process alert bytes for every aggregate case, tumbling and
+// sliding, worker counts {1, 2, 4}. The grouped CFInvert sum is the case
+// whose prepared gates travel through dist.Encode rather than as moments.
 func TestNewAggClusterMatchesSingleProcess(t *testing.T) {
 	lts, w := seededTrace(t, 50, 350, 0)
-	for _, tc := range uaggCases() {
+	cases := append(uaggCases(), uaggCase{"sum-grouped-cfinvert", func(s int, sl stream.Time, rc bool) *Query {
+		q := From("locations").
+			Shards(s).
+			WindowSpec(stream.WindowSpec{Duration: 5 * stream.Second, Slide: sl}).
+			DedupLatest("tag").
+			GroupBy(uaggMember())
+		if rc {
+			q = q.rescan()
+		}
+		return q.Sum("weight", core.CFInvert, core.AggOptions{}).Having(Greater(100, 0.2))
+	}})
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, slide := range []stream.Time{0, 1500 * stream.Millisecond} {
 				ref := pushAlerts(tc.build(0, slide, false), lts, w)
@@ -252,7 +199,7 @@ func TestNewAggClusterMatchesSingleProcess(t *testing.T) {
 					t.Fatal("reference produced no alerts")
 				}
 				for _, workers := range []int{1, 2, 4} {
-					if got := runClusterAlerts(t, tc.build(0, slide, false), lts, w, workers); got != ref {
+					if got := formatUAlerts(runCluster(t, tc.build(0, slide, false), lts, w, workers)); got != ref {
 						t.Errorf("slide=%d cluster W=%d diverges:\nref:\n%s\ngot:\n%s", slide, workers, ref, got)
 					}
 				}

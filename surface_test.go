@@ -84,7 +84,6 @@ var surfaceExempt = map[string]string{
 	"repro/internal/server.EncodeTuplesFrame":              "(a) oracle in TestTupleBatchMatchesTuplesFrame",
 	"repro/internal/server.Server.Crash":                   "(a) fixture in TestServerCrashRecoveryByteIdentical",
 	"repro/internal/stream.Derive":                         "(a) fixture in TestTupleAccessors; (d) BenchmarkFinalSumLineage",
-	"repro/internal/stream.EncodeWireTuple":                "(a) oracle in TestWireEncoderMatchesEncodeWireTuple",
 	"repro/internal/stream.FuncOp":                         "(a) fixture in TestPartitionKeyRouting",
 	"repro/internal/stream.Graph.Closed":                   "(a) fixture in TestCloseIsIdempotent",
 	"repro/internal/stream.Millisecond":                    "(a) fixture in the daemon tests",
