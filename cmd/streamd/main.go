@@ -75,6 +75,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -123,6 +124,17 @@ func main() {
 	flag.Parse()
 	if *proto != "bin" {
 		fatalf(2, "-proto %q not supported: router↔worker links speak only bin", *proto)
+	}
+	// A NaN or infinite threshold, floor, level or cell size leaves the
+	// plan's comparisons or grouping meaningless; refuse it before
+	// anything listens.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"threshold", *threshold}, {"min-prob", *minProb}, {"level", *level}, {"area-ft", *areaFt}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			fatalf(2, "-%s %v is not a finite number", f.name, f.v)
+		}
 	}
 
 	// The threshold and min-prob flags default for q1; q2 falls back to its

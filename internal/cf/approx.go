@@ -151,9 +151,9 @@ func convolvePair(a, b *dist.Histogram, lo, hi float64, gridN int) *dist.Histogr
 	for zi := 0; zi < gridN; zi++ {
 		z := lo + (float64(zi)+0.5)*w
 		var s float64
-		for i := 0; i < a.NBins(); i++ {
+		for i, p := range a.Bins() {
 			x := a.BinCenter(i)
-			fa := a.Probs[i] / aw
+			fa := p / aw
 			if fa == 0 {
 				continue
 			}

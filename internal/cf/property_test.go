@@ -57,7 +57,7 @@ func TestInversionRoundTripRandomMixtures(t *testing.T) {
 		}
 		// Density must be a density.
 		var mass float64
-		for _, p := range h.Probs {
+		for _, p := range h.Masses() {
 			if p < 0 {
 				t.Fatalf("seed %d: negative mass", seed)
 			}

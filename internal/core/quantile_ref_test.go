@@ -96,12 +96,13 @@ func sameBits(got, want dist.Dist) string {
 		if !ok {
 			return fmt.Sprintf("got %v, want %v", got, want)
 		}
-		if math.Float64bits(g.Lo) != math.Float64bits(w.Lo) || math.Float64bits(g.Hi) != math.Float64bits(w.Hi) || len(g.Probs) != len(w.Probs) {
-			return fmt.Sprintf("range [%.17g, %.17g]×%d, want [%.17g, %.17g]×%d", g.Lo, g.Hi, len(g.Probs), w.Lo, w.Hi, len(w.Probs))
+		if math.Float64bits(g.Lo) != math.Float64bits(w.Lo) || math.Float64bits(g.Hi) != math.Float64bits(w.Hi) || g.NBins() != w.NBins() {
+			return fmt.Sprintf("range [%.17g, %.17g]×%d, want [%.17g, %.17g]×%d", g.Lo, g.Hi, g.NBins(), w.Lo, w.Hi, w.NBins())
 		}
-		for i := range w.Probs {
-			if math.Float64bits(g.Probs[i]) != math.Float64bits(w.Probs[i]) {
-				return fmt.Sprintf("Probs[%d] = %.17g, want %.17g", i, g.Probs[i], w.Probs[i])
+		gp, wp := g.Masses(), w.Masses()
+		for i := range wp {
+			if math.Float64bits(gp[i]) != math.Float64bits(wp[i]) {
+				return fmt.Sprintf("bin %d mass = %.17g, want %.17g", i, gp[i], wp[i])
 			}
 		}
 	default:
@@ -364,7 +365,7 @@ func TestQuantileExactMatchesPossibleWorlds(t *testing.T) {
 				x := h.Lo + (h.Hi-h.Lo)*float64(e)/float64(gp)
 				want := worldsCDF(vals, ps, k, x)
 				var got float64
-				for _, p := range h.Probs[:e] {
+				for _, p := range h.Masses()[:e] {
 					got += p
 				}
 				if math.Abs(got-want) > 1e-12 {
@@ -393,8 +394,10 @@ func benchWindow(a *quantileAgg, family string, n int) []qContrib {
 }
 
 // TestQuantileExactAllocs is the allocation contract of the exact path: in
-// steady state a finalize allocates its answer — the Histogram and its two
-// slices — and nothing else.
+// steady state a finalize allocates its answer — the Histogram and its
+// slice of occupied bins — and nothing else. A window of 14 atoms moves the
+// CDF at no more than 14 grid edges, so its answer stores at most 14 of the
+// 256 bins.
 func TestQuantileExactAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratch at random under -race")
@@ -402,8 +405,18 @@ func TestQuantileExactAllocs(t *testing.T) {
 	a := kernelAgg(0.5, QuantileOptions{})
 	for _, family := range []string{"atoms", "normal", "mixed"} {
 		cs := benchWindow(a, family, 14)
-		if _, ok := a.result(cs).(*dist.Histogram); !ok {
+		h, ok := a.result(cs).(*dist.Histogram)
+		if !ok {
 			t.Fatalf("%s window is not on the tabulating path", family)
+		}
+		if family == "atoms" {
+			stored := 0
+			for range h.Bins() {
+				stored++
+			}
+			if stored > 14 {
+				t.Errorf("atoms: answer stores %d of %d bins, want ≤ 14", stored, h.NBins())
+			}
 		}
 		if avg := testing.AllocsPerRun(200, func() { a.result(cs) }); avg > 3 {
 			t.Errorf("%s: %.1f allocs per result call, want ≤ 3", family, avg)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 
 	"repro/internal/snap"
@@ -20,9 +21,9 @@ import (
 //     and renormalizing an already-normalized vector divides by a total
 //     that is only approximately 1 — a one-ulp perturbation the contract
 //     forbids. Cached fields that constructors derive by pure accumulation
-//     of stored values (Histogram.cum, Empirical.cum) are recomputed with
-//     the identical fold; caches derived by quadrature (Truncated's
-//     moments) are stored verbatim.
+//     of stored values (Histogram's running totals, Empirical.cum) are
+//     recomputed with the identical fold; caches derived by quadrature
+//     (Truncated's moments) are stored verbatim.
 //
 // The encoding is versioned by a leading byte so future field changes can
 // coexist with old checkpoints.
@@ -109,7 +110,7 @@ func encodeBody(w *snap.Writer, d Dist) error {
 		w.U8(tagHistogram)
 		w.F64(v.Lo)
 		w.F64(v.Hi)
-		w.F64s(v.Probs)
+		w.F64s(v.Masses())
 	case *Truncated:
 		w.U8(tagTruncated)
 		w.F64(v.Lo)
@@ -187,16 +188,24 @@ func decodeBody(r *snap.Reader) Dist {
 			r.Fail("histogram with no bins")
 			return nil
 		}
-		// Rebuild cum with the same left-to-right fold NewHistogram uses
-		// over the same normalized probs — bit-identical by construction.
-		cum := make([]float64, len(probs))
+		// Rebuild the stored bins with the same left-to-right fold
+		// NewHistogram uses over the same normalized masses — bit-identical
+		// by construction — keeping every bin when a mass is negative or
+		// not finite, and leaving out only +0 bins otherwise.
+		h := &Histogram{Lo: lo, Hi: hi, n: len(probs)}
+		all := !h.sparseExact()
+		for _, p := range probs {
+			all = all || !(p >= 0) || math.IsInf(p, 1)
+		}
 		var acc float64
 		for i, p := range probs {
 			acc += p
-			cum[i] = acc
+			if all || math.Float64bits(p) != 0 {
+				h.bins = append(h.bins, bin{i: i, p: p, cum: acc})
+			}
 		}
-		cum[len(cum)-1] = 1
-		return &Histogram{Lo: lo, Hi: hi, Probs: probs, cum: cum}
+		h.pin()
+		return h
 	case tagTruncated:
 		t := &Truncated{}
 		t.Lo, t.Hi = r.F64(), r.F64()

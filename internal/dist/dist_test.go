@@ -102,7 +102,7 @@ func TestDiscretizeMassConservation(t *testing.T) {
 	} {
 		h := Discretize(d, 64)
 		var mass float64
-		for _, p := range h.Probs {
+		for _, p := range h.Masses() {
 			if p < 0 {
 				t.Fatalf("%s: negative bin mass", name)
 			}
@@ -132,8 +132,8 @@ func TestDiscretizeKeepsBoundaryAtom(t *testing.T) {
 	if math.Abs(h.Mean()-want) > 0.1 {
 		t.Errorf("discretized gated mean = %g, want ~%g", h.Mean(), want)
 	}
-	if h.Probs[0] < 0.29 {
-		t.Errorf("bin 0 mass = %g, want ~0.3 (the gate atom)", h.Probs[0])
+	if p0 := h.Masses()[0]; p0 < 0.29 {
+		t.Errorf("bin 0 mass = %g, want ~0.3 (the gate atom)", p0)
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/cmplx"
 	"sort"
@@ -12,14 +13,29 @@ import (
 // Histogram is an equi-width binned distribution on [Lo, Hi]: the
 // representation of Ge & Zdonik's baseline [25], the output of CF inversion,
 // and the collection format of the Monte Carlo strategies. The density is
-// piecewise-uniform: mass Probs[i] spread evenly over bin i, so the CDF is
+// piecewise-uniform: bin i's mass spread evenly over bin i, so the CDF is
 // piecewise-linear and every moment has a closed form.
+//
+// Only occupied bins are stored: an exact quantile over n atoms fills at
+// most n of its 256 bins. Dropping an empty bin drops a term that adds exactly ±0
+// to every sum a method computes, so each method returns the float64 bits
+// the dense vector would. That holds while every bin centre c and
+// c² + w²/12 are finite and every mass is finite and non-negative; when
+// they are not (a support near ±MaxFloat64, a +Inf mass), every bin is
+// stored.
 type Histogram struct {
 	Lo, Hi float64
-	// Probs are the per-bin masses, normalized to sum to 1.
-	Probs []float64
-	// cum[i] is the total mass of bins 0..i.
-	cum []float64
+	// n is the bin count.
+	n int
+	// bins are the stored bins in ascending index order.
+	bins []bin
+}
+
+// bin is one stored bin: its index, its normalised mass, and the total mass
+// of bins 0..i.
+type bin struct {
+	i      int
+	p, cum float64
 }
 
 // NewHistogram builds a histogram from (possibly unnormalized, possibly
@@ -33,37 +49,116 @@ func NewHistogram(lo, hi float64, masses []float64) *Histogram {
 	if hi <= lo {
 		hi = lo + 1e-9
 	}
-	probs := make([]float64, len(masses))
 	var total float64
-	for i, m := range masses {
+	occupied, inf := 0, false
+	for _, m := range masses {
 		if m > 0 {
-			probs[i] = m
 			total += m
+			occupied++
+			inf = inf || math.IsInf(m, 1)
 		}
 	}
-	if total <= 0 {
-		// Degenerate input: fall back to a uniform density.
-		for i := range probs {
-			probs[i] = 1
-		}
-		total = float64(len(probs))
+	h := &Histogram{Lo: lo, Hi: hi, n: len(masses)}
+	// Degenerate input falls back to a uniform density; +Inf/+Inf is a NaN
+	// mass.
+	uniform := total <= 0
+	all := uniform || inf || !h.sparseExact()
+	if uniform {
+		total = float64(len(masses))
 	}
-	cum := make([]float64, len(probs))
+	if all {
+		occupied = len(masses)
+	}
+	h.bins = make([]bin, 0, occupied)
 	var acc float64
-	for i := range probs {
-		probs[i] /= total
-		acc += probs[i]
-		cum[i] = acc
+	for i, m := range masses {
+		if uniform {
+			m = 1
+		} else if !(m > 0) {
+			if !all {
+				continue
+			}
+			m = 0
+		}
+		p := m / total
+		if p == 0 && !all {
+			continue // underflow: the dense vector holds +0 here too
+		}
+		acc += p
+		h.bins = append(h.bins, bin{i: i, p: p, cum: acc})
 	}
-	cum[len(cum)-1] = 1 // pin the top against rounding drift
-	return &Histogram{Lo: lo, Hi: hi, Probs: probs, cum: cum}
+	h.pin()
+	return h
+}
+
+// sparseExact reports whether empty bins may be left out: true when the
+// bin width, every bin centre c and every c² + w²/12 are finite, so an empty
+// bin's Mean and Variance terms are exactly ±0. Centres are monotone in the
+// index, so the two end bins bound the rest.
+func (h *Histogram) sparseExact() bool {
+	w := h.BinWidth()
+	if math.IsInf(w, 0) || math.IsNaN(w) {
+		return false
+	}
+	for _, i := range [2]int{0, h.n - 1} {
+		c := h.BinCenter(i)
+		if v := c*c + w*w/12; math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// pin sets a stored top bin's running total to exactly 1, as the dense
+// fold pinned cum[n-1] against rounding drift. While the totals ascend
+// Quantile's fall-through to the top bin gives the same answer unpinned,
+// but a decoded vector with a negative or NaN mass is searched bin by bin
+// as the dense form was, and there the pin steers the binary search.
+func (h *Histogram) pin() {
+	if k := len(h.bins) - 1; k >= 0 && h.bins[k].i == h.n-1 {
+		h.bins[k].cum = 1
+	}
+}
+
+// lookup returns bin i's mass and the total mass of bins 0..i-1 (0 for
+// i = 0), as the dense vectors' probs[i] and cum[i-1] would.
+func (h *Histogram) lookup(i int) (p, before float64) {
+	k := sort.Search(len(h.bins), func(j int) bool { return h.bins[j].i >= i })
+	if k > 0 {
+		before = h.bins[k-1].cum
+	}
+	if k < len(h.bins) && h.bins[k].i == i {
+		p = h.bins[k].p
+	}
+	return p, before
 }
 
 // NBins returns the bin count.
-func (h *Histogram) NBins() int { return len(h.Probs) }
+func (h *Histogram) NBins() int { return h.n }
+
+// Bins yields the index and normalised mass of each stored bin in ascending
+// index order. Every bin it skips has mass exactly 0.
+func (h *Histogram) Bins() iter.Seq2[int, float64] {
+	return func(yield func(int, float64) bool) {
+		for _, b := range h.bins {
+			if !yield(b.i, b.p) {
+				return
+			}
+		}
+	}
+}
+
+// Masses returns a fresh dense vector of the NBins bin masses.
+func (h *Histogram) Masses() []float64 {
+	out := make([]float64, h.n)
+	for _, b := range h.bins {
+		out[b.i] = b.p
+	}
+	return out
+}
 
 // BinWidth returns the common bin width.
-func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(len(h.Probs)) }
+func (h *Histogram) BinWidth() float64 { return (h.Hi - h.Lo) / float64(h.n) }
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
@@ -73,8 +168,8 @@ func (h *Histogram) BinCenter(i int) float64 {
 // Mean returns the exact mean of the piecewise-uniform density.
 func (h *Histogram) Mean() float64 {
 	var m float64
-	for i, p := range h.Probs {
-		m += p * h.BinCenter(i)
+	for _, b := range h.bins {
+		m += b.p * h.BinCenter(b.i)
 	}
 	return m
 }
@@ -85,9 +180,9 @@ func (h *Histogram) Variance() float64 {
 	mean := h.Mean()
 	w := h.BinWidth()
 	var s float64
-	for i, p := range h.Probs {
-		c := h.BinCenter(i)
-		s += p * (c*c + w*w/12)
+	for _, b := range h.bins {
+		c := h.BinCenter(b.i)
+		s += b.p * (c*c + w*w/12)
 	}
 	v := s - mean*mean
 	if v < 0 {
@@ -99,16 +194,17 @@ func (h *Histogram) Variance() float64 {
 // Std returns the standard deviation.
 func (h *Histogram) Std() float64 { return math.Sqrt(h.Variance()) }
 
-// PDF returns the bin density Probs[i]/width (0 outside [Lo, Hi]).
+// PDF returns the bin density mass/width (0 outside [Lo, Hi]).
 func (h *Histogram) PDF(x float64) float64 {
 	if x < h.Lo || x > h.Hi {
 		return 0
 	}
-	i := h.binOf(x)
-	return h.Probs[i] / h.BinWidth()
+	p, _ := h.lookup(h.binOf(x))
+	return p / h.BinWidth()
 }
 
-// CDF interpolates linearly inside bins.
+// CDF interpolates linearly inside bins. It is NaN when x is NaN, or when
+// x − Lo and the bin width both overflow.
 func (h *Histogram) CDF(x float64) float64 {
 	if x <= h.Lo {
 		return 0
@@ -118,18 +214,21 @@ func (h *Histogram) CDF(x float64) float64 {
 	}
 	w := h.BinWidth()
 	pos := (x - h.Lo) / w
+	if math.IsNaN(pos) {
+		return pos
+	}
 	i := int(pos)
-	if i >= len(h.Probs) {
-		i = len(h.Probs) - 1
+	if i >= h.n {
+		i = h.n - 1
 	}
-	var before float64
-	if i > 0 {
-		before = h.cum[i-1]
-	}
-	return before + (pos-float64(i))*h.Probs[i]
+	p, before := h.lookup(i)
+	return before + (pos-float64(i))*p
 }
 
-// Quantile inverts the piecewise-linear CDF.
+// Quantile inverts the piecewise-linear CDF. When every stored running
+// total is below p (p is NaN, or the top bin is empty and p is above the
+// last occupied bin's total) it falls to the top bin, as the dense form's
+// pinned cum[n-1] = 1 did.
 func (h *Histogram) Quantile(p float64) float64 {
 	if p <= 0 {
 		return h.Lo
@@ -137,17 +236,14 @@ func (h *Histogram) Quantile(p float64) float64 {
 	if p >= 1 {
 		return h.Hi
 	}
-	i := sort.SearchFloat64s(h.cum, p)
-	if i >= len(h.Probs) {
-		i = len(h.Probs) - 1
+	i := h.n - 1
+	if k := sort.Search(len(h.bins), func(j int) bool { return h.bins[j].cum >= p }); k < len(h.bins) {
+		i = h.bins[k].i
 	}
-	var before float64
-	if i > 0 {
-		before = h.cum[i-1]
-	}
+	mass, before := h.lookup(i)
 	frac := 0.0
-	if h.Probs[i] > 0 {
-		frac = (p - before) / h.Probs[i]
+	if mass > 0 {
+		frac = (p - before) / mass
 	}
 	return h.Lo + (float64(i)+frac)*h.BinWidth()
 }
@@ -161,11 +257,11 @@ func (h *Histogram) CF(t float64) complex128 {
 	w := h.BinWidth()
 	s := complex(sinc(t*w/2), 0)
 	var out complex128
-	for i, p := range h.Probs {
-		if p == 0 {
+	for _, b := range h.bins {
+		if b.p == 0 {
 			continue
 		}
-		out += complex(p, 0) * cmplx.Exp(complex(0, t*h.BinCenter(i)))
+		out += complex(b.p, 0) * cmplx.Exp(complex(0, t*h.BinCenter(b.i)))
 	}
 	return out * s
 }
@@ -175,7 +271,7 @@ func (h *Histogram) Support() (float64, float64) { return h.Lo, h.Hi }
 
 // String formats the distribution for diagnostics.
 func (h *Histogram) String() string {
-	return fmt.Sprintf("Hist[%.4g, %.4g]×%d", h.Lo, h.Hi, len(h.Probs))
+	return fmt.Sprintf("Hist[%.4g, %.4g]×%d", h.Lo, h.Hi, h.n)
 }
 
 // binOf maps x (inside the support) to its bin index.
@@ -184,8 +280,8 @@ func (h *Histogram) binOf(x float64) int {
 	if i < 0 {
 		return 0
 	}
-	if i >= len(h.Probs) {
-		return len(h.Probs) - 1
+	if i >= h.n {
+		return h.n - 1
 	}
 	return i
 }
@@ -200,7 +296,7 @@ func Discretize(d Dist, bins int) *Histogram {
 	}
 	if h, ok := d.(*Histogram); ok && h.NBins() == bins {
 		// Copy rather than alias so callers may treat the result as scratch.
-		return NewHistogram(h.Lo, h.Hi, h.Probs)
+		return NewHistogram(h.Lo, h.Hi, h.Masses())
 	}
 	lo, hi := EffectiveRange(d, 1e-9)
 	if hi <= lo {

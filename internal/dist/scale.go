@@ -46,7 +46,7 @@ func Scale(d Dist, k float64) Dist {
 		return NewMixture(append([]float64(nil), v.Weights...), comps)
 	case *Histogram:
 		lo, hi := v.Lo*k, v.Hi*k
-		probs := append([]float64(nil), v.Probs...)
+		probs := v.Masses()
 		if k < 0 {
 			lo, hi = hi, lo
 			for i, j := 0, len(probs)-1; i < j; i, j = i+1, j-1 {

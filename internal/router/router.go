@@ -885,12 +885,7 @@ func (r *Router) emitClientAlert(ep *repoch, t *stream.Tuple) {
 	if r.crashed.Load() {
 		return
 	}
-	m, err := server.AlertMsg(t)
-	if err != nil {
-		r.encodeErrs.Add(1)
-		return
-	}
-	line, err := server.EncodeLine(m)
+	line, err := server.AlertLine(t)
 	if err != nil {
 		r.encodeErrs.Add(1)
 		return

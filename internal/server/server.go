@@ -486,12 +486,7 @@ func (s *Server) requestCheckpoint(ep *epoch) error {
 // every subscriber. Encoding failures are counted, never fatal — this
 // goroutine is the engine.
 func (s *Server) emitAlert(ep *epoch, t *stream.Tuple) {
-	m, err := AlertMsg(t)
-	if err != nil {
-		s.encodeErrs.Add(1)
-		return
-	}
-	line, err := EncodeLine(m)
+	line, err := AlertLine(t)
 	if err != nil {
 		s.encodeErrs.Add(1)
 		return

@@ -60,7 +60,7 @@ func TestQ1AlertsMatchGolden(t *testing.T) {
 // formatQ3 renders quantile alerts for the golden pin: the moments every
 // other alert format carries, plus — for the exact path's Histogram — the
 // range and an FNV-1a hash over the Float64bits of every bin mass, so a
-// single flipped bit in any Probs[i] changes the line.
+// single flipped bit in any bin mass changes the line.
 func formatQ3(ts []*stream.Tuple) string {
 	var b strings.Builder
 	for _, t := range ts {
@@ -69,11 +69,11 @@ func formatQ3(ts []*stream.Tuple) string {
 		if h, ok := d.(*dist.Histogram); ok {
 			sum := fnv.New64a()
 			var buf [8]byte
-			for _, p := range h.Probs {
+			for _, p := range h.Masses() {
 				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
 				sum.Write(buf[:])
 			}
-			fmt.Fprintf(&b, "|%.17g|%.17g|%d|%016x", h.Lo, h.Hi, len(h.Probs), sum.Sum64())
+			fmt.Fprintf(&b, "|%.17g|%.17g|%d|%016x", h.Lo, h.Hi, h.NBins(), sum.Sum64())
 		}
 		b.WriteByte('\n')
 	}

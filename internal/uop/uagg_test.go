@@ -3,6 +3,7 @@ package uop
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -333,5 +334,20 @@ func TestUngroupedSumSkipsImpossibleWindow(t *testing.T) {
 		if m := core.Unwrap(out[0]).Attr("weight").Mean(); m != 5 {
 			t.Errorf("%s: sum mean %g, want 5", tc.name, m)
 		}
+	}
+}
+
+// TestQ3NaNThresholdNoAlerts runs the quantile query with a NaN HAVING
+// threshold. P(weight > NaN) is NaN, which clears no confidence floor, so
+// the run emits nothing; it used to panic at the first exact window, where
+// Histogram.CDF(NaN) indexed its bins at MinInt.
+func TestQ3NaNThresholdNoAlerts(t *testing.T) {
+	lts, w := seededTrace(t, 60, 160, 0)
+	c := BuildQ3(Q3Config{SlideMS: stream.Second, AreaFt: 10, ThresholdLbs: math.NaN()}).Compile()
+	for _, lt := range lts {
+		c.Push("locations", LocationUTuple(lt, w))
+	}
+	if alerts := c.Close(); len(alerts) != 0 {
+		t.Errorf("NaN threshold emitted %d alerts, want 0", len(alerts))
 	}
 }

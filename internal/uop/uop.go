@@ -41,7 +41,7 @@ func having(name, attr string, threshold, minProb float64) stream.Operator {
 	return stream.NewSelect(name, func(t *stream.Tuple) *stream.Tuple {
 		u := core.Unwrap(t)
 		p := 1 - u.Attr(attr).CDF(threshold)
-		if p < minProb {
+		if !(p >= minProb) { // a NaN probability clears no floor
 			return nil
 		}
 		group := ""
