@@ -23,14 +23,22 @@ import (
 // path does not cover; equivalence tests pin byte-identical alerts between
 // the two.
 //
-// The same box is the sliding-window partial of a sharded or clustered plan
-// (NewWindowAggPartialOp): in partial mode a group folds each surviving
-// contribution through the aggregate's Prepare, once, into a log of
-// PartialContribs stamped with the carrier's arrival sequence, and every
-// close ships each live group's log to the merge instead of a Result. The
-// admission, dedup, eviction and replay-restore code is shared, so the
-// partial's dedup winners are the unsharded path's by construction.
+// The same box is the sliding-window partial of a sharded or clustered plan.
+// Its admission, dedup, eviction and replay-restore code is shared with the
+// unsharded box, so a partial's dedup winners are the unsharded path's by
+// construction, and each surviving contribution runs the aggregate's Prepare
+// once, stamped with the carrier's arrival sequence. What a close ships
+// depends on the consumer:
 //
+//   - An in-process shard (Shard) ships one slideDelta per close: the
+//     (group, seq) of every contribution withdrawn since the previous close,
+//     then the prepared contributions that entered, in arrival order. The
+//     merge (shard.go) keeps each group's live contributions itself, so a
+//     contribution crosses to the merge once and leaves it once.
+//   - A cluster worker (NewWindowAggPartialOp) ships, per close, each live
+//     group's whole contribution log as a groupPartial, the self-contained
+//     form the part codec carries between processes.
+
 // The per-tuple bookkeeping is deliberately map-free on the hot path: a
 // tuple's contributions are recorded in a FIFO deque aligned with the
 // window ring (evictions pop the front), contribution refs hold the group
@@ -58,7 +66,7 @@ type tupleRec struct {
 	hasKey bool
 	lost   bool // superseded by a newer same-key reading; never contributes
 	nref   int32
-	refs   [3]contribRef
+	refs   [6]contribRef
 	spill  []contribRef // overflow beyond the inline refs (wide memberships)
 }
 
@@ -76,9 +84,10 @@ func (r *tupleRec) addRef(ref contribRef) {
 // lineage and an emission cache: a group untouched since its last emission
 // reuses the cached result rows and lineage set (for CFInvert that skips a
 // whole FFT inversion) — in slide-heavy configurations many groups are
-// unchanged between consecutive slides. In partial mode acc and lins are
-// unused: parts holds the prepared contributions and sent the list last
-// shipped to the merge, which is immutable once shipped.
+// unchanged between consecutive slides. In the partial modes acc and lins
+// are unused and n counts the live contributions; the full-list partial
+// also keeps them in parts, and in sent the list last shipped to the merge,
+// which is immutable once shipped.
 type groupState struct {
 	acc   Acc
 	lins  idMultiset
@@ -86,14 +95,20 @@ type groupState struct {
 	rows  []AggOut
 	lin   lineage.Set
 
+	name  string
+	n     int
 	parts alog[*PartialContrib]
 	sent  []*PartialContrib
+	// slot is the group's slot in the delta partial's open slideDelta,
+	// valid while gen is the box's.
+	slot int32
+	gen  uint64
 }
 
 // live is the group's live contribution count.
 func (st *groupState) live() int {
 	if st.acc == nil {
-		return st.parts.liveN
+		return st.n
 	}
 	return st.acc.Len()
 }
@@ -112,10 +127,8 @@ func (st *groupState) refresh() {
 // probabilistic GROUP BY spine; ungrouped aggregates run with the single
 // implicit group "").
 type incWindowAgg struct {
-	cfg WindowAggConfig
-	// partial selects the shard/worker form: prepared contributions out,
-	// finalization left to the merge.
-	partial bool
+	cfg  WindowAggConfig
+	mode incMode
 
 	states map[string]*groupState
 
@@ -137,12 +150,32 @@ type incWindowAgg struct {
 	}
 	recentNext int
 
-	chunk []PartialContrib // partial mode: contribution storage (newContrib)
+	chunk []PartialContrib // full-list partial: contribution storage (newContrib)
+	delta *slideDelta      // delta partial: the close being assembled
+	gen   uint64           // delta partial: closes shipped, plus one
+	// touched are the groups the delta partial's open close changed.
+	touched []*groupState
+	// link and port connect a delta partial to its merge (shardLink).
+	link *shardLink
+	port int
 
 	outNames []string          // shared schema of emitted tuples: {attr, "group"}
 	names    []string          // emission scratch
 	outs     [][]*stream.Tuple // emission scratch
 }
+
+// incMode selects what the box emits per slide.
+type incMode uint8
+
+const (
+	// incRows is the unsharded box: accumulators in, result rows out.
+	incRows incMode = iota
+	// incDelta is an in-process shard: per close, one slideDelta.
+	incDelta
+	// incFull is a cluster worker: per close, one groupPartial per live
+	// group carrying its whole contribution log.
+	incFull
+)
 
 // groupFor resolves a group name to its state, creating it on first use.
 func (b *incWindowAgg) groupFor(name string) *groupState {
@@ -153,8 +186,8 @@ func (b *incWindowAgg) groupFor(name string) *groupState {
 	}
 	st := b.states[name]
 	if st == nil {
-		st = &groupState{}
-		if !b.partial {
+		st = &groupState{name: name}
+		if b.mode == incRows {
 			st.acc = b.cfg.Agg.NewAcc()
 		}
 		b.states[name] = st
@@ -171,22 +204,31 @@ func (b *incWindowAgg) groupFor(name string) *groupState {
 // window spec must be a sliding time window (the builder falls back to the
 // rescan box otherwise).
 func newIncWindowAggOp(name string, cfg WindowAggConfig) stream.Operator {
-	b := newIncWindowAgg(cfg, false)
+	b := newIncWindowAgg(cfg, incRows)
 	return stream.NewDeltaWindowState(name, cfg.Window, b.onSlide, b)
 }
 
-// newIncWindowAggPartialOp builds the delta-driven partial of a sliding
-// window: externally clocked by the partitioner's close punctuations, which
-// it forwards to the merge after each close's partials.
-func newIncWindowAggPartialOp(name string, cfg WindowAggConfig) stream.Operator {
-	b := newIncWindowAgg(cfg, true)
-	return stream.NewExternalDeltaWindowState(name, cfg.Window, b.onSlide, b)
+// newIncWindowAggPartialOp runs the partial-mode box b as the delta-driven
+// partial of a sliding window: externally clocked by the partitioner's close
+// punctuations, which it forwards to the merge after each close's output.
+func newIncWindowAggPartialOp(name string, b *incWindowAgg) stream.Operator {
+	return stream.NewExternalDeltaWindowState(name, b.cfg.Window, b.onSlide, b)
 }
 
-func newIncWindowAgg(cfg WindowAggConfig, partial bool) *incWindowAgg {
+// newDeltaPartialOp builds a sliding plan's shard instance: a delta partial
+// shipping slide deltas to merge port port through link.
+func newDeltaPartialOp(name string, cfg WindowAggConfig, link *shardLink, port int) stream.Operator {
+	b := newIncWindowAgg(cfg, incDelta)
+	b.link, b.port = link, port
+	b.delta, b.gen = link.take(), 1
+	// A close ends its batch, so a slide's input fills at least one batch.
+	return &aggKindOp{Operator: newIncWindowAggPartialOp(name, b), kind: cfg.Agg.Kind(), batches: 2 * deltaQueue}
+}
+
+func newIncWindowAgg(cfg WindowAggConfig, mode incMode) *incWindowAgg {
 	b := &incWindowAgg{
 		cfg:      cfg,
-		partial:  partial,
+		mode:     mode,
 		states:   make(map[string]*groupState),
 		outNames: []string{cfg.Agg.Attr(), "group"},
 	}
@@ -261,11 +303,16 @@ func (b *incWindowAgg) withdrawAt(seq uint64) {
 		} else {
 			ref = r.spill[i-len(r.refs)]
 		}
-		if b.partial {
-			ref.st.parts.remove(ref.handle)
-		} else {
+		switch b.mode {
+		case incRows:
 			ref.st.acc.Remove(ref.handle)
 			ref.st.lins.RemoveIDs(r.u.Lin.IDs())
+		case incDelta:
+			ref.st.n--
+			b.delta.removes = append(b.delta.removes, slotSeq{slot: b.deltaSlot(ref.st), seq: r.seq})
+		case incFull:
+			ref.st.n--
+			ref.st.parts.remove(ref.handle)
 		}
 		ref.st.dirty = true
 	}
@@ -329,9 +376,12 @@ func (b *incWindowAgg) admit(t *stream.Tuple) {
 	b.byKey[key] = seq
 }
 
-// contribute evaluates membership and runs the aggregate's Add (in partial
-// mode, its Prepare) for the record at index i if it survived the batch
-// dedup, inserting its contributions into the group states.
+// contribute evaluates membership and runs the aggregate's Add (in the
+// partial modes, its Prepare) for the record at index i if it survived the
+// batch dedup, inserting its contributions into the group states. A delta
+// partial appends each prepared contribution to the close being assembled;
+// it is never withdrawn before that close ships, because onSlide withdraws
+// (evictions, then dedup replacements) before it contributes.
 func (b *incWindowAgg) contribute(i int) {
 	r := &b.recs[i]
 	if r.lost {
@@ -345,14 +395,22 @@ func (b *incWindowAgg) contribute(i int) {
 		}
 		st := b.groupFor(gm.Group)
 		var h uint64
-		if b.partial {
+		switch b.mode {
+		case incRows:
+			h = st.acc.Add(u, p)
+			st.lins.AddIDs(u.Lin.IDs())
+		case incDelta:
+			st.n++
+			d := b.delta
+			d.adds = append(d.adds, slotContrib{slot: b.deltaSlot(st), c: PartialContrib{Seq: r.seq, U: u, P: p}})
+			c := &d.adds[len(d.adds)-1].c
+			c.D, c.Aux = b.cfg.Agg.Prepare(u, p)
+		case incFull:
+			st.n++
 			c := b.newContrib()
 			c.Seq, c.U, c.P = r.seq, u, p
 			c.D, c.Aux = b.cfg.Agg.Prepare(u, p)
 			h = st.parts.add(c)
-		} else {
-			h = st.acc.Add(u, p)
-			st.lins.AddIDs(u.Lin.IDs())
 		}
 		st.dirty = true
 		r.addRef(contribRef{st: st, handle: h})
@@ -367,18 +425,14 @@ func (b *incWindowAgg) contribute(i int) {
 // one worker and emission stays sequential in name order, so output is
 // deterministic regardless of scheduling.
 func (b *incWindowAgg) emitGroups(end stream.Time, emit stream.Emit) {
+	if b.mode == incDelta {
+		b.shipDelta(end, emit)
+		return
+	}
 	b.names = b.names[:0]
 	for g, st := range b.states {
 		if st.live() == 0 {
-			delete(b.states, g)
-			// Drop any cache entry for the deleted state: a later arrival
-			// must re-create the group through the map, not feed a ghost.
-			for i := range b.recent {
-				if b.recent[i].st == st {
-					b.recent[i].name = ""
-					b.recent[i].st = nil
-				}
-			}
+			b.drop(st)
 			continue
 		}
 		b.names = append(b.names, g)
@@ -387,7 +441,7 @@ func (b *incWindowAgg) emitGroups(end stream.Time, emit stream.Emit) {
 		return
 	}
 	sort.Strings(b.names)
-	if b.partial {
+	if b.mode == incFull {
 		b.emitPartials(end, emit)
 		return
 	}
@@ -425,6 +479,46 @@ func (b *incWindowAgg) emitPartials(end stream.Time, emit stream.Emit) {
 	}
 }
 
+// drop forgets an empty group's state.
+func (b *incWindowAgg) drop(st *groupState) {
+	delete(b.states, st.name)
+	// Drop any cache entry for the deleted state: a later arrival must
+	// re-create the group through the map, not feed a ghost.
+	for i := range b.recent {
+		if b.recent[i].st == st {
+			b.recent[i].name = ""
+			b.recent[i].st = nil
+		}
+	}
+}
+
+// shipDelta ships the close's slideDelta — every close ships one, empty or
+// not, so the merge can tell a delta window from a full-list one — and
+// starts the next in storage the merge has handed back. Only the groups the
+// close changed can have emptied, so only they are checked.
+func (b *incWindowAgg) shipDelta(end stream.Time, emit stream.Emit) {
+	for _, st := range b.touched {
+		if st.n == 0 {
+			b.drop(st)
+		}
+	}
+	clear(b.touched)
+	b.touched = b.touched[:0]
+	d := b.delta
+	b.delta, b.gen = b.link.take(), b.gen+1
+	emit(stream.NewTuple(deltaSchema, end, d))
+}
+
+// deltaSlot returns the group's slot in the close being assembled.
+func (b *incWindowAgg) deltaSlot(st *groupState) int32 {
+	if st.gen != b.gen {
+		st.gen, st.slot = b.gen, int32(len(b.delta.groups))
+		b.delta.groups = append(b.delta.groups, st.name)
+		b.touched = append(b.touched, st)
+	}
+	return st.slot
+}
+
 // newContrib returns storage for one prepared contribution, carved from a
 // chunk it shares with its neighbours in arrival order — neighbours that
 // leave the window at about the same time, so a chunk outlives its
@@ -440,8 +534,9 @@ func (b *incWindowAgg) newContrib() *PartialContrib {
 
 const contribChunk = 64
 
-// runPool runs fn(0..n-1) across the given number of workers, claiming
-// indexes off an atomic counter; workers <= 1 runs inline. Each index is
+// runPool runs fn(0..n-1) across the given number of workers, the caller
+// among them, claiming indexes off an atomic counter; workers <= 1 runs
+// inline. Each index is
 // claimed by exactly one worker, so fn may write disjoint slots of a shared
 // slice without locking. Shared by the incremental box's per-group emission
 // and the shard merge's finalize.
@@ -456,20 +551,24 @@ func runPool(workers, n int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
+	work() // the caller is one of the workers
 	wg.Wait()
 }
 
@@ -567,6 +666,11 @@ func (m *idMultiset) RemoveIDs(ids []uint64) {
 		m.ids = append(m.ids[:i], m.ids[i+1:]...)
 		m.counts = append(m.counts[:i], m.counts[i+1:]...)
 	}
+}
+
+// emptied returns the multiset emptied, keeping its storage.
+func (m idMultiset) emptied() idMultiset {
+	return idMultiset{ids: m.ids[:0], counts: m.counts[:0]}
 }
 
 // Snapshot returns the distinct ids as a lineage set (one copy, no sort).

@@ -74,8 +74,10 @@ type quantileAgg struct {
 	q    float64
 	opts QuantileOptions
 	// pool recycles the finalize's working memory across windows, groups and
-	// the emission workers that run finalizes concurrently.
-	pool sync.Pool
+	// the emission workers that run finalizes concurrently; sketches hands
+	// out the storage sketch points are carved from.
+	pool     sync.Pool
+	sketches sync.Pool
 }
 
 // NewQuantileAgg builds the windowed q-quantile aggregate over the named
@@ -87,6 +89,7 @@ func NewQuantileAgg(attr string, q float64, opts QuantileOptions) UAgg {
 	}
 	a := &quantileAgg{attr: attr, q: q, opts: opts.withDefaults()}
 	a.pool.New = func() any { return new(quantileScratch) }
+	a.sketches.New = func() any { return new([]float64) }
 	return a
 }
 
@@ -107,15 +110,28 @@ func (a *quantileAgg) Heavy() bool { return true }
 
 // sketch compresses one attribute distribution to its centered-quantile
 // points: d.Quantile((j+½)/s) for j = 0..s-1. Equal-mass representative
-// points, exact for point masses, monotone by construction.
+// points, exact for point masses, monotone by construction. The points are
+// carved from a chunk shared with the sketches made around the same time —
+// contributions that arrive together leave the window together, so a chunk
+// outlives its sketches only briefly — instead of one allocation each.
 func (a *quantileAgg) sketch(d dist.Dist) []float64 {
 	s := a.opts.SketchPoints
-	pts := make([]float64, s)
+	c := a.sketches.Get().(*[]float64)
+	if len(*c)+s > cap(*c) {
+		*c = make([]float64, 0, sketchChunk*s)
+	}
+	n := len(*c)
+	*c = (*c)[:n+s]
+	pts := (*c)[n : n+s : n+s]
 	for j := 0; j < s; j++ {
 		pts[j] = d.Quantile((float64(j) + 0.5) / float64(s))
 	}
+	a.sketches.Put(c)
 	return pts
 }
+
+// sketchChunk is how many sketches one chunk holds.
+const sketchChunk = 64
 
 // Prepare implements UAgg: the sketch points travel as Aux; the attribute
 // distribution itself already rides inside the carrier tuple.
@@ -132,13 +148,17 @@ type qContrib struct {
 }
 
 func (a *quantileAgg) Finalize(cs []PartialContrib) []AggOut {
+	return a.appendFinal(nil, cs)
+}
+
+func (a *quantileAgg) appendFinal(dst []AggOut, cs []PartialContrib) []AggOut {
 	s := a.pool.Get().(*quantileScratch)
 	defer a.release(s)
 	s.qcs = fit(s.qcs, len(cs))
 	for i, c := range cs {
 		s.qcs[i] = qContrib{d: c.U.Attr(a.attr), p: c.P, pts: c.Aux}
 	}
-	return []AggOut{{D: a.fold(s, s.qcs)}}
+	return append(dst, AggOut{D: a.fold(s, s.qcs)})
 }
 
 func (a *quantileAgg) NewAcc() Acc {

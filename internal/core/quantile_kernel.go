@@ -46,7 +46,8 @@ type quantileScratch struct {
 	cont   []continuous // the non-atom contributions, ascending by index
 	events []uint64     // atom change schedule: edge<<32 | index, sorted
 	rows   []float64    // (n+1)·(k+1): rows[i] is the DP state after 0..i−1
-	masses []float64
+	binAt  []int        // the bins a mass was written to, ascending
+	masses []float64    // the mass written to binAt[j]
 	pts    []weightedPoint
 }
 
@@ -163,8 +164,10 @@ func (a *quantileAgg) exact(s *quantileScratch, cs []qContrib, w float64, k int)
 	for i := 0; i <= n; i++ {
 		s.rows[i*kk] = 1
 	}
-	s.masses = fit(s.masses, g)
-	clear(s.masses)
+	// Masses are written only at edges where the CDF moved, in increasing
+	// edge order, and handed over as (bin, mass) pairs: every other bin of
+	// the dense vector would be zero.
+	s.binAt, s.masses = s.binAt[:0], s.masses[:0]
 	last := s.rows[n*kk:]
 	prev := 0.0
 	ev := 0
@@ -218,8 +221,9 @@ func (a *quantileAgg) exact(s *quantileScratch, cs []qContrib, w float64, k int)
 		if f > 1 {
 			f = 1
 		}
-		s.masses[e-1] = math.Max(0, f-prev)
+		s.binAt = append(s.binAt, e-1)
+		s.masses = append(s.masses, math.Max(0, f-prev))
 		prev = f
 	}
-	return dist.NewHistogram(lo, hi, s.masses)
+	return dist.NewSparseHistogram(lo, hi, g, s.binAt, s.masses)
 }

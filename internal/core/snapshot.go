@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dist"
@@ -281,6 +282,14 @@ func (b *incWindowAgg) RestoreState(data []byte, announced []*stream.Tuple) erro
 	for i := 0; i < len(b.recs); i++ {
 		b.contribute(i)
 	}
+	if b.mode == incDelta {
+		// The replayed contributions are the ones the merge held for this
+		// shard: hand them back instead of shipping them again.
+		b.link.restored[b.port] = b.delta
+		b.delta, b.gen = b.link.take(), b.gen+1
+		clear(b.touched)
+		b.touched = b.touched[:0]
+	}
 	return nil
 }
 
@@ -329,16 +338,44 @@ func (o *aggKindOp) Restore(data []byte) error {
 
 // --- shard merge ---
 
-const mergeSnapV2 = 2 // v2: generalized contribution layout (partialSnapV2)
+// A merge snapshot is v2 unless the merge holds slide-delta state, which
+// v3 adds: each pending window's delta flag, with a delta window's
+// withdrawals and additions, and the live groups after the windows. Only a
+// merge fed slide deltas without a shardLink holds such state; a sharded
+// sliding plan's merge leaves its live groups out — its shards' restore hands
+// them back — and holds no pending window when its quiescent plan
+// checkpoints. So every merge a plan, worker or router builds writes v2, and
+// reads the v2 blobs written before v3 existed.
+const (
+	mergeSnapV2 = 2
+	mergeSnapV3 = 3
+)
 
-// Snapshot implements stream.Snapshotter: per-port close counts plus every
-// pending window's partial contributions, keyed by close ordinal. A group's
-// partial lists are written back to back in arrival order, which is also
-// the v2 layout of the merge that concatenated them on arrival; Restore
-// splits the flat list back into arrival-ordered runs.
+// Snapshot implements stream.Snapshotter: per-port close counts, every
+// pending window's shard output keyed by close ordinal, and (v3) the live
+// groups. A pending group's lists are written back to back in arrival order,
+// and Restore splits the flat list back into arrival-ordered runs; a live
+// group is written as its live list, ascending by Seq. A sharded sliding
+// plan's merge refuses to snapshot a pending window: its live groups are
+// rebuilt from the shards' residents, which holds only for a checkpoint of
+// the whole quiescent plan, where every shard's closes have reached it.
 func (o *windowAggMerge) Snapshot() ([]byte, error) {
+	version := mergeSnapV2
+	if o.link != nil {
+		for ord := range o.wins {
+			return nil, fmt.Errorf("%s: window %d is partly merged; a sliding plan checkpoints only when quiescent", o.name, ord)
+		}
+	} else if len(o.live) > 0 {
+		version = mergeSnapV3
+	} else {
+		for _, win := range o.wins {
+			if win.delta {
+				version = mergeSnapV3
+			}
+		}
+	}
 	w := &snap.Writer{}
-	w.U8(mergeSnapV2)
+	w.U8(uint8(version))
 	w.Varint(int64(o.p))
 	for _, c := range o.closed {
 		w.Varint(int64(c))
@@ -355,9 +392,25 @@ func (o *windowAggMerge) Snapshot() ([]byte, error) {
 		w.Varint(int64(ord))
 		w.Varint(int64(win.end))
 		w.Varint(int64(win.closes))
+		if version == mergeSnapV3 {
+			w.Bool(win.delta)
+		}
 		w.Uvarint(uint64(len(win.groups)))
 		for _, g := range win.groups {
 			w.String(g.name)
+			if win.delta {
+				w.Uvarint(uint64(len(g.removes)))
+				for _, seq := range g.removes {
+					w.Uvarint(seq)
+				}
+				w.Uvarint(uint64(len(g.adds)))
+				for _, c := range g.adds {
+					if err := encodeContrib(w, c); err != nil {
+						return nil, err
+					}
+				}
+				continue
+			}
 			n := 0
 			for _, run := range g.runs {
 				n += len(run)
@@ -372,55 +425,167 @@ func (o *windowAggMerge) Snapshot() ([]byte, error) {
 			}
 		}
 	}
+	if version == mergeSnapV2 {
+		return w.Bytes(), nil
+	}
+	names := make([]string, 0, len(o.live))
+	for name, g := range o.live {
+		if g.n > 0 {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	w.Uvarint(uint64(len(names)))
+	for _, name := range names {
+		g := o.live[name]
+		w.String(name)
+		w.Uvarint(uint64(g.n))
+		for _, c := range g.cs {
+			if c.U == nil {
+				continue // a hole
+			}
+			if err := encodeContrib(w, c); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return w.Bytes(), nil
 }
 
-// Restore implements stream.Snapshotter.
+// Restore implements stream.Snapshotter. It refuses state the merge could
+// not have held: a negative close count or ordinal, a pending window below
+// the finalized ordinals or out of order, a pending window with p or more
+// closes (Process finalizes a window at its p-th close, so it would never
+// finalize again and its alerts would leave only at Flush, after every later
+// window's), a group named twice or with nothing in it, and a live list
+// whose stamps do not strictly ascend. A sharded sliding plan's merge also
+// refuses any pending window, which its Snapshot never writes: the shards'
+// replay hands back every contribution they had shipped, so a pending
+// window's additions would be applied a second time.
 func (o *windowAggMerge) Restore(data []byte) error {
 	r := snap.NewReader(data)
-	if v := r.U8(); v != mergeSnapV2 && r.Err() == nil {
-		r.Fail("merge snapshot version %d", v)
+	version := r.U8()
+	if version != mergeSnapV2 && version != mergeSnapV3 && r.Err() == nil {
+		r.Fail("merge snapshot version %d", version)
 	}
 	if p := int(r.Varint()); p != o.p && r.Err() == nil {
 		r.Fail("%s: snapshot has %d ports, operator has %d", o.name, p, o.p)
 	}
 	for i := range o.closed {
 		o.closed[i] = int(r.Varint())
+		if o.closed[i] < 0 && r.Err() == nil {
+			r.Fail("port %d has %d closes", i, o.closed[i])
+		}
 	}
 	o.next = int(r.Varint())
-	o.wins = make(map[int]*mergeWin)
-	nw := r.Len()
-	if err := r.Err(); err != nil {
-		return err
+	if o.next < 0 && r.Err() == nil {
+		r.Fail("next window ordinal %d", o.next)
 	}
-	for i := 0; i < nw; i++ {
+	o.wins = make(map[int]*mergeWin)
+	o.live = make(map[string]*liveGroup)
+	nw := r.Len()
+	prev := o.next - 1
+	for i := 0; i < nw && r.Err() == nil; i++ {
 		ord := int(r.Varint())
 		win := &mergeWin{idx: make(map[string]int)}
 		win.end = stream.Time(r.Varint())
 		win.closes = int(r.Varint())
-		ng := r.Len()
+		if version == mergeSnapV3 {
+			win.delta = r.Bool()
+		}
 		if r.Err() != nil {
 			break
 		}
-		for j := 0; j < ng; j++ {
-			g := win.group(r.String())
-			nc := r.Len()
-			if r.Err() != nil {
+		if o.link != nil {
+			r.Fail("%s: pending window %d in a sliding plan's checkpoint", o.name, ord)
+			break
+		}
+		if ord <= prev {
+			r.Fail("pending window ordinal %d after %d (next %d)", ord, prev, o.next)
+			break
+		}
+		if win.closes < 0 || win.closes >= o.p {
+			r.Fail("pending window %d has %d of %d closes", ord, win.closes, o.p)
+			break
+		}
+		prev = ord
+		ng := r.Len()
+		for j := 0; j < ng && r.Err() == nil; j++ {
+			name := r.String()
+			if _, dup := win.idx[name]; dup && r.Err() == nil {
+				r.Fail("pending window %d names group %q twice", ord, name)
 				break
 			}
-			cs := make([]PartialContrib, 0, nc)
-			for k := 0; k < nc; k++ {
-				c, err := decodeContrib(r)
-				if err != nil {
-					return err
+			g := win.group(name)
+			if win.delta {
+				nr := r.Len()
+				for k := 0; k < nr && r.Err() == nil; k++ {
+					g.removes = append(g.removes, r.Uvarint())
 				}
-				cs = append(cs, c)
 			}
-			g.runs = append(g.runs, seqRuns(cs)...)
+			cs, err := decodeContribs(r)
+			if err != nil {
+				return err
+			}
+			if len(cs) == 0 && len(g.removes) == 0 && r.Err() == nil {
+				r.Fail("pending window %d holds nothing for group %q", ord, name)
+			}
+			if win.delta {
+				g.adds = cs
+			} else if len(cs) > 0 {
+				g.runs = seqRuns(cs)
+			}
 		}
 		o.wins[ord] = win
 	}
+	if version == mergeSnapV2 || o.link != nil {
+		return r.Close()
+	}
+	nl := r.Len()
+	last := ""
+	for i := 0; i < nl && r.Err() == nil; i++ {
+		name := r.String()
+		if i > 0 && name <= last && r.Err() == nil {
+			r.Fail("live group %q after %q: names not ascending or named twice", name, last)
+			break
+		}
+		last = name
+		cs, err := decodeContribs(r)
+		if err != nil {
+			return err
+		}
+		if len(cs) == 0 {
+			r.Fail("live group %q is empty", name)
+			break
+		}
+		for k := 1; k < len(cs); k++ {
+			if cs[k].Seq <= cs[k-1].Seq {
+				r.Fail("live group %q: seq %d after %d", name, cs[k].Seq, cs[k-1].Seq)
+				break
+			}
+		}
+		g := &liveGroup{cs: cs}
+		g.add(cs)
+		o.live[name] = g
+	}
 	return r.Close()
+}
+
+// decodeContribs reads a counted contribution list.
+func decodeContribs(r *snap.Reader) ([]PartialContrib, error) {
+	n := r.Len()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	cs := make([]PartialContrib, 0, n)
+	for k := 0; k < n; k++ {
+		c, err := decodeContrib(r)
+		if err != nil {
+			return nil, err
+		}
+		cs = append(cs, c)
+	}
+	return cs, nil
 }
 
 // seqRuns splits a flat contribution list into its maximal Seq-ascending

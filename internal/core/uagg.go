@@ -112,6 +112,13 @@ type UAgg interface {
 	Prepare(u *UTuple, p float64) (d dist.Dist, aux []float64)
 }
 
+// finalAppender is implemented by aggregates whose Finalize can append its
+// rows to a caller's slice: the shard merge refolds a changed group every
+// slide and keeps its rows slice, as the unsharded box's Result does.
+type finalAppender interface {
+	appendFinal(dst []AggOut, cs []PartialContrib) []AggOut
+}
+
 // WindowAggConfig parameterizes the windowed-aggregate box.
 type WindowAggConfig struct {
 	// Window is the (tumbling/sliding/count) window policy.
@@ -330,20 +337,29 @@ func unionLineage(cs []PartialContrib) lineage.Set {
 func assembleRows(g string, rows []AggOut, lin lineage.Set, end stream.Time, outNames []string) []*stream.Tuple {
 	ts := make([]*stream.Tuple, len(rows))
 	for i, row := range rows {
-		u := &UTuple{
+		rc := &rowCarrier{attrs: [2]dist.Dist{row.D, dist.PointMass{V: 0}}}
+		rc.u = UTuple{
 			TS:    end,
 			ID:    stream.NextTupleID(),
-			names: outNames, // shared; len == cap, so a downstream SetAttr copies
-			attrs: []dist.Dist{row.D, dist.PointMass{V: 0}},
+			names: outNames,    // shared; len == cap, so a downstream SetAttr copies
+			attrs: rc.attrs[:], // len == cap too
 			Exist: 1,
 			Lin:   lin,
 			Keys:  row.Keys,
 		}
+		u := &rc.u
 		t := stream.NewTuple(groupedSchema, end, u, g)
 		t.ID = u.ID
 		ts[i] = t
 	}
 	return ts
+}
+
+// rowCarrier is an output row's uncertain tuple and its attribute storage,
+// allocated together.
+type rowCarrier struct {
+	u     UTuple
+	attrs [2]dist.Dist
 }
 
 // alog is the insertion-ordered entry store behind the accumulators and the

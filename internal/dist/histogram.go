@@ -46,49 +46,100 @@ func NewHistogram(lo, hi float64, masses []float64) *Histogram {
 	if len(masses) == 0 {
 		masses = []float64{1}
 	}
+	occupied := 0
+	for _, m := range masses {
+		if m > 0 {
+			occupied++
+		}
+	}
+	bins := make([]bin, 0, occupied)
+	for i, m := range masses {
+		if m > 0 {
+			bins = append(bins, bin{i: i, p: m})
+		}
+	}
+	return newHistogram(lo, hi, len(masses), bins)
+}
+
+// NewSparseHistogram is NewHistogram over the n-bin mass vector that is zero
+// except at bins idx[j], which hold masses[j]; idx must ascend strictly
+// within [0, n). It returns the same histogram, bit for bit, without the
+// dense vector: a caller that knows where its masses are (an exact quantile
+// over n atoms writes at most n of its bins) hands over only those.
+func NewSparseHistogram(lo, hi float64, n int, idx []int, masses []float64) *Histogram {
+	if n <= 0 {
+		return NewHistogram(lo, hi, nil)
+	}
+	bins := make([]bin, 0, len(idx))
+	for j, i := range idx {
+		if m := masses[j]; m > 0 {
+			bins = append(bins, bin{i: i, p: m})
+		}
+	}
+	return newHistogram(lo, hi, n, bins)
+}
+
+// newHistogram builds an n-bin histogram from its positive raw masses,
+// carried in bins' p in ascending index order. It normalizes them in place;
+// the total is the sum of the same masses in the same order a dense scan
+// adds them in.
+func newHistogram(lo, hi float64, n int, bins []bin) *Histogram {
 	if hi <= lo {
 		hi = lo + 1e-9
 	}
 	var total float64
-	occupied, inf := 0, false
-	for _, m := range masses {
-		if m > 0 {
-			total += m
-			occupied++
-			inf = inf || math.IsInf(m, 1)
-		}
+	inf := false
+	for _, b := range bins {
+		total += b.p
+		inf = inf || math.IsInf(b.p, 1)
 	}
-	h := &Histogram{Lo: lo, Hi: hi, n: len(masses)}
+	h := &Histogram{Lo: lo, Hi: hi, n: n}
 	// Degenerate input falls back to a uniform density; +Inf/+Inf is a NaN
-	// mass.
-	uniform := total <= 0
-	all := uniform || inf || !h.sparseExact()
-	if uniform {
-		total = float64(len(masses))
+	// mass. Either, or a range whose empty bins do not add exactly ±0,
+	// stores every bin.
+	if uniform := total <= 0; uniform || inf || !h.sparseExact() {
+		h.bins = denseBins(n, bins, total, uniform)
+		h.pin()
+		return h
 	}
-	if all {
-		occupied = len(masses)
-	}
-	h.bins = make([]bin, 0, occupied)
 	var acc float64
-	for i, m := range masses {
-		if uniform {
-			m = 1
-		} else if !(m > 0) {
-			if !all {
-				continue
-			}
-			m = 0
-		}
-		p := m / total
-		if p == 0 && !all {
+	k := 0
+	for _, b := range bins {
+		p := b.p / total
+		if p == 0 {
 			continue // underflow: the dense vector holds +0 here too
 		}
 		acc += p
-		h.bins = append(h.bins, bin{i: i, p: p, cum: acc})
+		bins[k] = bin{i: b.i, p: p, cum: acc}
+		k++
 	}
+	h.bins = bins[:k]
 	h.pin()
 	return h
+}
+
+// denseBins stores all n bins: the positive raw masses in bins normalized by
+// total, zero everywhere else, or 1/n each when uniform.
+func denseBins(n int, bins []bin, total float64, uniform bool) []bin {
+	if uniform {
+		total = float64(n)
+	}
+	out := make([]bin, n)
+	var acc float64
+	k := 0
+	for i := range out {
+		m := 0.0
+		if uniform {
+			m = 1
+		} else if k < len(bins) && bins[k].i == i {
+			m = bins[k].p
+			k++
+		}
+		p := m / total
+		acc += p
+		out[i] = bin{i: i, p: p, cum: acc}
+	}
+	return out
 }
 
 // sparseExact reports whether empty bins may be left out: true when the

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,7 +81,8 @@ var histRanges = [][2]float64{
 // TestHistogramMatchesDense is the stored-bins form's contract: for every
 // shape, size and range, every method returns the dense form's bits, the
 // codec writes the dense form's bytes, and decoding them gives the same
-// bits again.
+// bits again. The sparse entry, handed the shape's nonzero bins plus some
+// zero ones, builds the dense entry's histogram bit for bit.
 func TestHistogramMatchesDense(t *testing.T) {
 	g := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 3, 7, 33, 256} {
@@ -94,9 +96,36 @@ func TestHistogramMatchesDense(t *testing.T) {
 				if s := diffDenseCodec(h, ref); s != "" {
 					t.Fatalf("n=%d %s on [%g, %g]: %s", n, name, r[0], r[1], s)
 				}
+				var idx []int
+				var ms []float64
+				for i, m := range masses {
+					if m != 0 || i%5 == 0 {
+						idx, ms = append(idx, i), append(ms, m)
+					}
+				}
+				if s := diffBits(NewSparseHistogram(r[0], r[1], n, idx, ms), h); s != "" {
+					t.Fatalf("n=%d %s on [%g, %g]: sparse entry: %s", n, name, r[0], r[1], s)
+				}
 			}
 		}
 	}
+}
+
+// diffBits reports the first difference between two histograms' fields, the
+// stored bins compared as float64 bits.
+func diffBits(a, b *Histogram) string {
+	bits := math.Float64bits
+	if bits(a.Lo) != bits(b.Lo) || bits(a.Hi) != bits(b.Hi) || a.n != b.n || len(a.bins) != len(b.bins) {
+		return fmt.Sprintf("[%g, %g] %d bins, %d stored vs [%g, %g] %d bins, %d stored",
+			a.Lo, a.Hi, a.n, len(a.bins), b.Lo, b.Hi, b.n, len(b.bins))
+	}
+	for k, x := range a.bins {
+		y := b.bins[k]
+		if x.i != y.i || bits(x.p) != bits(y.p) || bits(x.cum) != bits(y.cum) {
+			return fmt.Sprintf("stored bin %d: %+v vs %+v", k, x, y)
+		}
+	}
+	return ""
 }
 
 // TestHistogramDecodeMatchesDense decodes stored mass vectors that

@@ -199,11 +199,20 @@ type batcher struct {
 	pending [][]*Tuple
 }
 
-func (w *batcher) add(ch chan batch, port, i int, t *Tuple) {
+// add appends t to the open batch for arrow/target i into box to's input,
+// flushing it when full. Into a box with a bounded input (BoundedInputOp), a
+// window close also ends the batch, so a batch there holds about one window
+// and the bound counts windows: what the window's merge needs moves on at
+// once instead of waiting for a batch that fills only windows later.
+func (w *batcher) add(to, port, i int, t *Tuple) {
 	w.pending[i] = append(w.pending[i], t)
-	if len(w.pending[i]) >= batchSize {
+	full := len(w.pending[i]) >= batchSize
+	if !full && w.r.bounded[to] {
+		_, full = WindowCloseOf(t)
+	}
+	if full {
 		w.r.inflight.Add(1)
-		ch <- batch{port: port, ts: w.pending[i]}
+		w.chans[to] <- batch{port: port, ts: w.pending[i]}
 		w.pending[i] = nil // the consumer owns the flushed slice
 	}
 }
@@ -221,8 +230,10 @@ type chanRun struct {
 	g         *Graph
 	chans     []chan batch
 	producers []int
-	mu        sync.Mutex
-	wg        sync.WaitGroup
+	// bounded marks the boxes whose input channel a BoundedInputOp shortened.
+	bounded []bool
+	mu      sync.Mutex
+	wg      sync.WaitGroup
 	// inflight counts batches whose downstream effects have not yet fully
 	// propagated: incremented before every channel send, decremented by the
 	// consuming box only after it has processed the batch AND flushed the
@@ -246,9 +257,14 @@ func (g *Graph) startRun(buffer int) *chanRun {
 	if buffer <= 0 {
 		buffer = 128
 	}
-	r := &chanRun{g: g, chans: make([]chan batch, len(g.boxes)), producers: make([]int, len(g.boxes))}
-	for i := range r.chans {
-		r.chans[i] = make(chan batch, buffer)
+	r := &chanRun{g: g, chans: make([]chan batch, len(g.boxes)), producers: make([]int, len(g.boxes)),
+		bounded: make([]bool, len(g.boxes))}
+	for i, b := range g.boxes {
+		n := buffer
+		if op, ok := b.Op.(BoundedInputOp); ok && op.InputBatches() > 0 {
+			n, r.bounded[i] = min(n, op.InputBatches()), true
+		}
+		r.chans[i] = make(chan batch, n)
 	}
 	// Per-box producer counts decide when to close inputs: a box's channel
 	// closes when all its upstream producers (plus the feeder) are done.
@@ -296,11 +312,11 @@ func (r *chanRun) runBox(b *Box) {
 		b.statOut.Add(1)
 		if i := b.deliverTo(out); i >= 0 {
 			a := b.outs[i]
-			w.add(chans[a.to.id], a.port, i, out)
+			w.add(a.to.id, a.port, i, out)
 			return
 		}
 		for i, a := range b.outs {
-			w.add(chans[a.to.id], a.port, i, out)
+			w.add(a.to.id, a.port, i, out)
 		}
 	}
 	process := func(bt batch) {
@@ -423,7 +439,7 @@ func (f *feeder) inject(b *Box, port int, t *Tuple) {
 		f.tkeys = append(f.tkeys, key)
 		f.w.pending = append(f.w.pending, nil)
 	}
-	f.w.add(f.r.chans[b.id], port, i, t)
+	f.w.add(b.id, port, i, t)
 }
 
 // flush pushes every partial injection batch downstream — called when a

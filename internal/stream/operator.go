@@ -32,6 +32,20 @@ type IdleOp interface {
 	Idle(emit Emit)
 }
 
+// BoundedInputOp is implemented by operators whose queued input is costly
+// to hold — a shard merge fed one slide delta per close, where each tuple
+// carries a whole slide's prepared contributions, and the shards feeding it,
+// whose lead over a sibling the merge must buffer. Under channel execution
+// the box's input channel then holds at most InputBatches batches instead
+// of the executor's buffer, and a window close ends the batch carrying it
+// into the box, so the bound counts windows: producers that outrun the box
+// wait instead of queueing windows of state. A result ≤ 0 keeps the
+// executor's buffer and batching.
+type BoundedInputOp interface {
+	Operator
+	InputBatches() int
+}
+
 // MapFunc transforms one tuple into another (nil drops the tuple).
 type MapFunc func(*Tuple) *Tuple
 

@@ -223,10 +223,14 @@ func TestRestoreRejectsRescanPartialCheckpoint(t *testing.T) {
 }
 
 // TestShardedSlidingAllocs is the allocation contract of a sharded sliding
-// plan, in the benchmark's q3_slide_ckpt shape: ≤ 50 allocs and ≤ 7.5 KB per
-// tuple pushed (the per-slide rescan this replaced cost about 77 and
-// 9.6 KB). Allocation counts repeat run to run, so a budget catches the
-// rescan coming back where a timing could not.
+// plan, in the benchmark's q3_slide_ckpt shape: ≤ 17.6 allocs and ≤ 2 250 B
+// per tuple pushed (16.0 and 1 990–2 050 B at the change that gave the
+// shards slide deltas; the full-list partials before it cost 32.7 and
+// 3 030 B), and its unsharded twin on the same trace, which pins the shard
+// envelope — partition, slide deltas, merge — at ≤ 3 allocs per tuple above
+// the plan it splits (2.1 at that change). Allocation counts repeat run to
+// run, so a budget catches full-list partials or a per-slide rescan coming
+// back where a timing could not.
 func TestShardedSlidingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -244,25 +248,33 @@ func TestShardedSlidingAllocs(t *testing.T) {
 		u.SetKey("tag", lt.TagID)
 		us[i] = u
 	}
-	run := func() {
-		c := BuildQ3(Q3Config{SlideMS: stream.Second, Shards: 2, AreaFt: 10}).Compile()
-		for _, u := range us {
-			c.Push("locations", u)
+	perTuple := func(shards int) (allocs, bytes float64) {
+		run := func() {
+			c := BuildQ3(Q3Config{SlideMS: stream.Second, Shards: shards, AreaFt: 10}).Compile()
+			for _, u := range us {
+				c.Push("locations", u)
+			}
+			c.Close()
 		}
-		c.Close()
+		run() // warm pools and lazily built tables
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		n := float64(len(us))
+		return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 	}
-	run() // warm pools and lazily built tables
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	n := float64(len(us))
-	allocs := float64(after.Mallocs-before.Mallocs) / n
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%d tuples: %.1f allocs, %.0f B per tuple", len(us), allocs, bytes)
-	if allocs > 50 || bytes > 7500 {
-		t.Errorf("%.1f allocs and %.0f B per tuple, budget 50 and 7500", allocs, bytes)
+	allocs, bytes := perTuple(2)
+	flatAllocs, flatBytes := perTuple(0)
+	t.Logf("%d tuples: %.2f allocs, %.0f B per tuple sharded; %.2f allocs, %.0f B unsharded",
+		len(us), allocs, bytes, flatAllocs, flatBytes)
+	if allocs > 17.6 || bytes > 2250 {
+		t.Errorf("%.2f allocs and %.0f B per tuple, budget 17.6 and 2250", allocs, bytes)
+	}
+	if allocs > flatAllocs+3 {
+		t.Errorf("the shard envelope costs %.2f allocs per tuple over the unsharded plan's %.2f, budget 3",
+			allocs-flatAllocs, flatAllocs)
 	}
 }
 
