@@ -16,9 +16,7 @@ var utupleSchema = stream.NewSchema("u")
 
 // Wrap lifts an uncertain tuple into a stream tuple.
 func Wrap(u *UTuple) *stream.Tuple {
-	t := stream.NewTuple(utupleSchema, u.TS, u)
-	t.ID = u.ID
-	return t
+	return stream.NewTuple1(utupleSchema, u.TS, u.ID, u)
 }
 
 // Unwrap extracts the uncertain tuple (panics on foreign tuples — wiring

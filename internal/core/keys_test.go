@@ -22,7 +22,7 @@ func keyList(ks KeySet) string {
 func TestKeySetSharedTableUntouched(t *testing.T) {
 	table := []string{"reader", "tag"}
 	mk := func(a, b int64) *UTuple {
-		return NewUTupleShared(1, []string{"v"}, []dist.Dist{dist.PointMass{V: 1}}, table, []int64{a, b})
+		return NewUTupleShared(1, []string{"v"}, []dist.Val{{Mu: 1}}, table, []int64{a, b})
 	}
 	u, sib := mk(1, 2), mk(3, 4)
 	u.SetKey("tag", 20)
@@ -48,15 +48,16 @@ func TestKeySetSharedTableUntouched(t *testing.T) {
 }
 
 // TestNewUTupleSharedKeyAllocs: lifting a one-key tuple costs the same
-// allocations as a keyless one — the key value lives with the tuple.
+// two allocations as a keyless one — the tuple, with its key value and its
+// lineage id, and its attribute slots.
 func TestNewUTupleSharedKeyAllocs(t *testing.T) {
-	names, keyNames := []string{"v"}, []string{"tag"}
-	attrs := []dist.Dist{dist.PointMass{V: 1}}
+	names, keyNames := []string{"v", "w"}, []string{"tag"}
+	attrs := []dist.Val{{Mu: 1}, {Mu: 2, Sigma: 0.5}}
 	keys := []int64{17}
 	keyless := testing.AllocsPerRun(100, func() { NewUTupleShared(1, names, attrs, nil, nil) })
 	keyed := testing.AllocsPerRun(100, func() { NewUTupleShared(1, names, attrs, keyNames, keys) })
-	if keyed != keyless {
-		t.Errorf("keyed lift %v allocs, keyless %v", keyed, keyless)
+	if keyed != keyless || (!raceEnabled && keyed != 2) {
+		t.Errorf("keyed lift %v allocs, keyless %v, want 2", keyed, keyless)
 	}
 	u := NewUTupleShared(1, names, attrs, keyNames, keys)
 	keys[0] = 99

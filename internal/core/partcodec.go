@@ -151,10 +151,10 @@ func (c *PartCodec) encodePartial(seq uint64, gp *groupPartial) error {
 			flags |= partLinSelf
 		}
 		pos := -1
-		m, moment := pc.D.(momentDist)
+		m, moment := pc.D.(*momentDist)
 		if moment && m.p == pc.P {
 			for j, i := range c.ai {
-				if sameDist(u.attrs[i], m.v) {
+				if sameVal(u.val(i), m.v) {
 					pos = j
 					break
 				}
@@ -188,7 +188,7 @@ func (c *PartCodec) encodePartial(seq uint64, gp *groupPartial) error {
 		w.Uvarint(u.ID)
 		w.F64(u.Exist)
 		for _, i := range c.ai {
-			if err := dist.Encode(w, u.attrs[i]); err != nil {
+			if err := dist.EncodeVal(w, u.val(i)); err != nil {
 				return fmt.Errorf("attr %q: %w", u.names[i], err)
 			}
 		}
@@ -287,12 +287,16 @@ func (c *PartCodec) shapeOf() int {
 	return len(c.shapes) - 1
 }
 
-// sameDist reports whether a and b are one distribution: the same pointer,
-// or equal values of one comparable type. Uncomparable values are never
-// the same, so the comparison cannot panic.
-func sameDist(a, b dist.Dist) bool {
-	ta := reflect.TypeOf(a)
-	return ta != nil && ta == reflect.TypeOf(b) && ta.Comparable() && a == b
+// sameVal reports whether a and b are one distribution: equal value forms
+// (one family, since σ tells a Normal from a point mass), or boxed values
+// that are the same pointer or equal values of one comparable type.
+// Uncomparable values are never the same, so the comparison cannot panic.
+func sameVal(a, b dist.Val) bool {
+	if a.D == nil || b.D == nil {
+		return a.D == nil && b.D == nil && a.Mu == b.Mu && a.Sigma == b.Sigma
+	}
+	ta := reflect.TypeOf(a.D)
+	return ta == reflect.TypeOf(b.D) && ta.Comparable() && a.D == b.D
 }
 
 // Decode reverses Encode. The result shares nothing with data; a partial's
@@ -348,7 +352,7 @@ func (c *PartCodec) decodePartial(r *snap.Reader) *groupPartial {
 	}
 	cs := make([]PartialContrib, n)
 	us := make([]UTuple, n)
-	attrs := make([]dist.Dist, nAttr)
+	vals := make([]gauss, nAttr)
 	lin := make([]uint64, nLin)
 	var keys []int64
 	if nKey > 0 {
@@ -358,7 +362,8 @@ func (c *PartCodec) decodePartial(r *snap.Reader) *groupPartial {
 	if nAux > 0 {
 		aux = make([]float64, nAux)
 	}
-	var ao, lo, ko, xo int // offsets into the backing arrays
+	var moments []momentDist // made at the first moment contribution
+	var ao, lo, ko, xo int   // offsets into the backing arrays
 	for i := range cs {
 		pc, u := &cs[i], &us[i]
 		pc.U = u
@@ -414,10 +419,10 @@ func (c *PartCodec) decodePartial(r *snap.Reader) *groupPartial {
 			return gp
 		}
 		u.names = sh.attrs
-		u.attrs = attrs[ao : ao+len(sh.attrs) : ao+len(sh.attrs)]
+		u.vals = vals[ao : ao+len(sh.attrs) : ao+len(sh.attrs)]
 		ao += len(sh.attrs)
-		for j := range u.attrs {
-			u.attrs[j] = dist.Decode(r)
+		for j := range u.vals {
+			u.setVal(j, dist.DecodeVal(r))
 		}
 		if flags&partLinSelf != 0 {
 			if lo >= nLin {
@@ -456,11 +461,16 @@ func (c *PartCodec) decodePartial(r *snap.Reader) *groupPartial {
 			return gp
 		}
 		if flags&partDMoment != 0 {
-			if pos >= uint64(len(u.attrs)) {
-				r.Fail("part: moment attribute %d of %d", pos, len(u.attrs))
+			if pos >= uint64(len(u.vals)) {
+				r.Fail("part: moment attribute %d of %d", pos, len(u.vals))
 				return gp
 			}
-			pc.D = momentDist{v: u.attrs[pos], p: pc.P, mean: mean, variance: variance}
+			if moments == nil {
+				moments = make([]momentDist, n)
+			}
+			m := &moments[i]
+			*m = momentDist{v: u.val(int(pos)), p: pc.P, mean: mean, variance: variance}
+			pc.D = m
 		}
 	}
 	if ao != nAttr || lo != nLin || ko != nKey || xo != nAux {

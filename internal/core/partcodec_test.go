@@ -125,10 +125,10 @@ func TestPartCodecRoundTrip(t *testing.T) {
 					}
 				}
 				checkSameDist(t, g.D, w.D)
-				if _, moment := w.D.(momentDist); moment {
+				if _, moment := w.D.(*momentDist); moment {
 					// The gate travels as moments over the carrier's own
 					// weight, not as a serialised mixture.
-					if m, ok := g.D.(momentDist); !ok || m.p != g.P || !sameDist(m.v, g.U.Attr("weight")) {
+					if m, ok := g.D.(*momentDist); !ok || m.p != g.P || !sameVal(m.v, g.U.Val("weight")) {
 						t.Errorf("contrib %d: a momentDist decoded as %#v", i, g.D)
 					}
 				}
@@ -139,7 +139,7 @@ func TestPartCodecRoundTrip(t *testing.T) {
 				if got := strings.Join(gu.Names(), ","); got != wantNames[name] {
 					t.Errorf("carrier %d ships %s, want %s", i, got, wantNames[name])
 				}
-				if cap(gu.names) != len(gu.names) || cap(gu.attrs) != len(gu.attrs) {
+				if cap(gu.names) != len(gu.names) || cap(gu.vals) != len(gu.vals) || gu.dists != nil && cap(gu.dists) != len(gu.dists) {
 					t.Errorf("carrier %d slices have spare capacity", i)
 				}
 				for _, n := range gu.Names() {

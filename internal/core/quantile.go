@@ -109,12 +109,12 @@ func (a *quantileAgg) Attr() string { return a.attr }
 func (a *quantileAgg) Heavy() bool { return true }
 
 // sketch compresses one attribute distribution to its centered-quantile
-// points: d.Quantile((j+½)/s) for j = 0..s-1. Equal-mass representative
+// points: v.Quantile((j+½)/s) for j = 0..s-1. Equal-mass representative
 // points, exact for point masses, monotone by construction. The points are
 // carved from a chunk shared with the sketches made around the same time —
 // contributions that arrive together leave the window together, so a chunk
 // outlives its sketches only briefly — instead of one allocation each.
-func (a *quantileAgg) sketch(d dist.Dist) []float64 {
+func (a *quantileAgg) sketch(v dist.Val) []float64 {
 	s := a.opts.SketchPoints
 	c := a.sketches.Get().(*[]float64)
 	if len(*c)+s > cap(*c) {
@@ -124,7 +124,7 @@ func (a *quantileAgg) sketch(d dist.Dist) []float64 {
 	*c = (*c)[:n+s]
 	pts := (*c)[n : n+s : n+s]
 	for j := 0; j < s; j++ {
-		pts[j] = d.Quantile((float64(j) + 0.5) / float64(s))
+		pts[j] = v.Quantile((float64(j) + 0.5) / float64(s))
 	}
 	a.sketches.Put(c)
 	return pts
@@ -133,32 +133,54 @@ func (a *quantileAgg) sketch(d dist.Dist) []float64 {
 // sketchChunk is how many sketches one chunk holds.
 const sketchChunk = 64
 
-// Prepare implements UAgg: the sketch points travel as Aux; the attribute
-// distribution itself already rides inside the carrier tuple.
+// Prepare implements UAgg. The attribute rides inside the carrier tuple, and
+// its sketch points are made only where a fold reads them (sketchAll), so
+// nothing is prepared: the exact path, which serves every window of up to
+// MaxExact contributions, never reads a sketch.
 func (a *quantileAgg) Prepare(u *UTuple, p float64) (dist.Dist, []float64) {
-	return nil, a.sketch(u.Attr(a.attr))
+	return nil, nil
 }
 
 // qContrib is the aggregate's internal contribution form, shared by the
-// accumulator and the Finalize fold so the two can never diverge.
+// accumulator and the Finalize fold so the two can never diverge. pts is nil
+// until a fold sketches the contribution; a checkpoint written before
+// sketches were made lazily restores with them set, to the same points.
 type qContrib struct {
-	d   dist.Dist
+	v   dist.Val
 	p   float64
 	pts []float64
+}
+
+// sketchAll sketches the contributions that have no points yet. Callers
+// keep the points on the contribution for its lifetime, so each is sketched
+// at most once.
+func (a *quantileAgg) sketchAll(cs []qContrib) {
+	for i := range cs {
+		if cs[i].pts == nil {
+			cs[i].pts = a.sketch(cs[i].v)
+		}
+	}
 }
 
 func (a *quantileAgg) Finalize(cs []PartialContrib) []AggOut {
 	return a.appendFinal(nil, cs)
 }
 
+// appendFinal folds cs and keeps any sketch the fold made in its
+// contribution's Aux: the shard merge's live groups hold cs across slides.
+// Aux carries nothing else for this aggregate.
 func (a *quantileAgg) appendFinal(dst []AggOut, cs []PartialContrib) []AggOut {
 	s := a.pool.Get().(*quantileScratch)
 	defer a.release(s)
 	s.qcs = fit(s.qcs, len(cs))
 	for i, c := range cs {
-		s.qcs[i] = qContrib{d: c.U.Attr(a.attr), p: c.P, pts: c.Aux}
+		s.qcs[i] = qContrib{v: c.U.Val(a.attr), p: c.P, pts: c.Aux}
 	}
-	return append(dst, AggOut{D: a.fold(s, s.qcs)})
+	dst = append(dst, AggOut{D: a.fold(s, s.qcs)})
+	for i := range cs {
+		cs[i].Aux = s.qcs[i].pts
+	}
+	return dst
 }
 
 func (a *quantileAgg) NewAcc() Acc {
@@ -175,8 +197,7 @@ type quantileAcc struct {
 }
 
 func (a *quantileAcc) Add(u *UTuple, p float64) uint64 {
-	d := u.Attr(a.agg.attr)
-	return a.log.add(qContrib{d: d, p: p, pts: a.agg.sketch(d)})
+	return a.log.add(qContrib{v: u.Val(a.agg.attr), p: p})
 }
 
 func (a *quantileAcc) Remove(h uint64) { a.log.remove(h) }
@@ -184,11 +205,22 @@ func (a *quantileAcc) Len() int        { return a.log.liveN }
 
 func (a *quantileAcc) Result(dst []AggOut) []AggOut {
 	a.scratch = a.log.appendLive(a.scratch[:0])
-	return append(dst[:0], AggOut{D: a.agg.result(a.scratch)})
+	dst = append(dst[:0], AggOut{D: a.agg.result(a.scratch)})
+	// Keep any sketch the fold made on the live entries, which the scratch
+	// list copied in order.
+	j := 0
+	for i := a.log.head; i < len(a.log.entries); i++ {
+		if e := &a.log.entries[i]; !e.dead {
+			e.v.pts = a.scratch[j].pts
+			j++
+		}
+	}
+	return dst
 }
 
 // result is the one fold both execution paths share: contributions in
-// global insertion order in, the quantile's result distribution out.
+// global insertion order in, the quantile's result distribution out. It
+// sketches the contributions it reads sketches of in place.
 func (a *quantileAgg) result(cs []qContrib) dist.Dist {
 	s := a.pool.Get().(*quantileScratch)
 	defer a.release(s)
@@ -231,7 +263,7 @@ func (a *quantileAgg) estimate(s *quantileScratch, cs []qContrib, w float64) dis
 	// Density of the inclusion-weighted mixture at x̂.
 	var f float64
 	for _, c := range cs {
-		f += c.p * c.d.PDF(x)
+		f += c.p * c.v.PDF(x)
 	}
 	f /= w
 	sd := 0.0
@@ -264,8 +296,10 @@ type weightedPoint struct {
 // sketchQuantile returns the weighted lower q-quantile of the pooled sketch
 // points: the smallest point whose cumulative weight reaches q·W. Ties and
 // equal values resolve by insertion order (stable sort), so the answer is a
-// deterministic function of the ordered contribution list.
+// deterministic function of the ordered contribution list. It sketches the
+// contributions that have no points yet, in place.
 func (a *quantileAgg) sketchQuantile(s *quantileScratch, cs []qContrib, w float64) (float64, bool) {
+	a.sketchAll(cs)
 	pts := s.pts[:0]
 	for _, c := range cs {
 		pw := c.p / float64(len(c.pts))

@@ -95,22 +95,21 @@ func (a *quantileAgg) exact(s *quantileScratch, cs []qContrib, w float64, k int)
 		s.ps[i] = c.p
 		s.ts[i] = 0
 		l, h := 0.0, 0.0
-		switch d := c.d.(type) {
-		case dist.PointMass:
-			s.atomAt[i] = d.V
+		switch n, normal := c.v.D.(dist.Normal); {
+		case c.v.D == nil && c.v.Sigma > 0:
+			s.cont = append(s.cont, continuous{i: i, p: c.p, mu: c.v.Mu, sigma: c.v.Sigma})
+			l, h = dist.EffectiveRange(c.v, 1e-6)
+		case c.v.D == nil: // a point mass
+			s.atomAt[i] = c.v.Mu
 			s.events = append(s.events, uint64(i))
-			l, h = d.V, d.V
-		case dist.Normal:
-			if d.Sigma <= 0 { // Normal.CDF degenerates to the step at Mu
-				s.atomAt[i] = d.Mu
-				s.events = append(s.events, uint64(i))
-			} else {
-				s.cont = append(s.cont, continuous{i: i, p: c.p, mu: d.Mu, sigma: d.Sigma})
-			}
-			l, h = dist.EffectiveRange(c.d, 1e-6)
+			l, h = c.v.Mu, c.v.Mu
+		case normal && n.Sigma <= 0: // boxed, its CDF the step at Mu
+			s.atomAt[i] = n.Mu
+			s.events = append(s.events, uint64(i))
+			l, h = dist.EffectiveRange(n, 1e-6)
 		default:
-			s.cont = append(s.cont, continuous{i: i, p: c.p, d: c.d})
-			l, h = dist.EffectiveRange(c.d, 1e-6)
+			s.cont = append(s.cont, continuous{i: i, p: c.p, d: c.v.D})
+			l, h = dist.EffectiveRange(c.v.D, 1e-6)
 		}
 		lo = math.Min(lo, l)
 		hi = math.Max(hi, h)

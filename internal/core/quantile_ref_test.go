@@ -32,7 +32,7 @@ func (a *quantileAgg) exactRef(cs []qContrib, w float64, k int) dist.Dist {
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, c := range cs {
-		l, h := dist.EffectiveRange(c.d, 1e-6)
+		l, h := dist.EffectiveRange(c.v, 1e-6)
 		lo = math.Min(lo, l)
 		hi = math.Max(hi, h)
 	}
@@ -46,7 +46,7 @@ func (a *quantileAgg) exactRef(cs []qContrib, w float64, k int) dist.Dist {
 	for e := 1; e <= g; e++ {
 		x := lo + (hi-lo)*float64(e)/float64(g)
 		for i, c := range cs {
-			ts[i] = c.p * c.d.CDF(x)
+			ts[i] = c.p * c.v.CDF(x)
 		}
 		f := pbTail(dp, ts, k) / pN
 		if f > 1 {
@@ -127,7 +127,7 @@ func checkKernel(t *testing.T, a *quantileAgg, cs []qContrib) {
 func describe(cs []qContrib) string {
 	s := ""
 	for _, c := range cs {
-		s += fmt.Sprintf("(%v, %.17g) ", c.d, c.p)
+		s += fmt.Sprintf("(%v, %.17g) ", c.v.Dist(), c.p)
 	}
 	return s
 }
@@ -141,7 +141,7 @@ func kernelAgg(q float64, opts QuantileOptions) *quantileAgg {
 func contribs(a *quantileAgg, ds []dist.Dist, ps []float64) []qContrib {
 	cs := make([]qContrib, len(ds))
 	for i, d := range ds {
-		cs[i] = qContrib{d: d, p: ps[i], pts: a.sketch(d)}
+		cs[i] = qContrib{v: dist.ValOf(d), p: ps[i]}
 	}
 	return cs
 }

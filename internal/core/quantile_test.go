@@ -13,8 +13,7 @@ import (
 func qContribsOf(a *quantileAgg, vals, ps []float64) []qContrib {
 	cs := make([]qContrib, len(vals))
 	for i, v := range vals {
-		d := dist.PointMass{V: v}
-		cs[i] = qContrib{d: d, p: ps[i], pts: a.sketch(d)}
+		cs[i] = qContrib{v: dist.Val{Mu: v}, p: ps[i]}
 	}
 	return cs
 }
@@ -83,8 +82,8 @@ func TestQuantileEstimatorMatchesExactRoughly(t *testing.T) {
 	var csE, csS []qContrib
 	for i := 0; i < 20; i++ {
 		d := dist.NewNormal(float64(10+i), 2)
-		csE = append(csE, qContrib{d: d, p: 1, pts: exact.sketch(d)})
-		csS = append(csS, qContrib{d: d, p: 1, pts: est.sketch(d)})
+		csE = append(csE, qContrib{v: dist.ValOf(d), p: 1})
+		csS = append(csS, qContrib{v: dist.ValOf(d), p: 1})
 	}
 	de, ds := exact.result(csE), est.result(csS)
 	if math.Abs(de.Mean()-ds.Mean()) > 2 {

@@ -11,17 +11,17 @@ import (
 // e.g. Q2's "T.temp > 60 ℃"). Tuples whose survival probability falls below
 // minProb are dropped (nil).
 func SelectGreater(u *UTuple, attr string, threshold, minProb float64) *UTuple {
-	d := u.Attr(attr)
-	p := 1 - d.CDF(threshold)
+	v := u.Val(attr)
+	p := 1 - v.CDF(threshold)
 	if p*u.Exist < minProb {
 		return nil
 	}
 	out := u.Clone()
 	out.Exist = u.Exist * p
 	if p < 1 {
-		_, hi := d.Support()
+		_, hi := v.Support()
 		if hi > threshold {
-			out.SetAttr(attr, dist.NewTruncated(d, threshold, hi))
+			out.SetAttr(attr, dist.NewTruncated(v.Dist(), threshold, hi))
 		}
 	}
 	return out
@@ -29,17 +29,17 @@ func SelectGreater(u *UTuple, attr string, threshold, minProb float64) *UTuple {
 
 // SelectLess applies attr < threshold symmetrically.
 func SelectLess(u *UTuple, attr string, threshold, minProb float64) *UTuple {
-	d := u.Attr(attr)
-	p := d.CDF(threshold)
+	v := u.Val(attr)
+	p := v.CDF(threshold)
 	if p*u.Exist < minProb {
 		return nil
 	}
 	out := u.Clone()
 	out.Exist = u.Exist * p
 	if p < 1 {
-		lo, _ := d.Support()
+		lo, _ := v.Support()
 		if lo < threshold {
-			out.SetAttr(attr, dist.NewTruncated(d, lo, threshold))
+			out.SetAttr(attr, dist.NewTruncated(v.Dist(), lo, threshold))
 		}
 	}
 	return out
@@ -49,5 +49,5 @@ func SelectLess(u *UTuple, attr string, threshold, minProb float64) *UTuple {
 // for callers that only need the alert confidence (the Having clause of Q1
 // reports P(sum > 200 lbs) rather than filtering hard).
 func PredicateProb(u *UTuple, attr string, threshold float64) float64 {
-	return (1 - u.Attr(attr).CDF(threshold)) * u.Exist
+	return (1 - u.Val(attr).CDF(threshold)) * u.Exist
 }

@@ -203,19 +203,28 @@ var deltaSchema = stream.NewSchema("__delta")
 // path; every other method, and the codec, materialises BernoulliGate(v, p)
 // on demand and answers exactly as the eager gate would.
 type momentDist struct {
-	v              dist.Dist
+	v              dist.Val
 	p              float64
 	mean, variance float64
 }
 
-// newMomentDist gates v by p without building the gate mixture.
-func newMomentDist(v dist.Dist, p float64) momentDist {
+// newMomentDist gates v by p without building the gate mixture. A moment
+// dist travels as a pointer, so a window's or a decoded frame's can be
+// carved from one backing array (setMoments, PartCodec.Decode).
+func newMomentDist(v dist.Val, p float64) *momentDist {
+	m := new(momentDist)
+	m.set(v, p)
+	return m
+}
+
+// set makes m the gate of v by p.
+func (m *momentDist) set(v dist.Val, p float64) {
 	c := cf.GatedCumulants(v.Mean(), v.Variance(), p)
-	return momentDist{v: v, p: p, mean: c.K1, variance: c.K2}
+	*m = momentDist{v: v, p: p, mean: c.K1, variance: c.K2}
 }
 
 // gated is the Bernoulli gate mixture this value stands for.
-func (m momentDist) gated() dist.Dist { return BernoulliGate(m.v, m.p) }
+func (m momentDist) gated() dist.Dist { return BernoulliGate(m.v.Dist(), m.p) }
 
 func (m momentDist) Mean() float64              { return m.mean }
 func (m momentDist) Variance() float64          { return m.variance }

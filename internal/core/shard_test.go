@@ -215,7 +215,7 @@ func TestDedupLatestKeylessSurvives(t *testing.T) {
 // shard-computed values and forwards everything else to the gated mixture.
 func TestMomentDistDelegates(t *testing.T) {
 	base := BernoulliGate(dist.NewNormal(4, 2), 0.6)
-	m := newMomentDist(dist.NewNormal(4, 2), 0.6)
+	m := newMomentDist(dist.ValOf(dist.NewNormal(4, 2)), 0.6)
 	if m.Mean() != base.Mean() || m.Variance() != base.Variance() {
 		t.Error("cached moments diverge from the gated mixture")
 	}

@@ -37,9 +37,9 @@ func init() {
 		func(w *snap.Writer, v stream.Value) error { return encodeGroupPartial(w, v.(*groupPartial)) },
 		func(r *snap.Reader) (stream.Value, error) { return decodeGroupPartial(r) },
 	)
-	dist.RegisterCodec(distTagMoment, momentDist{},
+	dist.RegisterCodec(distTagMoment, (*momentDist)(nil),
 		func(w *snap.Writer, d dist.Dist) error {
-			m := d.(momentDist)
+			m := d.(*momentDist)
 			w.F64(m.mean)
 			w.F64(m.variance)
 			return dist.Encode(w, m.gated())
@@ -47,8 +47,8 @@ func init() {
 		func(r *snap.Reader) (dist.Dist, error) {
 			// The gate is already folded into the decoded mixture, so p = 1
 			// and re-encoding writes the same bytes.
-			m := momentDist{mean: r.F64(), variance: r.F64(), p: 1}
-			m.v = dist.Decode(r)
+			m := &momentDist{mean: r.F64(), variance: r.F64(), p: 1}
+			m.v = dist.DecodeVal(r)
 			return m, r.Err()
 		},
 	)
@@ -73,7 +73,7 @@ func encodeUTuple(w *snap.Writer, u *UTuple) error {
 	w.Uvarint(uint64(len(u.names)))
 	for i, n := range u.names {
 		w.String(n)
-		if err := dist.Encode(w, u.attrs[i]); err != nil {
+		if err := dist.EncodeVal(w, u.val(i)); err != nil {
 			return fmt.Errorf("attr %q: %w", n, err)
 		}
 	}
@@ -105,10 +105,10 @@ func decodeUTuple(r *snap.Reader) (*UTuple, error) {
 		return nil, err
 	}
 	u.names = make([]string, na)
-	u.attrs = make([]dist.Dist, na)
+	u.vals = make([]gauss, na)
 	for i := 0; i < na; i++ {
 		u.names[i] = r.String()
-		u.attrs[i] = dist.Decode(r)
+		u.setVal(i, dist.DecodeVal(r))
 	}
 	u.Exist = r.F64()
 	nl := r.Len()

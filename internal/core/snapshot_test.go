@@ -35,7 +35,7 @@ func utupleRoundTrip(t *testing.T, u *UTuple) *UTuple {
 func TestUTupleCodecRoundTrip(t *testing.T) {
 	u := NewUTuple(1200, []string{"x", "y", "weight"}, []dist.Dist{
 		dist.NewNormal(41.2, 1.5),
-		momentDist{v: dist.NewNormal(7, 1.5), p: 1, mean: 7.0000000000000009, variance: 2.25},
+		&momentDist{v: dist.ValOf(dist.NewNormal(7, 1.5)), p: 1, mean: 7.0000000000000009, variance: 2.25},
 		dist.PointMass{V: 140},
 	})
 	u.Exist = 0.8125

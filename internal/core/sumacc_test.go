@@ -132,7 +132,7 @@ func TestSumAccAllocs(t *testing.T) {
 	}{
 		{CFApprox, AggOptions{}, 0, 1},
 		{CLT, AggOptions{}, 0, 1},
-		{CFInvert, AggOptions{GridN: 256}, 3, 5},
+		{CFInvert, AggOptions{GridN: 256}, 2, 5},
 	} {
 		us := make([]*UTuple, 96)
 		for i := range us {

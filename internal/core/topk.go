@@ -87,9 +87,9 @@ func (a *topkAgg) Prepare(u *UTuple, p float64) (dist.Dist, []float64) {
 	s := a.opts.SketchPoints
 	aux := make([]float64, 0, len(a.attrs)*s)
 	for _, attr := range a.attrs {
-		d := u.Attr(attr)
+		v := u.Val(attr)
 		for j := 0; j < s; j++ {
-			aux = append(aux, d.Quantile((float64(j)+0.5)/float64(s)))
+			aux = append(aux, v.Quantile((float64(j)+0.5)/float64(s)))
 		}
 	}
 	return nil, aux
@@ -100,16 +100,16 @@ func (a *topkAgg) Prepare(u *UTuple, p float64) (dist.Dist, []float64) {
 // dominator) and the per-dimension sketch (as the dominated side).
 type tContrib struct {
 	p      float64
-	dims   []dist.Dist
+	dims   []dist.Val
 	sketch []float64 // dimension-major, opts.SketchPoints per dimension
 	label  int64
 	hasLab bool
 }
 
 func (a *topkAgg) contrib(u *UTuple, p float64, sketch []float64) tContrib {
-	c := tContrib{p: p, dims: make([]dist.Dist, len(a.attrs)), sketch: sketch}
+	c := tContrib{p: p, dims: make([]dist.Val, len(a.attrs)), sketch: sketch}
 	for m, attr := range a.attrs {
-		c.dims[m] = u.Attr(attr)
+		c.dims[m] = u.Val(attr)
 	}
 	if a.opts.Label != "" && u.HasKey(a.opts.Label) {
 		c.label = u.Key(a.opts.Label)

@@ -241,10 +241,17 @@ func (r windowAggRescan) prepare(window []*stream.Tuple) []finalGroup {
 			if p <= 0 {
 				continue
 			}
-			d, aux := cfg.Agg.Prepare(u, p)
 			g := &groups[slots[next]]
 			next++
-			g.cs = append(g.cs, PartialContrib{Seq: t.Seq, U: u, P: p, D: d, Aux: aux})
+			g.cs = append(g.cs, PartialContrib{Seq: t.Seq, U: u, P: p})
+		}
+	}
+	if a, ok := cfg.Agg.(*sumAgg); ok && momentStrategy(a.strat) {
+		a.setMoments(backing)
+	} else {
+		for i := range backing {
+			c := &backing[i]
+			c.D, c.Aux = cfg.Agg.Prepare(c.U, c.P)
 		}
 	}
 	return groups
@@ -337,17 +344,20 @@ func unionLineage(cs []PartialContrib) lineage.Set {
 func assembleRows(g string, rows []AggOut, lin lineage.Set, end stream.Time, outNames []string) []*stream.Tuple {
 	ts := make([]*stream.Tuple, len(rows))
 	for i, row := range rows {
-		rc := &rowCarrier{attrs: [2]dist.Dist{row.D, dist.PointMass{V: 0}}}
-		rc.u = UTuple{
-			TS:    end,
-			ID:    stream.NextTupleID(),
-			names: outNames,    // shared; len == cap, so a downstream SetAttr copies
-			attrs: rc.attrs[:], // len == cap too
-			Exist: 1,
-			Lin:   lin,
-			Keys:  row.Keys,
+		var u *UTuple
+		if v := dist.ValOf(row.D); v.D == nil {
+			rc := &rowCarrier{vals: [2]gauss{{mu: v.Mu, sigma: v.Sigma}}}
+			u = &rc.u
+			u.vals = rc.vals[:]
+		} else {
+			rc := &boxedRowCarrier{dists: [2]dist.Dist{v.D}}
+			u = &rc.u
+			u.vals, u.dists = rc.vals[:], rc.dists[:]
 		}
-		u := &rc.u
+		// The names are shared and, like the slots, have len == cap, so a
+		// downstream SetAttr copies. vals[1] is the group marker, δ(0).
+		u.TS, u.ID, u.names = end, stream.NextTupleID(), outNames
+		u.Exist, u.Lin, u.Keys = 1, lin, row.Keys
 		t := stream.NewTuple(groupedSchema, end, u, g)
 		t.ID = u.ID
 		ts[i] = t
@@ -355,11 +365,17 @@ func assembleRows(g string, rows []AggOut, lin lineage.Set, end stream.Time, out
 	return ts
 }
 
-// rowCarrier is an output row's uncertain tuple and its attribute storage,
-// allocated together.
+// rowCarrier is an output row's uncertain tuple and its attribute slots,
+// allocated together; boxedRowCarrier adds the boxed result a row whose
+// result is not a Normal or a point mass needs.
 type rowCarrier struct {
-	u     UTuple
-	attrs [2]dist.Dist
+	u    UTuple
+	vals [2]gauss
+}
+
+type boxedRowCarrier struct {
+	rowCarrier
+	dists [2]dist.Dist
 }
 
 // alog is the insertion-ordered entry store behind the accumulators and the
@@ -480,9 +496,20 @@ func (a *sumAgg) NewAcc() Acc  { return &sumAcc{agg: a} }
 
 func (a *sumAgg) Prepare(u *UTuple, p float64) (dist.Dist, []float64) {
 	if momentStrategy(a.strat) {
-		return newMomentDist(u.Attr(a.attr), p), nil
+		return newMomentDist(u.Val(a.attr), p), nil
 	}
 	return BernoulliGate(u.Attr(a.attr), p), nil
+}
+
+// setMoments is Prepare for a moment strategy over a window's contributions
+// at once: their moment dists are carved from one array, which lives as
+// long as the window's contributions do.
+func (a *sumAgg) setMoments(cs []PartialContrib) {
+	ms := make([]momentDist, len(cs))
+	for i := range cs {
+		ms[i].set(cs[i].U.Val(a.attr), cs[i].P)
+		cs[i].D = &ms[i]
+	}
 }
 
 func (a *sumAgg) Finalize(cs []PartialContrib) []AggOut {
@@ -516,11 +543,11 @@ type sumEntry struct {
 }
 
 func (a *sumAcc) Add(u *UTuple, p float64) uint64 {
-	v := u.Attr(a.agg.attr)
 	if momentStrategy(a.agg.strat) {
+		v := u.Val(a.agg.attr)
 		return a.log.add(sumEntry{c: cf.GatedCumulants(v.Mean(), v.Variance(), p)})
 	}
-	return a.log.add(sumEntry{d: BernoulliGate(v, p)})
+	return a.log.add(sumEntry{d: BernoulliGate(u.Attr(a.agg.attr), p)})
 }
 
 func (a *sumAcc) Remove(h uint64) { a.log.remove(h) }

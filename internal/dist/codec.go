@@ -154,6 +154,11 @@ func decodeBody(r *snap.Reader) Dist {
 	if r.Err() != nil {
 		return nil
 	}
+	return decodeTagged(r, tag)
+}
+
+// decodeTagged reads the body of a distribution whose family tag was read.
+func decodeTagged(r *snap.Reader, tag uint8) Dist {
 	switch tag {
 	case tagPointMass:
 		return PointMass{V: r.F64()}

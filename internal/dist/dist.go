@@ -91,8 +91,9 @@ func ConfidenceInterval(d Dist, level float64) Interval {
 // EffectiveRange returns finite bounds enclosing essentially all of d's
 // mass: the support when finite, the eps/1−eps quantiles otherwise.
 // Bounded-domain consumers (quadrature, grid metrics, discretization) use
-// it instead of hand-rolling the Support/IsInf/Quantile fallback.
-func EffectiveRange(d Dist, eps float64) (lo, hi float64) {
+// it instead of hand-rolling the Support/IsInf/Quantile fallback. It takes
+// a Val as well, so the value form is ranged without a box.
+func EffectiveRange[D ranged](d D, eps float64) (lo, hi float64) {
 	lo, hi = d.Support()
 	if math.IsInf(lo, -1) || math.IsNaN(lo) {
 		lo = d.Quantile(eps)
@@ -104,6 +105,12 @@ func EffectiveRange(d Dist, eps float64) (lo, hi float64) {
 		lo, hi = hi, lo
 	}
 	return lo, hi
+}
+
+// ranged is what EffectiveRange reads of a distribution.
+type ranged interface {
+	Support() (lo, hi float64)
+	Quantile(p float64) float64
 }
 
 // VarianceDistance is the accuracy metric of the Table 2 experiments: the

@@ -20,12 +20,30 @@ type Mixture struct {
 }
 
 // NewMixture builds a mixture from (possibly unnormalized) weights and
-// components. Weights and components must align and be non-empty.
+// components. Weights and components must align and be non-empty. A
+// two-component mixture — every Bernoulli gate — is one allocation.
 func NewMixture(weights []float64, components []Dist) *Mixture {
 	if len(weights) != len(components) || len(weights) == 0 {
 		panic("dist: mixture weights/components mismatch")
 	}
-	ws := make([]float64, len(weights))
+	if len(weights) == 2 {
+		b := &struct {
+			m Mixture
+			w [2]float64
+			c [2]Dist
+		}{c: [2]Dist{components[0], components[1]}}
+		b.m = Mixture{Weights: normalize(b.w[:], weights), Components: b.c[:]}
+		return &b.m
+	}
+	return &Mixture{
+		Weights:    normalize(make([]float64, len(weights)), weights),
+		Components: append([]Dist(nil), components...),
+	}
+}
+
+// normalize writes weights, negative ones as 0, scaled to sum to 1 into ws
+// and returns it.
+func normalize(ws, weights []float64) []float64 {
 	var total float64
 	for i, w := range weights {
 		if w > 0 {
@@ -39,7 +57,7 @@ func NewMixture(weights []float64, components []Dist) *Mixture {
 	for i := range ws {
 		ws[i] /= total
 	}
-	return &Mixture{Weights: ws, Components: append([]Dist(nil), components...)}
+	return ws
 }
 
 // NewGaussianMixture builds Σ wᵢ·N(muᵢ, sigmaᵢ²).

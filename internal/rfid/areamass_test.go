@@ -58,7 +58,7 @@ func axisCellsRef(d dist.Dist) []cellMass {
 func checkAreaMasses(t *testing.T, x, y dist.Dist, scale, minMass float64) {
 	t.Helper()
 	want := areaMassesRef(dist.Scale(x, scale), dist.Scale(y, scale), minMass)
-	got := AppendAreaMasses(nil, x, y, scale, minMass, newAreaMass)
+	got := AppendAreaMasses(nil, dist.ValOf(x), dist.ValOf(y), scale, minMass, newAreaMass)
 	if len(got) != len(want) {
 		t.Fatalf("x=%v y=%v scale=%g min=%g: %d cells, oracle %d", x, y, scale, minMass, len(got), len(want))
 	}
@@ -107,7 +107,7 @@ func TestAppendAreaMassesMatchesOracle(t *testing.T) {
 func TestAppendAreaMassesAppends(t *testing.T) {
 	x, y := dist.NewNormal(41.2, 6), dist.NewNormal(17.9, 6)
 	pre := []areaMass{{Area: "keep", P: 0.5}}
-	got := AppendAreaMasses(pre, x, y, 0.1, 0.01, newAreaMass)
+	got := AppendAreaMasses(pre, dist.ValOf(x), dist.ValOf(y), 0.1, 0.01, newAreaMass)
 	want := areaMassesRef(dist.Scale(x, 0.1), dist.Scale(y, 0.1), 0.01)
 	if len(got) != 1+len(want) || got[0] != pre[0] {
 		t.Fatalf("got %v, want keep + %v", got, want)
@@ -123,8 +123,8 @@ func TestAppendAreaMassesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	// Boxed once, as the tuple's attributes are.
-	var x, y dist.Dist = dist.NewNormal(41.2, 3), dist.NewNormal(17.9, 3)
+	// Held by value, as a tuple holds its Normal attributes.
+	x, y := dist.ValOf(dist.NewNormal(41.2, 3)), dist.ValOf(dist.NewNormal(17.9, 3))
 	AppendAreaMasses(nil, x, y, 0.1, 0.01, newAreaMass) // intern the names
 	allocs := testing.AllocsPerRun(100, func() {
 		AppendAreaMasses(nil, x, y, 0.1, 0.01, newAreaMass)

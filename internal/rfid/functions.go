@@ -88,11 +88,12 @@ const cellScratch = 16
 // 0.01) are dropped. Each surviving cell is appended to dst as mk(name, P),
 // x-major, and dst grows at most once.
 //
-// The scaled axes are dist.Scale(x, scale) and dist.Scale(y, scale); Normal
-// axes are scaled in place rather than boxed, and each cell edge's CDF is
-// evaluated once and carried to the next cell, so the masses are the same
-// float64s the cell-by-cell difference gives.
-func AppendAreaMasses[M any](dst []M, x, y dist.Dist, scale, minMass float64, mk func(area string, p float64) M) []M {
+// The scaled axes are dist.Scale(x, scale) and dist.Scale(y, scale); axes
+// held by value (Normals, point masses) are scaled by value rather than
+// boxed, and each cell edge's CDF is evaluated once and carried to the next
+// cell, so the masses are the same float64s the cell-by-cell difference
+// gives.
+func AppendAreaMasses[M any](dst []M, x, y dist.Val, scale, minMass float64, mk func(area string, p float64) M) []M {
 	if minMass <= 0 {
 		minMass = 0.01
 	}
@@ -125,13 +126,23 @@ type cellMass struct {
 
 // axisCells appends the cells of one axis of dist.Scale(d, scale) holding
 // more than 1e-6 of its mass.
-func axisCells(dst []cellMass, d dist.Dist, scale float64) []cellMass {
-	if n, ok := d.(dist.Normal); ok && scale != 0 {
-		n = n.ScaleShift(scale, 0)
+func axisCells(dst []cellMass, v dist.Val, scale float64) []cellMass {
+	switch {
+	case v.D != nil:
+		d := dist.Scale(v.D, scale)
+		return appendCells(dst, d.Mean(), math.Sqrt(d.Variance()), d.CDF)
+	case v.Sigma > 0 && scale != 0:
+		n := dist.Normal{Mu: v.Mu, Sigma: v.Sigma}.ScaleShift(scale, 0)
 		return appendCells(dst, n.Mean(), math.Sqrt(n.Variance()), n.CDF)
 	}
-	d = dist.Scale(d, scale)
-	return appendCells(dst, d.Mean(), math.Sqrt(d.Variance()), d.CDF)
+	// A point mass, or a Normal scaled by 0: dist.Scale's point mass.
+	pm := dist.PointMass{V: v.Mu}
+	if scale == 0 {
+		pm.V = 0
+	} else if scale != 1 {
+		pm.V *= scale
+	}
+	return appendCells(dst, pm.Mean(), math.Sqrt(pm.Variance()), pm.CDF)
 }
 
 func appendCells(dst []cellMass, mu, sd float64, cdf func(float64) float64) []cellMass {

@@ -190,7 +190,7 @@ func TestAccuracyEstimatorTracksShelfError(t *testing.T) {
 func TestAreaFunctions(t *testing.T) {
 	x := dist.NewNormal(3.5, 0.1)
 	y := dist.NewNormal(9.5, 0.1)
-	masses := AppendAreaMasses(nil, x, y, 1, 0.01, newAreaMass)
+	masses := AppendAreaMasses(nil, dist.ValOf(x), dist.ValOf(y), 1, 0.01, newAreaMass)
 	var total float64
 	found := false
 	for _, m := range masses {
@@ -206,7 +206,7 @@ func TestAreaFunctions(t *testing.T) {
 		t.Errorf("area masses sum to %g > 1", total)
 	}
 	// A wide distribution spreads over many cells.
-	wide := AppendAreaMasses(nil, dist.NewNormal(0, 3), dist.NewNormal(0, 3), 1, 0.001, newAreaMass)
+	wide := AppendAreaMasses(nil, dist.ValOf(dist.NewNormal(0, 3)), dist.ValOf(dist.NewNormal(0, 3)), 1, 0.001, newAreaMass)
 	if len(wide) < 9 {
 		t.Errorf("wide location covers %d cells", len(wide))
 	}

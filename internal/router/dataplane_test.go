@@ -346,12 +346,14 @@ func recordedPart(t *testing.T) (*stream.Tuple, []byte) {
 // TestDecodePartAllocs pins the router's cost of taking in one worker
 // partial — DecodeBwPart, then the link's core.PartCodec, as linkReader
 // does — on the largest partial of the wire trace (36 contributions). The
-// budget is the count recorded when the positional part codec replaced the
-// tuple-blob codec (81; 658 before, on a 5 965-byte part), plus under 5 %:
-// one backing array per kind of decoded value, then per contribution one box
-// for the carrier's weight and one for its gated moments. The part's
-// size drifts by a few bytes between runs in one process (tuple ids come
-// from a process-wide counter); its allocation count does not.
+// budget is the count recorded when carriers began holding Normal and
+// point-mass attributes by value (10; 81 before, when each contribution
+// boxed its carrier's weight and its gated moments, and 658 before the
+// positional part codec, on a 5 965-byte part): the frame's tuple, the
+// partial, and one backing array per kind of decoded value, moment
+// contributions included. The part's size drifts by a few bytes between
+// runs in one process (tuple ids come from a process-wide counter); its
+// allocation count does not.
 func TestDecodePartAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -369,8 +371,8 @@ func TestDecodePartAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, decode)
 	t.Logf("%d-byte part: %v allocs per decode", len(payload), allocs)
-	if allocs > 85 {
-		t.Errorf("decoding the %d-byte part costs %v allocs, budget 85", len(payload), allocs)
+	if allocs > 10 {
+		t.Errorf("decoding the %d-byte part costs %v allocs, budget 10", len(payload), allocs)
 	}
 }
 

@@ -113,7 +113,7 @@ func alertLine(t *stream.Tuple) ([]byte, bool) {
 				return nil, false
 			}
 			b = append(b, ':')
-			a := DistAttr(u.Attr(name))
+			a := valAttr(u.Val(name))
 			if a.Std == 0 {
 				b, ok = appendLineFloat(b, a.Mean)
 			} else {

@@ -96,7 +96,7 @@ func TestAlertLineMatchesReference(t *testing.T) {
 		"no attrs":        alertTuple(9, payload(1, map[string]int64{"tag": 1}), nil, 0.5),
 		"keys": alertTuple(9, payload(1, map[string]int64{"tag": -3, "a": 1 << 62, "": 0, "zz": math.MinInt64},
 			"w", fixed(2, 1)), "g", 0.5),
-		"unsorted keys": alertTuple(9, core.NewUTupleShared(0, []string{"w"}, []dist.Dist{fixed(1, 1)},
+		"unsorted keys": alertTuple(9, core.NewUTupleShared(0, []string{"w"}, []dist.Val{dist.ValOf(fixed(1, 1))},
 			[]string{"tag", "a"}, []int64{1, 2}), nil, 0.5),
 		"unsorted attrs":  alertTuple(9, payload(1, nil, "z", fixed(1, 0), "a", fixed(2, 0), "m", fixed(3, 3)), nil, 0.5),
 		"repeated attr":   alertTuple(9, payload(1, nil, "w", fixed(1, 0), "a", fixed(2, 0), "w", fixed(3, 3)), nil, 0.5),

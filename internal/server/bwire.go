@@ -296,13 +296,15 @@ func buildUTuple(t int64, keyNames []string, keys []int64, attrNames []string, a
 	if err := checkTuple(t, attrNames, attrs); err != nil {
 		return nil, err
 	}
-	dists := make([]dist.Dist, len(attrs))
-	for i, a := range attrs {
-		dists[i] = a.lift()
+	// The values are staged on the stack and copied into the tuple's slots;
+	// the names stay shared with the schema, and the key values are copied
+	// too (keys is decoder scratch).
+	var buf [8]dist.Val
+	vals := buf[:0]
+	for _, a := range attrs {
+		vals = append(vals, a.val())
 	}
-	// The names stay shared with the schema; the key values are copied (keys
-	// is decoder scratch).
-	return core.NewUTupleShared(stream.Time(t), attrNames, dists, keyNames, keys), nil
+	return core.NewUTupleShared(stream.Time(t), attrNames, vals, keyNames, keys), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -291,6 +291,37 @@ func TestLineDecoderAllocs(t *testing.T) {
 	}
 }
 
+// TestLineDecoderLiftAllocs is TestBwTupleLiftAllocs for JSON tuple lines:
+// a LineDecoder tuple lifts through the same path, at the same budget.
+func TestLineDecoderLiftAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	lines := traceLines(t, 10, 60)
+	d := NewLineDecoder()
+	allocs, bytes := liftCost(func() int {
+		for _, line := range lines {
+			if _, err := d.Decode(line); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			bts, err := d.Tuple()
+			if err != nil {
+				t.Fatalf("tuple: %v", err)
+			}
+			u, err := bts[0].UTuple()
+			if err != nil {
+				t.Fatalf("lift: %v", err)
+			}
+			core.Wrap(u)
+		}
+		return len(lines)
+	})
+	t.Logf("%.4f allocs, %.1f B per lift", allocs, bytes)
+	if allocs > liftAllocs || bytes > liftBytes {
+		t.Errorf("lift costs %.4f allocs and %.1f B per tuple, budget %d and %d", allocs, bytes, liftAllocs, liftBytes)
+	}
+}
+
 // oddLine rewrites a canonical tuple line into an equivalent one the
 // reference decodes to the same tuple: in the scanner's subset (reordered
 // members, whitespace) or outside it (an unknown member, an escaped name,

@@ -113,7 +113,7 @@ func (a Attr) Dist() (dist.Dist, error) {
 	if err := a.check(); err != nil {
 		return nil, err
 	}
-	return a.lift(), nil
+	return a.val().Dist(), nil
 }
 
 // check validates the attribute: finite, with a non-negative std.
@@ -127,13 +127,18 @@ func (a Attr) check() error {
 	return nil
 }
 
-// lift builds the distribution of a checked attribute.
-func (a Attr) lift() dist.Dist {
+// val is a checked attribute in value form: the point mass at Mean when Std
+// is zero, N(Mean, Std²) otherwise.
+func (a Attr) val() dist.Val {
 	if a.Std == 0 {
-		return dist.PointMass{V: a.Mean}
+		return dist.Val{Mu: a.Mean}
 	}
-	return dist.NewNormal(a.Mean, a.Std)
+	return dist.Val{Mu: a.Mean, Sigma: a.Std}
 }
+
+// valAttr summarizes a tuple attribute onto the wire as [mean, std],
+// boxing nothing.
+func valAttr(v dist.Val) Attr { return Attr{Mean: v.Mean(), Std: v.Std()} }
 
 // Msg is one protocol line, client- or server-originated; Kind selects
 // which fields are meaningful.
@@ -332,7 +337,7 @@ func AlertMsg(t *stream.Tuple) (Msg, error) {
 		if n == "group" && grouped {
 			continue // spine aggregates carry an internal marker attr
 		}
-		m.Attrs[n] = DistAttr(u.Attr(n))
+		m.Attrs[n] = valAttr(u.Val(n))
 	}
 	return m, nil
 }

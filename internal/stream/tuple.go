@@ -112,6 +112,21 @@ func NewTuple(s *Schema, ts Time, values ...Value) *Tuple {
 	return &Tuple{ID: NextTupleID(), TS: ts, Fields: values, schema: s}
 }
 
+// NewTuple1 creates a tuple of a one-field schema with the given id, its
+// field array in the tuple's own allocation: one allocation where NewTuple
+// makes two.
+func NewTuple1(s *Schema, ts Time, id uint64, v Value) *Tuple {
+	if len(s.Names) != 1 {
+		panic(fmt.Sprintf("stream: tuple arity 1 != schema arity %d", len(s.Names)))
+	}
+	b := &struct {
+		t Tuple
+		f [1]Value
+	}{f: [1]Value{v}}
+	b.t = Tuple{ID: id, TS: ts, Fields: b.f[:], schema: s}
+	return &b.t
+}
+
 // Schema returns the tuple's schema (may be nil for schema-less internal
 // tuples).
 func (t *Tuple) Schema() *Schema { return t.schema }

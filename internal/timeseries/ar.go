@@ -1,124 +1,10 @@
 package timeseries
 
-import (
-	"fmt"
-	"math"
+import "repro/internal/rng"
 
-	"repro/internal/rng"
-)
-
-// AR is an autoregressive model of order p:
-//
-//	X_t = C + a_1 X_{t-1} + ... + a_p X_{t-p} + e_t,  e_t ~ N(0, Sigma²).
-type AR struct {
-	C     float64
-	Phi   []float64
-	Sigma float64
-}
-
-// P returns the model order.
-func (a AR) P() int { return len(a.Phi) }
-
-// Mean returns the stationary mean C / (1 - Σ a_i).
-func (a AR) Mean() float64 {
-	s := 1.0
-	for _, p := range a.Phi {
-		s -= p
-	}
-	if s == 0 {
-		return math.Inf(1)
-	}
-	return a.C / s
-}
-
-// Simulate generates n observations after a warm-up long enough to forget
-// the zero initial state.
-func (a AR) Simulate(n int, g *rng.RNG) []float64 {
-	p := len(a.Phi)
-	warm := 50 + 10*p
-	buf := make([]float64, n+warm)
-	for t := 0; t < len(buf); t++ {
-		v := a.C + g.Normal(0, a.Sigma)
-		for j, phi := range a.Phi {
-			if t-1-j >= 0 {
-				v += phi * buf[t-1-j]
-			}
-		}
-		buf[t] = v
-	}
-	return buf[warm:]
-}
-
-// String implements fmt.Stringer.
-func (a AR) String() string {
-	return fmt.Sprintf("AR(%d){C=%.3g, φ=%v, σ=%.3g}", a.P(), a.C, a.Phi, a.Sigma)
-}
-
-// FitAR estimates AR(p) coefficients with the Yule-Walker equations solved
-// by Levinson-Durbin recursion — O(p²) on the sample autocovariances.
-func FitAR(xs []float64, p int) (AR, error) {
-	if p < 0 {
-		return AR{}, fmt.Errorf("timeseries: negative AR order %d", p)
-	}
-	if len(xs) < 2*(p+1) {
-		return AR{}, fmt.Errorf("timeseries: %d observations too few for AR(%d)", len(xs), p)
-	}
-	mu := Mean(xs)
-	gamma := ACovF(xs, p)
-	if p == 0 {
-		return AR{C: mu, Sigma: math.Sqrt(math.Max(gamma[0], 1e-300))}, nil
-	}
-	phi, v := levinsonDurbin(gamma)
-	s := 1.0
-	for _, c := range phi {
-		s -= c
-	}
-	return AR{C: mu * s, Phi: phi, Sigma: math.Sqrt(math.Max(v, 1e-300))}, nil
-}
-
-// levinsonDurbin solves the Yule-Walker system for the autocovariances
-// gamma[0..p], returning the coefficients and innovation variance.
-func levinsonDurbin(gamma []float64) (phi []float64, v float64) {
-	p := len(gamma) - 1
-	phi = make([]float64, p)
-	prev := make([]float64, p)
-	v = gamma[0]
-	for k := 1; k <= p; k++ {
-		acc := gamma[k]
-		for j := 1; j < k; j++ {
-			acc -= prev[j-1] * gamma[k-j]
-		}
-		var kappa float64
-		if v > 0 {
-			kappa = acc / v
-		}
-		phi[k-1] = kappa
-		for j := 1; j < k; j++ {
-			phi[j-1] = prev[j-1] - kappa*prev[k-1-j]
-		}
-		v *= 1 - kappa*kappa
-		copy(prev, phi[:k])
-	}
-	return phi, v
-}
-
-// PACF returns the partial autocorrelation function at lags 1..maxLag via
-// Levinson-Durbin (the k-th value is the last coefficient of the AR(k) fit).
-func PACF(xs []float64, maxLag int) []float64 {
-	gamma := ACovF(xs, maxLag)
-	if len(gamma) < 2 {
-		return nil
-	}
-	out := make([]float64, 0, maxLag)
-	for k := 1; k <= maxLag && k < len(gamma); k++ {
-		phi, _ := levinsonDurbin(gamma[:k+1])
-		out = append(out, phi[k-1])
-	}
-	return out
-}
-
-// ARMA couples an AR and MA part for simulation-side workloads (the radar
-// noise generator); fitting in the stream path stays MA-only per §4.4.
+// ARMA couples an autoregressive and an MA part for simulation-side
+// workloads (the radar noise generator); fitting in the stream path stays
+// MA-only per §4.4.
 type ARMA struct {
 	C     float64
 	Phi   []float64

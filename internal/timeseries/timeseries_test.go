@@ -133,40 +133,6 @@ func TestFitMAAutoWhiteNoise(t *testing.T) {
 	}
 }
 
-func TestFitARYuleWalker(t *testing.T) {
-	g := rng.New(6)
-	truth := AR{C: 2, Phi: []float64{0.5, -0.3}, Sigma: 1}
-	xs := truth.Simulate(200000, g)
-	fit, err := FitAR(xs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Phi[0]-0.5) > 0.02 || math.Abs(fit.Phi[1]+0.3) > 0.02 {
-		t.Errorf("φ = %v, want [0.5 -0.3]", fit.Phi)
-	}
-	if math.Abs(fit.Mean()-truth.Mean()) > 0.05 {
-		t.Errorf("mean = %g, want %g", fit.Mean(), truth.Mean())
-	}
-	if math.Abs(fit.Sigma-1) > 0.05 {
-		t.Errorf("σ = %g", fit.Sigma)
-	}
-}
-
-func TestPACFCutsOffForAR(t *testing.T) {
-	g := rng.New(7)
-	truth := AR{Phi: []float64{0.7}, Sigma: 1}
-	xs := truth.Simulate(100000, g)
-	pacf := PACF(xs, 5)
-	if math.Abs(pacf[0]-0.7) > 0.03 {
-		t.Errorf("PACF(1) = %g, want 0.7", pacf[0])
-	}
-	for k := 1; k < len(pacf); k++ {
-		if math.Abs(pacf[k]) > 0.03 {
-			t.Errorf("PACF(%d) = %g, want ~0", k+1, pacf[k])
-		}
-	}
-}
-
 func TestLjungBox(t *testing.T) {
 	g := rng.New(8)
 	white := WhiteNoise(5000, 1, g)

@@ -88,7 +88,7 @@ type Q1Alert struct {
 func areaMember(areaFt, minMass float64) core.Membership {
 	scale := 1 / areaFt
 	return func(u *core.UTuple) []core.GroupMass {
-		return rfid.AppendAreaMasses(nil, u.Attr("x"), u.Attr("y"), scale, minMass, groupMass)
+		return rfid.AppendAreaMasses(nil, u.Val("x"), u.Val("y"), scale, minMass, groupMass)
 	}
 }
 

@@ -40,7 +40,7 @@ var alertSchema = stream.NewSchema("u", "group", "p")
 func having(name, attr string, threshold, minProb float64) stream.Operator {
 	return stream.NewSelect(name, func(t *stream.Tuple) *stream.Tuple {
 		u := core.Unwrap(t)
-		p := 1 - u.Attr(attr).CDF(threshold)
+		p := 1 - u.Val(attr).CDF(threshold)
 		if !(p >= minProb) { // a NaN probability clears no floor
 			return nil
 		}

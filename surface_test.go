@@ -93,14 +93,11 @@ var surfaceExempt = map[string]string{
 	"repro/internal/timeseries.MA.Simulate":                "(a) fixture in TestMASimulatedACFMatchesTheory; (d) BenchmarkCorrelatedAggregation",
 	"repro/internal/timeseries.MeanCLTAuto":                "(d) BenchmarkCorrelatedAggregation",
 	"repro/internal/timeseries.WhiteNoise":                 "(a) fixture in TestACFWhiteNoise",
-	"repro/internal/timeseries.AR.Simulate":                "(e) with FitAR and PACF",
 	"repro/internal/timeseries.ARMA":                       "(e) TestARMASimulateStationary",
 	"repro/internal/timeseries.ARMA.Simulate":              "(e) TestARMASimulateStationary",
-	"repro/internal/timeseries.FitAR":                      "(e) TestFitARYuleWalker",
 	"repro/internal/timeseries.FitMAAuto":                  "(e) TestFitMAAutoWhiteNoise",
 	"repro/internal/timeseries.LjungBox":                   "(e) TestLjungBox",
 	"repro/internal/timeseries.ModelMeanDist":              "(e) TestModelMeanDistExactSmallN",
-	"repro/internal/timeseries.PACF":                       "(e) TestPACFCutsOffForAR",
 	"repro/internal/timeseries.SumCLT":                     "(e) TestSumCLTScaling",
 }
 
