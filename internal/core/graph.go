@@ -22,8 +22,19 @@ func Wrap(u *UTuple) *stream.Tuple {
 // Unwrap extracts the uncertain tuple (panics on foreign tuples — wiring
 // errors should fail loudly during pipeline construction, not corrupt
 // results silently).
+//
+// A carrier built by Wrap (or restored from a checkpoint, whose schema is
+// the registered canonical one) holds the payload in its only field, read
+// by position; other schemas that carry a "u" column — grouped and
+// partial carriers — go through the name lookup.
 func Unwrap(t *stream.Tuple) *UTuple {
-	u, ok := t.Get("u").(*UTuple)
+	var v stream.Value
+	if t.Schema() == utupleSchema {
+		v = t.Fields[0]
+	} else {
+		v = t.Get("u")
+	}
+	u, ok := v.(*UTuple)
 	if !ok {
 		panic("core: stream tuple does not carry a UTuple")
 	}

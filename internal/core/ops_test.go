@@ -181,53 +181,6 @@ func TestHavingGreaterConfidence(t *testing.T) {
 	}
 }
 
-func TestDeltaMethodLinearExact(t *testing.T) {
-	// Linear g: delta method is exact.
-	inputs := []dist.Dist{dist.NewNormal(1, 1), dist.NewNormal(2, 2)}
-	g := func(x []float64) float64 { return 3*x[0] - x[1] }
-	got := Delta(g, nil, inputs)
-	if math.Abs(got.Mu-1) > 1e-6 {
-		t.Errorf("mu = %g, want 1", got.Mu)
-	}
-	// Var = 9·1 + 1·4 = 13.
-	if math.Abs(got.Variance()-13) > 1e-4 {
-		t.Errorf("var = %g, want 13", got.Variance())
-	}
-}
-
-func TestDeltaMethodNonlinearVsMC(t *testing.T) {
-	inputs := []dist.Dist{dist.NewNormal(3, 0.1), dist.NewNormal(4, 0.1)}
-	g := func(x []float64) float64 { return math.Hypot(x[0], x[1]) }
-	approx := Delta(g, nil, inputs)
-	rg := rng.New(8)
-	n := 200000
-	var s, s2 float64
-	for i := 0; i < n; i++ {
-		v := math.Hypot(inputs[0].Sample(rg), inputs[1].Sample(rg))
-		s += v
-		s2 += v * v
-	}
-	mcMean := s / float64(n)
-	mcVar := s2/float64(n) - mcMean*mcMean
-	if math.Abs(approx.Mu-mcMean) > 0.01 {
-		t.Errorf("delta mean %g vs MC %g", approx.Mu, mcMean)
-	}
-	if math.Abs(approx.Variance()-mcVar) > 0.2*mcVar {
-		t.Errorf("delta var %g vs MC %g", approx.Variance(), mcVar)
-	}
-}
-
-func TestDeltaMethodExplicitGradient(t *testing.T) {
-	inputs := []dist.Dist{dist.NewNormal(2, 1)}
-	g := func(x []float64) float64 { return x[0] * x[0] }
-	grad := func(x []float64) []float64 { return []float64{2 * x[0]} }
-	a := Delta(g, grad, inputs)
-	b := Delta(g, nil, inputs)
-	if math.Abs(a.Mu-b.Mu) > 1e-6 || math.Abs(a.Sigma-b.Sigma) > 1e-4 {
-		t.Error("explicit and numeric gradients disagree")
-	}
-}
-
 func TestCondChainMarginalAndSum(t *testing.T) {
 	// X0 ~ N(0,1); X_{n+1} = 0.9 X_n + ε, ε ~ N(0, 0.19) → stationary var ~1.
 	chain := &CondChain{Root: dist.NewNormal(0, 1)}

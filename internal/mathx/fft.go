@@ -14,16 +14,6 @@ func FFT(x []complex128) {
 	fftDir(x, -1)
 }
 
-// IFFT computes the in-place inverse DFT of x (including the 1/N scale).
-// len(x) must be a power of two.
-func IFFT(x []complex128) {
-	fftDir(x, +1)
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-}
-
 func fftDir(x []complex128, sign float64) {
 	n := len(x)
 	if n == 0 {
@@ -55,34 +45,4 @@ func fftDir(x []complex128, sign float64) {
 			}
 		}
 	}
-}
-
-// Convolve returns the linear convolution of a and b via FFT. The result has
-// length len(a)+len(b)-1. Used for discretized density convolution in the
-// histogram aggregation baseline.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	n := NextPow2(outLen)
-	fa := make([]complex128, n)
-	fb := make([]complex128, n)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	FFT(fa)
-	FFT(fb)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	IFFT(fa)
-	out := make([]float64, outLen)
-	for i := range out {
-		out[i] = real(fa[i])
-	}
-	return out
 }

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// ifft is the inverse DFT (including the 1/N scale), the round-trip
+// partner of FFT. len(x) must be a power of two.
+func ifft(x []complex128) {
+	fftDir(x, +1)
+	n := complex(float64(len(x)), 0)
+	for i := range x {
+		x[i] /= n
+	}
+}
+
 func TestFFTIFFTRoundTrip(t *testing.T) {
 	n := 64
 	x := make([]complex128, n)
@@ -14,7 +24,7 @@ func TestFFTIFFTRoundTrip(t *testing.T) {
 	}
 	orig := append([]complex128(nil), x...)
 	FFT(x)
-	IFFT(x)
+	ifft(x)
 	for i := range x {
 		if cmplx.Abs(x[i]-orig[i]) > 1e-10 {
 			t.Fatalf("round trip mismatch at %d: %v vs %v", i, x[i], orig[i])
@@ -62,30 +72,4 @@ func TestFFTRejectsNonPow2(t *testing.T) {
 		}
 	}()
 	FFT(make([]complex128, 12))
-}
-
-func TestConvolveMatchesDirect(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6, 7}
-	got := Convolve(a, b)
-	want := make([]float64, len(a)+len(b)-1)
-	for i := range a {
-		for j := range b {
-			want[i+j] += a[i] * b[j]
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("length %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Errorf("conv[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestConvolveEmpty(t *testing.T) {
-	if Convolve(nil, []float64{1}) != nil {
-		t.Error("empty input should give nil")
-	}
 }

@@ -100,31 +100,66 @@ func (q *QueueOf[T]) Tuples() <-chan T { return q.ch }
 // Depth is the number of queued tuples not yet consumed by the engine.
 func (q *QueueOf[T]) Depth() int { return len(q.ch) }
 
-// Put enqueues one tuple per the policy. Block waits for space (or ctx
-// cancellation, or queue close); DropOldest never waits — it evicts the
-// oldest queued tuple instead and counts the drop.
+// Put enqueues one tuple per the policy, as a batch of one. Block waits
+// for space (or ctx cancellation, or queue close); DropOldest never waits
+// — it evicts the oldest queued tuple instead and counts the drop.
 func (q *QueueOf[T]) Put(ctx context.Context, st T) error {
+	_, err := q.PutBatch(ctx, []T{st})
+	return err
+}
+
+// PutBatch enqueues a batch under one admission check, one in-flight
+// account and one accounting update — the per-tuple mutex, WaitGroup and
+// counter costs that dominate Put at binary-frame ingest rates are paid
+// once per frame instead. Semantics match len(sts) sequential Puts; it
+// returns how many tuples were enqueued, so on ErrQueueClosed (epoch
+// rollover mid-batch) the caller can re-offer the remainder to the next
+// epoch's queue.
+func (q *QueueOf[T]) PutBatch(ctx context.Context, sts []T) (int, error) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return ErrQueueClosed
+		return 0, ErrQueueClosed
 	}
 	// In-flight accounting lets Close delay closing the channel until
-	// every admitted Put has settled, so a racing Put can never send on a
-	// closed channel.
+	// every admitted batch has settled, so a racing sender can never send
+	// on a closed channel.
 	q.inflight.Add(1)
 	q.mu.Unlock()
 	defer q.inflight.Done()
 
-	if q.policy == DropOldest {
-		if !q.sendEvicting(st) {
-			return ErrQueueClosed
+	for i := range sts {
+		var err error
+		if q.policy == DropOldest {
+			if !q.sendEvicting(sts[i]) {
+				err = ErrQueueClosed
+			}
+		} else {
+			err = q.sendBlocking(ctx, sts[i])
 		}
-		return nil
+		if err != nil {
+			q.accept(i)
+			return i, err
+		}
 	}
+	q.accept(len(sts))
+	return len(sts), nil
+}
+
+// sendBlocking is the Block send. A single-channel non-blocking send
+// admits the tuple whenever the channel has room — the common case, and
+// far cheaper than a select over three channels; only a full channel
+// falls back to waiting on space, close or cancellation. Since the fast
+// path sees a full channel first, it records that depth as the high water.
+func (q *QueueOf[T]) sendBlocking(ctx context.Context, st T) error {
 	select {
 	case q.ch <- st:
-		q.accept()
+		return nil
+	default:
+	}
+	q.noteDepth(cap(q.ch))
+	select {
+	case q.ch <- st:
 		return nil
 	case <-q.done:
 		return ErrQueueClosed
@@ -133,48 +168,18 @@ func (q *QueueOf[T]) Put(ctx context.Context, st T) error {
 	}
 }
 
-// PutBatch enqueues a batch under one admission check and one in-flight
-// account — the per-tuple mutex and WaitGroup costs that dominate Put at
-// binary-frame ingest rates are paid once per frame instead. Semantics
-// match len(sts) sequential Puts; it returns how many tuples were
-// enqueued, so on ErrQueueClosed (epoch rollover mid-batch) the caller
-// can re-offer the remainder to the next epoch's queue.
-func (q *QueueOf[T]) PutBatch(ctx context.Context, sts []T) (int, error) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return 0, ErrQueueClosed
-	}
-	q.inflight.Add(1)
-	q.mu.Unlock()
-	defer q.inflight.Done()
-
-	for i, st := range sts {
-		if q.policy == DropOldest {
-			if !q.sendEvicting(st) {
-				return i, ErrQueueClosed
-			}
-			continue
-		}
-		select {
-		case q.ch <- st:
-			q.accept()
-		case <-q.done:
-			return i, ErrQueueClosed
-		case <-ctx.Done():
-			return i, ctx.Err()
-		}
-	}
-	return len(sts), nil
-}
-
 // sendEvicting is the DropOldest send: evict until the tuple fits, never
 // block. Reports false once the queue is closed.
 func (q *QueueOf[T]) sendEvicting(st T) bool {
+	select {
+	case q.ch <- st:
+		return true
+	default:
+	}
+	q.noteDepth(cap(q.ch))
 	for {
 		select {
 		case q.ch <- st:
-			q.accept()
 			return true
 		case <-q.done:
 			return false
@@ -190,11 +195,17 @@ func (q *QueueOf[T]) sendEvicting(st T) bool {
 	}
 }
 
-func (q *QueueOf[T]) accept() {
-	q.accepted.Add(1)
-	// Best-effort high-water mark; racy reads are fine for monitoring.
-	if d := int64(len(q.ch)); d > q.highWater.Load() {
-		q.highWater.Store(d)
+// accept counts n enqueued tuples and samples the depth they left.
+func (q *QueueOf[T]) accept(n int) {
+	q.accepted.Add(uint64(n))
+	q.noteDepth(len(q.ch))
+}
+
+// noteDepth raises the high-water mark to d. Best-effort: racy reads are
+// fine for monitoring, and d never exceeds the capacity.
+func (q *QueueOf[T]) noteDepth(d int) {
+	if int64(d) > q.highWater.Load() {
+		q.highWater.Store(int64(d))
 	}
 }
 

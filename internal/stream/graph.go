@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,10 +195,12 @@ const batchSize = 32
 // batcher accumulates a producer's pending batches, one per outgoing arrow
 // (or per injection target for the feeder).
 type batcher struct {
-	r     *chanRun
-	chans []chan batch
+	r *chanRun
 	// pending[i] is the open batch for arrow/target i.
 	pending [][]*Tuple
+	// sizes[i] is the length of the last batch sent on arrow/target i, the
+	// capacity its next batch opens at.
+	sizes []int
 }
 
 // add appends t to the open batch for arrow/target i into box to's input,
@@ -204,17 +208,32 @@ type batcher struct {
 // window close also ends the batch, so a batch there holds about one window
 // and the bound counts windows: what the window's merge needs moves on at
 // once instead of waiting for a batch that fills only windows later.
+//
+// The consumer owns a sent slice, so every batch is a fresh one. It opens
+// at the length of the arrow's previous batch (batchSize for the first): a
+// busy arrow's batch fills in one allocation where growing it from empty
+// cost six, and an arrow flushed on every idle, a tuple or two at a time,
+// does not allocate a full batch for each.
 func (w *batcher) add(to, port, i int, t *Tuple) {
+	if w.pending[i] == nil {
+		w.pending[i] = make([]*Tuple, 0, cmp.Or(w.sizes[i], batchSize))
+	}
 	w.pending[i] = append(w.pending[i], t)
 	full := len(w.pending[i]) >= batchSize
 	if !full && w.r.bounded[to] {
 		_, full = WindowCloseOf(t)
 	}
 	if full {
-		w.r.inflight.Add(1)
-		w.chans[to] <- batch{port: port, ts: w.pending[i]}
-		w.pending[i] = nil // the consumer owns the flushed slice
+		w.send(to, port, i)
 	}
+}
+
+// send hands arrow/target i's open batch to box to's input port.
+func (w *batcher) send(to, port, i int) {
+	w.r.inflight.Add(1)
+	w.r.chans[to] <- batch{port: port, ts: w.pending[i]}
+	w.sizes[i] = len(w.pending[i])
+	w.pending[i] = nil // the consumer owns the sent slice
 }
 
 // chanRun is one channel execution of a graph (RunLiveOpts): per-box input
@@ -296,15 +315,11 @@ func (r *chanRun) release(id int) {
 
 func (r *chanRun) runBox(b *Box) {
 	defer r.wg.Done()
-	chans := r.chans
-	w := batcher{r: r, chans: chans, pending: make([][]*Tuple, len(b.outs))}
+	w := batcher{r: r, pending: make([][]*Tuple, len(b.outs)), sizes: make([]int, len(b.outs))}
 	flushAll := func() {
 		for i, p := range w.pending {
 			if len(p) > 0 {
-				a := b.outs[i]
-				r.inflight.Add(1)
-				chans[a.to.id] <- batch{port: a.port, ts: p}
-				w.pending[i] = nil
+				w.send(b.outs[i].to.id, b.outs[i].port, i)
 			}
 		}
 	}
@@ -335,7 +350,7 @@ func (r *chanRun) runBox(b *Box) {
 		}
 		flushAll()
 	}
-	in := chans[b.id]
+	in := r.chans[b.id]
 	open := true
 	for open {
 		bt, ok := <-in
@@ -418,28 +433,31 @@ func (r *chanRun) finish() {
 }
 
 // feeder batches external injections per (box, port) target, mirroring the
-// box-side batcher.
+// box-side batcher. A live source usually feeds one target, so the feeder
+// keeps the previous injection's target and searches the few others only
+// when it changes.
 type feeder struct {
-	r       *chanRun
-	w       batcher
-	targets map[[2]int]int
-	tkeys   [][2]int // reverse of targets, for partial flushes
+	w     batcher
+	tkeys [][2]int // the (box, port) target of each pending batch
+	last  int      // the previous injection's target index, -1 before the first
 }
 
 func (r *chanRun) newFeeder() *feeder {
-	return &feeder{r: r, w: batcher{r: r, chans: r.chans}, targets: map[[2]int]int{}}
+	return &feeder{w: batcher{r: r}, last: -1}
 }
 
 func (f *feeder) inject(b *Box, port int, t *Tuple) {
 	key := [2]int{b.id, port}
-	i, ok := f.targets[key]
-	if !ok {
-		i = len(f.w.pending)
-		f.targets[key] = i
-		f.tkeys = append(f.tkeys, key)
-		f.w.pending = append(f.w.pending, nil)
+	if f.last < 0 || f.tkeys[f.last] != key {
+		f.last = slices.Index(f.tkeys, key)
+		if f.last < 0 {
+			f.last = len(f.tkeys)
+			f.tkeys = append(f.tkeys, key)
+			f.w.pending = append(f.w.pending, nil)
+			f.w.sizes = append(f.w.sizes, 0)
+		}
 	}
-	f.w.add(b.id, port, i, t)
+	f.w.add(b.id, port, f.last, t)
 }
 
 // flush pushes every partial injection batch downstream — called when a
@@ -448,10 +466,7 @@ func (f *feeder) inject(b *Box, port int, t *Tuple) {
 func (f *feeder) flush() {
 	for i, p := range f.w.pending {
 		if len(p) > 0 {
-			key := f.tkeys[i]
-			f.r.inflight.Add(1)
-			f.r.chans[key[0]] <- batch{port: key[1], ts: p}
-			f.w.pending[i] = nil
+			f.w.send(f.tkeys[i][0], f.tkeys[i][1], i)
 		}
 	}
 }

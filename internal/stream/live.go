@@ -63,6 +63,12 @@ func SliceSource(sts []SourceTuple) Source {
 	return ch
 }
 
+// liveRun bounds how many already-queued tuples the feeder takes from the
+// source between two looks at the barrier and context channels: a few
+// batches, so those checks cost a small fraction of a receive per tuple
+// while a checkpoint barrier waits behind at most liveRun tuples.
+const liveRun = 4 * batchSize
+
 // DefaultFlushEvery is the idle-tick cadence used when LiveOptions gives a
 // non-positive one.
 const DefaultFlushEvery = 100 * time.Millisecond
@@ -139,22 +145,36 @@ func (g *Graph) RunLiveOpts(ctx context.Context, src Source, opts LiveOptions) e
 	var err error
 loop:
 	for {
-		// Fast path: consume whatever is already available.
-		select {
-		case st, ok := <-in:
-			if !ok {
-				break loop
+		// Fast path: take a run of already-queued tuples with a
+		// single-channel non-blocking receive, which costs far less than a
+		// select over the tuple, barrier and context channels.
+		n := 0
+	run:
+		for n < liveRun {
+			select {
+			case st, ok := <-in:
+				if !ok {
+					break loop
+				}
+				f.inject(st.Box, st.Port, st.T)
+				n++
+			default:
+				break run
 			}
-			f.inject(st.Box, st.Port, st.T)
+		}
+		if n == liveRun {
+			// The source is still busy. Look at barriers and cancellation
+			// once per run, so a barrier waits behind at most one run.
+			select {
+			case fn := <-opts.Barriers:
+				barrier(fn)
+			case <-ctx.Done():
+				err = ctx.Err()
+				drainPending()
+				break loop
+			default:
+			}
 			continue
-		case fn := <-opts.Barriers:
-			barrier(fn)
-			continue
-		case <-ctx.Done():
-			err = ctx.Err()
-			drainPending()
-			break loop
-		default:
 		}
 		// The source momentarily idled: flush partial injection batches
 		// before blocking, so a quiet stream's tail is visible downstream

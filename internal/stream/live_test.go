@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -293,5 +295,117 @@ func TestSeqMergeStragglerAfterWatermark(t *testing.T) {
 	m.Process(1, newControlTuple(ctlWatermark, 0, 13), emit)
 	if len(got) != 2 || got[1].Seq != 12 {
 		t.Fatalf("after both watermarks cover 13: %d tuples out, want 2", len(got))
+	}
+}
+
+// TestRunLiveBarrierUnderSaturation: a producer keeps the source non-empty
+// for the whole test, so the feeder never idles; each checkpoint barrier
+// must still run before the source ends, behind at most one run (liveRun)
+// of tuples taken after it was posted, and on a quiescent graph — every
+// tuple taken from the source has been processed. The box spends a few
+// microseconds per tuple, so the feeder waits on the box, not the producer,
+// and the source stays full.
+func TestRunLiveBarrierUnderSaturation(t *testing.T) {
+	g := NewGraph()
+	box := g.AddBox(&FuncOp{OpName: "count", OnTuple: func(int, *Tuple, Emit) {
+		for start := time.Now(); time.Since(start) < 5*time.Microsecond; {
+		}
+	}})
+
+	// The producer sends under mu, so sent-len(ch) is exactly the number of
+	// tuples the feeder has taken.
+	ch := make(ChanSource, 4*liveRun)
+	var mu sync.Mutex
+	sent := 0
+	taken := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return sent - len(ch)
+	}
+	stop := make(chan struct{})
+	go func() {
+		tp := liveTuple(0, 1)
+		for {
+			select {
+			case <-stop:
+				close(ch)
+				return
+			default:
+			}
+			mu.Lock()
+			select {
+			case ch <- SourceTuple{Box: box, T: tp}:
+				sent++
+			default:
+			}
+			full := len(ch) == cap(ch)
+			mu.Unlock()
+			if full {
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	barriers := make(chan func(), 1)
+	done := make(chan error, 1)
+	go func() { done <- g.RunLiveOpts(context.Background(), ch, LiveOptions{Buffer: 1, Barriers: barriers}) }()
+	for taken() < 4*liveRun {
+		runtime.Gosched()
+	}
+	for round := 0; round < 20; round++ {
+		ran := make(chan [2]int, 1)
+		barriers <- func() { ran <- [2]int{taken(), int(box.Stats().In)} }
+		before := taken()
+		select {
+		case got := <-ran:
+			if at, processed := got[0], got[1]; at-before > liveRun {
+				t.Fatalf("round %d: barrier ran %d tuples after it was posted, want at most %d", round, at-before, liveRun)
+			} else if processed != at {
+				t.Fatalf("round %d: barrier ran with %d of %d taken tuples processed", round, processed, at)
+			}
+		case err := <-done:
+			t.Fatalf("round %d: run ended (%v) before the barrier ran", round, err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: barrier starved by a saturated source", round)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("RunLiveOpts: %v", err)
+	}
+	if in := int(box.Stats().In); in != sent {
+		t.Fatalf("box processed %d of %d tuples", in, sent)
+	}
+}
+
+// TestRunLiveFeederAllocs pins the feeder's allocations per injected batch:
+// RunLiveOpts of N tuples into a one-box graph, differenced between two N
+// so the run's fixed cost cancels. Every batch here fills, so each opens
+// at its full length, one allocation per batch; it was 6.0 while batches
+// grew by appending from empty. Skipped under -race, whose instrumentation
+// allocates.
+func TestRunLiveFeederAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tp := liveTuple(0, 1)
+	run := func(batches int) float64 {
+		sts := make([]SourceTuple, batches*batchSize)
+		return testing.AllocsPerRun(10, func() {
+			g := NewGraph()
+			box := g.AddBox(&FuncOp{OpName: "sink", OnTuple: func(int, *Tuple, Emit) {}})
+			for i := range sts {
+				sts[i] = SourceTuple{Box: box, T: tp}
+			}
+			if err := g.RunLiveOpts(context.Background(), SliceSource(sts), LiveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const lo, hi = 64, 192
+	perBatch := (run(hi) - run(lo)) / (hi - lo)
+	t.Logf("%.3f allocs per injected batch", perBatch)
+	if perBatch > 1.0 {
+		t.Fatalf("%.3f allocs per injected batch, budget 1.0", perBatch)
 	}
 }

@@ -258,14 +258,19 @@ func (c *TupleCodec) Decode(r *snap.Reader) *Tuple {
 	case int(ref) == len(c.schemas)+1:
 		n := r.Len()
 		names := make([]string, n)
+		seen := make(map[string]bool, n)
 		for i := range names {
 			names[i] = r.String()
+			if seen[names[i]] && r.Err() == nil {
+				r.Fail("schema repeats field %q", names[i])
+			}
+			seen[names[i]] = true
 		}
 		if r.Err() != nil {
 			return nil
 		}
 		s, ok := canonicalSchemas[strings.Join(names, "\x00")]
-		if !ok {
+		if !ok || len(s.Names) != n { // a name holding the separator
 			s = NewSchema(names...)
 		}
 		c.schemas = append(c.schemas, s)
@@ -523,11 +528,27 @@ func (o *partitionOp) Restore(data []byte) error {
 	if p := int(r.Varint()); p != o.p && r.Err() == nil {
 		r.Fail("%s: snapshot has %d shards, operator has %d", o.name, p, o.p)
 	}
-	o.clock.decode(r)
-	o.rr = int(r.Varint())
-	o.seq = r.Uvarint()
-	o.sinceWM = int(r.Varint())
-	return r.Close()
+	clock := windowClock{spec: o.clock.spec}
+	clock.decode(r)
+	rr := r.Varint()
+	seq := r.Uvarint()
+	sinceWM := r.Varint()
+	if err := r.Close(); err != nil {
+		return err
+	}
+	// A cursor outside [0, p) would stamp a route past the last arrow,
+	// which the engine delivers as a broadcast: one tuple to every shard.
+	if rr < 0 || rr >= int64(o.p) {
+		return fmt.Errorf("%s: round-robin cursor %d outside [0, %d)", o.name, rr, o.p)
+	}
+	if sinceWM < 0 || sinceWM >= watermarkEvery {
+		return fmt.Errorf("%s: watermark cadence count %d outside [0, %d)", o.name, sinceWM, watermarkEvery)
+	}
+	if n := max(clock.spec.Count, 1); clock.fill < 0 || clock.fill >= n {
+		return fmt.Errorf("%s: window clock fill %d outside [0, %d)", o.name, clock.fill, n)
+	}
+	o.clock, o.rr, o.seq, o.sinceWM = clock, int(rr), seq, int(sinceWM)
+	return nil
 }
 
 // --- seqMerge ---
@@ -563,7 +584,38 @@ func (o *seqMerge) Restore(data []byte) error {
 		o.wm[i] = r.Uvarint()
 		o.qs[i] = decodeTuples(r, c)
 	}
-	return r.Close()
+	err := r.Close()
+	if err == nil {
+		err = o.checkRestored()
+	}
+	if err != nil {
+		clear(o.wm)
+		clear(o.qs)
+	}
+	return err
+}
+
+// checkRestored refuses a restored state no run can reach. A snapshot is
+// taken between Process calls, each of which ends in a drain: every queue
+// holds data tuples in shard order, and nothing the merge could release is
+// still queued.
+func (o *seqMerge) checkRestored() error {
+	for i, q := range o.qs {
+		for j, t := range q {
+			if IsControl(t) {
+				return fmt.Errorf("%s: port %d queues a punctuation", o.name, i)
+			}
+			if j > 0 && t.Seq < q[j-1].Seq {
+				return fmt.Errorf("%s: port %d queue out of sequence order", o.name, i)
+			}
+		}
+	}
+	var released bool
+	o.drain(func(*Tuple) { released = true })
+	if released {
+		return fmt.Errorf("%s: snapshot queues a tuple its watermarks release", o.name)
+	}
+	return nil
 }
 
 // --- joinOp ---

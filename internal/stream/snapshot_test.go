@@ -101,6 +101,44 @@ func TestTupleCodecUnknownSchemaFallback(t *testing.T) {
 	}
 }
 
+// schemaBlob hand-encodes one tuple whose schema is interned with the
+// given field names and whose fields are all nil.
+func schemaBlob(names ...string) []byte {
+	w := &snap.Writer{}
+	w.Uvarint(1) // ID
+	w.Varint(0)  // TS
+	w.Uvarint(0) // Seq
+	w.Uvarint(1) // first interned schema, names follow
+	w.Uvarint(uint64(len(names)))
+	for _, n := range names {
+		w.String(n)
+	}
+	w.Uvarint(uint64(len(names)))
+	for range names {
+		w.U8(valNil)
+	}
+	return w.Bytes()
+}
+
+// TestTupleCodecRejectsMalformedSchema: a decoded schema that repeats a
+// field name is an error, not a NewSchema panic, and a name holding the
+// intern key's separator does not resolve to the registered schema whose
+// names it spells.
+func TestTupleCodecRejectsMalformedSchema(t *testing.T) {
+	r := snap.NewReader(schemaBlob("v", "v"))
+	if got := NewTupleCodec().Decode(r); got != nil || r.Err() == nil {
+		t.Fatalf("repeated field decoded to %v, err %v", got, r.Err())
+	}
+	r = snap.NewReader(schemaBlob("v\x00label"))
+	got := NewTupleCodec().Decode(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got.schema == snapTestSchema || len(got.schema.Names) != 1 {
+		t.Fatalf("one-field schema resolved to %v", got.schema.Names)
+	}
+}
+
 // sumWindow is a deterministic WindowFunc: one output per close with the
 // window's tuple count and field sum.
 func sumWindow(window []*Tuple, end Time, emit Emit) {

@@ -45,7 +45,6 @@ var surfaceExempt = map[string]string{
 	"repro/internal/core.MeanCorrelatedMA":                 "(d) BenchmarkCorrelatedAggregation",
 	"repro/internal/core.Avg":                              "(e) TestAvgMatchesScaledSum",
 	"repro/internal/core.Count":                            "(e) TestCountPoissonBinomial",
-	"repro/internal/core.Delta":                            "(e) TestDeltaMethodLinearExact, TestDeltaMethodNonlinearVsMC, TestDeltaMethodExplicitGradient",
 	"repro/internal/core.Max":                              "(e) TestMaxDominatedByStrongest, TestMaxOrderStatistics",
 	"repro/internal/core.Min":                              "(e) TestMinOrderStatistics",
 	"repro/internal/core.PredicateProb":                    "(e) TestPredicateProb",
@@ -64,7 +63,6 @@ var surfaceExempt = map[string]string{
 	"repro/internal/lineage.Set.Intersect":                 "(c)",
 	"repro/internal/lineage.Set.Overlaps":                  "(c)",
 	"repro/internal/lineage.Set.Union":                     "(c)",
-	"repro/internal/mathx.Convolve":                        "(e) TestConvolveMatchesDirect, TestConvolveEmpty",
 	"repro/internal/mathx.KahanSum":                        "(e) TestKahanSumPrecision",
 	"repro/internal/mathx.LogSumExp":                       "(e) TestLogSumExp",
 	"repro/internal/mathx.MeanVar":                         "(e) TestMeanVarWelford",
