@@ -19,18 +19,6 @@ type Func func(t float64) complex128
 // Of returns the characteristic function of a distribution.
 func Of(d dist.Dist) Func { return d.CF }
 
-// Product returns the pointwise product of the argument CFs — the CF of a
-// sum of independent random variables.
-func Product(fs ...Func) Func {
-	return func(t float64) complex128 {
-		out := complex(1, 0)
-		for _, f := range fs {
-			out *= f(t)
-		}
-		return out
-	}
-}
-
 // SumOf returns the CF of the sum of independent variables with the given
 // distributions. For common input families every factor has a closed form,
 // so evaluating the product CF is O(n) multiplications with no integration.
@@ -42,25 +30,6 @@ func SumOf(ds []dist.Dist) Func {
 		}
 		return out
 	}
-}
-
-// Scale returns the CF of a·X given the CF of X: φ_{aX}(t) = φ_X(at).
-func Scale(f Func, a float64) Func {
-	return func(t float64) complex128 { return f(a * t) }
-}
-
-// Shift returns the CF of X + b: exp(itb)·φ_X(t).
-func Shift(f Func, b float64) Func {
-	return func(t float64) complex128 {
-		return cmplx.Exp(complex(0, t*b)) * f(t)
-	}
-}
-
-// MeanOf returns the CF of the average of n independent variables given the
-// CF of their sum... callers typically build it as Scale(SumOf(ds), 1/n).
-func MeanOf(ds []dist.Dist) Func {
-	n := float64(len(ds))
-	return Scale(SumOf(ds), 1/n)
 }
 
 // SumMoments returns the exact mean and variance of the sum of independent
@@ -75,26 +44,8 @@ func SumMoments(ds []dist.Dist) (mean, variance float64) {
 	return mean, variance
 }
 
-// GilPelaezCDF evaluates P(X <= x) from φ by the Gil-Pelaez inversion
-// formula — the paper's "single integral":
-//
-//	F(x) = 1/2 − (1/π) ∫₀^∞ Im[e^{−itx} φ(t)] / t dt.
-func GilPelaezCDF(phi Func, x float64, scale float64) float64 {
-	if scale <= 0 {
-		scale = 1
-	}
-	integrand := func(t float64) float64 {
-		if t == 0 {
-			return 0
-		}
-		v := cmplx.Exp(complex(0, -t*x)) * phi(t)
-		return imag(v) / t
-	}
-	integral := mathx.IntegrateOsc(integrand, math.Pi/scale, mathx.QuadOptions{AbsTol: 1e-10, RelTol: 1e-9})
-	return mathx.Clamp(0.5-integral/math.Pi, 0, 1)
-}
-
-// GilPelaezPDF evaluates the density at x from φ:
+// GilPelaezPDF evaluates the density at x from φ by the Gil-Pelaez
+// inversion formula — the paper's "single integral":
 //
 //	f(x) = (1/π) ∫₀^∞ Re[e^{−itx} φ(t)] dt.
 func GilPelaezPDF(phi Func, x float64, scale float64) float64 {

@@ -7,18 +7,6 @@ import (
 	"repro/internal/dist"
 )
 
-func TestGilPelaezCDFGaussian(t *testing.T) {
-	n := dist.NewNormal(2, 1.5)
-	phi := Of(n)
-	for _, x := range []float64{-1, 0, 2, 3.5, 6} {
-		got := GilPelaezCDF(phi, x, n.Sigma)
-		want := n.CDF(x)
-		if math.Abs(got-want) > 1e-6 {
-			t.Errorf("GilPelaezCDF(%g) = %g, want %g", x, got, want)
-		}
-	}
-}
-
 func TestGilPelaezPDFGaussian(t *testing.T) {
 	n := dist.NewNormal(-1, 0.8)
 	phi := Of(n)
@@ -118,24 +106,6 @@ func TestApproxGaussianSumCLTAccuracy(t *testing.T) {
 	}
 }
 
-func TestScaleShiftCF(t *testing.T) {
-	n := dist.NewNormal(1, 2)
-	// 3X + 4 ~ N(7, 36).
-	phi := Shift(Scale(Of(n), 3), 4)
-	m, v := NumericCumulants(phi)
-	if math.Abs(m-7) > 1e-4 || math.Abs(v-36) > 1e-2 {
-		t.Errorf("scaled cumulants = (%g, %g), want (7, 36)", m, v)
-	}
-}
-
-func TestMeanOfCF(t *testing.T) {
-	ds := []dist.Dist{dist.NewNormal(2, 1), dist.NewNormal(4, 1)}
-	m, v := NumericCumulants(MeanOf(ds))
-	if math.Abs(m-3) > 1e-4 || math.Abs(v-0.5) > 1e-3 {
-		t.Errorf("mean-CF cumulants = (%g, %g), want (3, 0.5)", m, v)
-	}
-}
-
 func TestFitGMMToCFBimodal(t *testing.T) {
 	// Target: a clearly bimodal mixture. The CF fit must recover both humps.
 	target := dist.NewGaussianMixture([]float64{0.5, 0.5}, []float64{-4, 4}, []float64{1, 1})
@@ -156,16 +126,5 @@ func TestPairwiseConvolutionMatchesExact(t *testing.T) {
 	exact := dist.NewNormal(6, 2)
 	if d := dist.VarianceDistance(got, exact, 4096); d > 0.02 {
 		t.Errorf("pairwise convolution distance = %g", d)
-	}
-}
-
-func TestProductIsSumCF(t *testing.T) {
-	a, b := dist.NewNormal(1, 1), dist.NewNormal(2, 3)
-	p := Product(Of(a), Of(b))
-	exact := dist.ConvolveNormals(a, b)
-	for _, tv := range []float64{-1, 0.3, 2} {
-		if c1, c2 := p(tv), exact.CF(tv); math.Abs(real(c1)-real(c2)) > 1e-12 || math.Abs(imag(c1)-imag(c2)) > 1e-12 {
-			t.Errorf("Product CF mismatch at t=%g", tv)
-		}
 	}
 }

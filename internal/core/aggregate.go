@@ -188,8 +188,9 @@ func scaleDist(d dist.Dist, a float64, opts AggOptions) dist.Dist {
 	case dist.Normal, *dist.Histogram, dist.PointMass, dist.Uniform, *dist.Mixture:
 		return dist.Scale(d, a)
 	default:
-		// Generic path: invert the scaled CF.
-		return cf.Invert(cf.Scale(d.CF, a), cf.InvertOptions{N: opts.withDefaults().GridN})
+		// Generic path: invert the scaled CF, φ_{aX}(t) = φ_X(at).
+		scaled := func(t float64) complex128 { return d.CF(a * t) }
+		return cf.Invert(scaled, cf.InvertOptions{N: opts.withDefaults().GridN})
 	}
 }
 

@@ -255,24 +255,31 @@ func TestRouteFrameAllocs(t *testing.T) {
 	}
 	raw := encodeBinary(t, msgs[:server.BwBatch])
 	wr := server.NewWireReader(bytes.NewReader(raw), 0)
-	ic := newIngestConn()
+	// What the client edge runs per TUPLES frame: the connection's decoder,
+	// then the router's handler.
+	dec, c := server.NewBwDecoder(), rt.newClientConn()
 	var tuples []byte
 	for {
 		_, fr, err := wr.Next()
 		if err != nil {
 			break
 		}
-		if fr.Kind == server.BwTuples {
+		switch fr.Kind {
+		case server.BwTuples:
 			tuples = append([]byte(nil), fr.Payload...)
-			continue
-		}
-		if _, err := rt.handleClientFrame(fr, ic); err != nil {
-			t.Fatal(err)
+		case server.BwSchemaFrame:
+			if _, err := dec.AddSchema(fr.Payload); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	frame := server.BwFrame{Kind: server.BwTuples, Payload: tuples}
 	route := func() {
-		if n, err := rt.handleClientFrame(frame, ic); err != nil || n != server.BwBatch {
+		bts, err := dec.DecodeTuples(tuples)
+		n := 0
+		if err == nil {
+			n, err = c.Ingest(bts)
+		}
+		if err != nil || n != server.BwBatch {
 			t.Fatalf("routed %d tuples: %v", n, err)
 		}
 	}

@@ -20,10 +20,10 @@ import (
 // home (fresh instance, merge-floor aligned). A leave migrates exactly the
 // leaver's slots to their new placement owners. Everything else stays put.
 
-// AdmitWorker dials addr, joins it into the cluster at a quiesced cut, and
+// admitWorker dials addr, joins it into the cluster at a quiesced cut, and
 // migrates its ring share (and every degraded slot) onto it. Called from a
-// client connection's "join" line or directly by an operator.
-func (r *Router) AdmitWorker(addr string) error {
+// client connection's "join" line.
+func (r *Router) admitWorker(addr string) error {
 	if r.ctx.Err() != nil {
 		return errors.New("router shutting down")
 	}

@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -215,8 +214,7 @@ type Router struct {
 	cfg    Config
 	ring   *ring.Ring
 	slotOf map[string]int // ring member id -> slot
-	ln     net.Listener
-	httpLn net.Listener
+	edge   server.Edge
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -290,13 +288,7 @@ type Router struct {
 	// cur is the routing cursor (routeMu).
 	cur routeCursor
 
-	mu       sync.Mutex
-	conns    map[*server.ConnTrack]struct{}
-	shutdown bool
-
 	start      time.Time
-	ingested   atomic.Uint64
-	ingestErrs atomic.Uint64
 	encodeErrs atomic.Uint64
 	alerts     atomic.Uint64
 	failovers  atomic.Uint64
@@ -380,9 +372,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Weights != nil && len(cfg.Weights) != cfg.Slots {
 		return nil, fmt.Errorf("router: %d weights for %d workers", len(cfg.Weights), len(cfg.Workers))
 	}
-	if cfg.SubBuffer <= 0 {
-		cfg.SubBuffer = 4096
-	}
 	if cfg.SendBuffer <= 0 {
 		cfg.SendBuffer = 4096
 	}
@@ -441,7 +430,6 @@ func New(cfg Config) (*Router, error) {
 		slotSnaps:   make([]roundSnap, s),
 		place:       ring.New(cfg.Vnodes),
 		memberLink:  map[string]int{},
-		conns:       map[*server.ConnTrack]struct{}{},
 		start:       time.Now(),
 		recovered:   -1,
 		benc:        server.NewBwEncoder(),
@@ -500,31 +488,13 @@ func New(cfg Config) (*Router, error) {
 		}
 	}
 
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
+	r.edge = server.Edge{Name: "router", Hub: r.hub, SubBuffer: cfg.SubBuffer, Statsz: func() any { return r.Stats() }}
+	if err := r.edge.Listen(cfg.Addr, cfg.HTTPAddr); err != nil {
 		r.teardownLinks()
-		return nil, fmt.Errorf("router: listen %s: %w", cfg.Addr, err)
-	}
-	r.ln = ln
-	if cfg.HTTPAddr != "" {
-		httpLn, err := net.Listen("tcp", cfg.HTTPAddr)
-		if err != nil {
-			ln.Close()
-			r.teardownLinks()
-			return nil, fmt.Errorf("router: listen %s: %w", cfg.HTTPAddr, err)
-		}
-		r.httpLn = httpLn
-		mux := http.NewServeMux()
-		mux.HandleFunc("/statsz", r.handleStatsz)
-		server.MountPprof(mux)
-		srv := &http.Server{Handler: mux}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			srv.Serve(httpLn)
-		}()
+		return nil, err
 	}
 
+	var err error
 	r.headMu.Lock()
 	r.newEpochLocked()
 	if blob != nil {
@@ -532,10 +502,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.headMu.Unlock()
 	if err != nil {
-		ln.Close()
-		if r.httpLn != nil {
-			r.httpLn.Close()
-		}
+		r.edge.Close()
 		r.teardownLinks()
 		return nil, fmt.Errorf("router: recover: %w", err)
 	}
@@ -566,8 +533,7 @@ func New(cfg Config) (*Router, error) {
 		r.wg.Add(1)
 		go r.ckptLoop()
 	}
-	r.wg.Add(1)
-	go r.acceptLoop()
+	r.edge.Serve(func(uint64) server.ClientHandler { return r.newClientConn() })
 	return r, nil
 }
 
@@ -583,15 +549,10 @@ func (r *Router) startLink(l *link) {
 }
 
 // Addr returns the client listener's address.
-func (r *Router) Addr() net.Addr { return r.ln.Addr() }
+func (r *Router) Addr() net.Addr { return r.edge.Addr() }
 
 // HTTPAddr returns the /statsz listener's address, or nil.
-func (r *Router) HTTPAddr() net.Addr {
-	if r.httpLn == nil {
-		return nil
-	}
-	return r.httpLn.Addr()
-}
+func (r *Router) HTTPAddr() net.Addr { return r.edge.HTTPAddr() }
 
 // RecoveredEpoch reports the epoch this router resumed from a durable blob
 // at startup, or ok=false for a fresh start.
@@ -604,18 +565,7 @@ func (r *Router) Done() <-chan struct{} { return r.done }
 // lines, worker links close.
 func (r *Router) Close() error {
 	r.cancel()
-	r.ln.Close()
-	if r.httpLn != nil {
-		r.httpLn.Close()
-	}
-	r.hub.CloseAll()
-	r.hub.WaitPumps()
-	r.mu.Lock()
-	r.shutdown = true
-	for c := range r.conns {
-		c.Close()
-	}
-	r.mu.Unlock()
+	r.edge.Close()
 	r.routeMu.Lock()
 	links := append([]*link(nil), r.links...)
 	r.routeMu.Unlock()
@@ -1081,7 +1031,7 @@ func (r *Router) checkSource(source string) error {
 // its sequence number and emits the window closes it triggers, and the
 // bodies accumulate into per-slot batches that ship before routeMu is
 // released.
-func (r *Router) routeFrame(ic *ingestConn, bts []server.BwTuple) (int, error) {
+func (r *Router) routeFrame(c *clientConn, bts []server.BwTuple) (int, error) {
 	if err := r.checkSource(bts[0].Schema.Source); err != nil {
 		return 0, err
 	}
@@ -1107,7 +1057,7 @@ func (r *Router) routeFrame(ic *ingestConn, bts []server.BwTuple) (int, error) {
 		} else {
 			ep := r.epoch()
 			if ep != nil && !ep.ended.Load() {
-				cs := ic.schemaFor(r, bts[0].Schema)
+				cs := c.schemaFor(bts[0].Schema)
 				r.cur.ep, r.cur.link = ep, cs.link
 				for i := range bts[:n] {
 					bt := &bts[i]
@@ -1157,6 +1107,14 @@ func (r *Router) pingLinksLocked(line []byte) {
 		}
 		l.pings.Add(1)
 	}
+}
+
+func mustLine(m server.Msg) []byte {
+	line, err := server.EncodeLine(m)
+	if err != nil {
+		panic(err) // fixed-shape control messages always encode
+	}
+	return line
 }
 
 // awaitLinks is end-of-stream's barrier: ping every live link and wait

@@ -1,9 +1,6 @@
 package router
 
 import (
-	"encoding/json"
-	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/server"
@@ -93,8 +90,6 @@ func (r *Router) Stats() Statsz {
 	up := time.Since(r.start).Seconds()
 	st := Statsz{
 		UptimeS:      up,
-		Ingested:     r.ingested.Load(),
-		IngestErrors: r.ingestErrs.Load(),
 		EncodeErrors: r.encodeErrs.Load(),
 		WorkerErrors: r.workerErrs.Load(),
 		Alerts:       r.alerts.Load(),
@@ -106,6 +101,7 @@ func (r *Router) Stats() Statsz {
 		Checkpoints:  r.ckptN.Load(),
 		CkptErrors:   r.ckptErrs.Load(),
 	}
+	st.Ingested, st.IngestErrors, st.Conns = r.edge.Stats()
 	if up > 0 {
 		st.TuplesPerS = float64(st.Ingested) / up
 	}
@@ -170,18 +166,5 @@ func (r *Router) Stats() Statsz {
 		st.Closes = append([]uint64(nil), r.ep.closes...)
 	}
 	r.headMu.Unlock()
-	r.mu.Lock()
-	for c := range r.conns {
-		st.Conns = append(st.Conns, c.Statsz())
-	}
-	r.mu.Unlock()
-	sort.Slice(st.Conns, func(i, j int) bool { return st.Conns[i].Remote < st.Conns[j].Remote })
 	return st
-}
-
-func (r *Router) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(r.Stats())
 }

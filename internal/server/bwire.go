@@ -781,8 +781,8 @@ func EncodeBwHello() []byte {
 	return appendFrame(nil, BwHello, []byte{bwVersion})
 }
 
-// DecodeBwHello validates a HELLO payload.
-func DecodeBwHello(payload []byte) error {
+// decodeBwHello validates a HELLO payload.
+func decodeBwHello(payload []byte) error {
 	if len(payload) != 1 || payload[0] != bwVersion {
 		return fmt.Errorf("bwire: bad hello payload % x", payload)
 	}

@@ -1,17 +1,10 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
-	"net/http/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,9 +79,8 @@ type epoch struct {
 // Server is the TCP/HTTP ingest front end around a continuously running
 // compiled plan.
 type Server struct {
-	cfg    Config
-	ln     net.Listener
-	httpLn net.Listener
+	cfg  Config
+	edge Edge
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -99,18 +91,14 @@ type Server struct {
 
 	hub Hub
 
-	mu       sync.Mutex
-	ep       *epoch
-	eps      []*epoch // recent epochs (pruned), for all-epoch stats
-	conns    map[*ConnTrack]struct{}
-	shutdown bool
+	mu  sync.Mutex
+	ep  *epoch
+	eps []*epoch // recent epochs (pruned), for all-epoch stats
 	// prunedDrops accumulates queue drops from epochs pruned out of eps,
 	// so the cumulative counter survives epoch turnover.
 	prunedDrops uint64
 
 	start      time.Time
-	ingested   atomic.Uint64
-	ingestErrs atomic.Uint64
 	encodeErrs atomic.Uint64
 	alerts     atomic.Uint64
 
@@ -144,69 +132,35 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Addr == "" {
 		return nil, errors.New("server: Config.Addr is required")
 	}
-	if cfg.SubBuffer <= 0 {
-		cfg.SubBuffer = 4096
-	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("server: listen %s: %w", cfg.Addr, err)
-	}
 	s := &Server{
 		cfg:   cfg,
-		ln:    ln,
 		done:  make(chan struct{}),
-		conns: map[*ConnTrack]struct{}{},
 		start: time.Now(),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.hub.subs = map[*Subscriber]struct{}{}
+	s.edge = Edge{Name: "server", Hub: &s.hub, SubBuffer: cfg.SubBuffer, Statsz: func() any { return s.Stats() }}
 	if cfg.Cluster {
 		s.cl = newClusterState(s)
+		// Cluster "snap" lines carry whole plan checkpoints (base64).
+		s.edge.MaxLine = 1 << 26
+		s.edge.Fence = s.fence
+		s.edge.SubNeedsHello = true
 	}
-	if cfg.HTTPAddr != "" {
-		httpLn, err := net.Listen("tcp", cfg.HTTPAddr)
-		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("server: listen %s: %w", cfg.HTTPAddr, err)
-		}
-		s.httpLn = httpLn
-		mux := http.NewServeMux()
-		mux.HandleFunc("/statsz", s.handleStatsz)
-		MountPprof(mux)
-		srv := &http.Server{Handler: mux}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			srv.Serve(httpLn) // returns when the listener closes
-		}()
+	if err := s.edge.Listen(cfg.Addr, cfg.HTTPAddr); err != nil {
+		return nil, err
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.engineLoop()
-	go s.acceptLoop()
+	s.edge.Serve(func(id uint64) ClientHandler { return &connIngest{s: s, id: id} })
 	return s, nil
 }
 
 // Addr returns the protocol listener's address (for ":0" configs).
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }
-
-// MountPprof serves the runtime profiles of net/http/pprof — CPU, heap,
-// goroutines, execution trace — under /debug/pprof/ on mux, so a profile
-// of a running daemon or router is one HTTP GET on its -http listener.
-func MountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
+func (s *Server) Addr() net.Addr { return s.edge.Addr() }
 
 // HTTPAddr returns the /statsz listener's address, or nil.
-func (s *Server) HTTPAddr() net.Addr {
-	if s.httpLn == nil {
-		return nil
-	}
-	return s.httpLn.Addr()
-}
+func (s *Server) HTTPAddr() net.Addr { return s.edge.HTTPAddr() }
 
 // Done closes when the engine loop has exited — with Config.Once, after the
 // first end-of-stream drain completes and the "done" line has been
@@ -218,26 +172,12 @@ func (s *Server) Done() <-chan struct{} { return s.done }
 // followed by a "done" line), and every connection closes.
 func (s *Server) Close() error {
 	s.cancel()
-	s.ln.Close()
-	if s.httpLn != nil {
-		s.httpLn.Close()
-	}
+	s.edge.stopListening()
 	// The engine must finish its drain (and the final broadcasts) before
 	// subscriber channels close; the pumps must then deliver everything
 	// queued before the connections close under them.
 	<-s.done
-	s.hub.CloseAll()
-	s.hub.pumps.Wait()
-	// The shutdown flag closes the race with acceptLoop: a connection
-	// accepted just before the listener closed but not yet registered is
-	// closed by acceptLoop itself once it sees the flag, so no handler can
-	// linger on a socket nobody closes.
-	s.mu.Lock()
-	s.shutdown = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
+	s.edge.Close()
 	s.wg.Wait()
 	return nil
 }
@@ -533,282 +473,117 @@ func (s *Server) startedEpoch() *epoch {
 	}
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	var id uint64
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		ct := TrackConn(c)
-		s.mu.Lock()
-		if s.shutdown {
-			s.mu.Unlock()
-			c.Close()
-			continue
-		}
-		s.conns[ct] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		id++
-		go s.handleConn(ct, id)
-	}
-}
-
-// handleConn reads protocol messages from one connection — JSON lines or
-// binary frames, dispatched per message by the magic-byte sniff. Errors
-// are strictly per-connection: a malformed message earns an "err" reply
-// (always JSON) and the connection (and every other connection, and the
-// engine) keeps running. id numbers connections in accept order; a worker
-// fences every connection older than the one that last reset it.
-func (s *Server) handleConn(c *ConnTrack, id uint64) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		c.Close()
-	}()
-	w := bufio.NewWriter(c)
-	var sub *Subscriber
-	defer func() {
-		if sub != nil && s.hub.Remove(sub) {
-			sub.Close()
-		}
-	}()
-	// reply writes a control message to the client. Before subscribing it
-	// owns the connection's writer; after, the pump goroutine does, so
-	// replies ride the subscriber queue instead.
-	reply := func(m Msg) {
-		line, err := EncodeLine(m)
-		if err != nil {
-			return
-		}
-		if sub != nil {
-			sub.SendControl(line, &s.hub)
-			return
-		}
-		w.Write(line)
-		w.Flush()
-	}
-	maxLine := 1 << 20
-	if s.cl != nil {
-		// Cluster "snap" lines carry whole plan checkpoints (base64).
-		maxLine = 1 << 26
-	}
-	wr := NewWireReader(c, maxLine)
-	// Binary receive state, created on the connection's first frame.
-	var bdec *BwDecoder
-	in := &connIngest{id: id}
-	lines := NewLineDecoder()
-	// hello records a well-formed BwHello on this connection: a worker
-	// serves its part stream only to a peer that announced bwire.
-	hello := false
-	for {
-		line, fr, rerr := wr.Next()
-		if rerr != nil {
-			// A read error (oversized message, truncated frame, mid-message
-			// disconnect) ends the connection, but it still deserves the
-			// per-connection error contract: count it and make a best-effort
-			// reply before the socket closes, so a client sees why instead
-			// of a bare EOF.
-			if rerr != io.EOF {
-				s.ingestErrs.Add(1)
-				c.CountDecodeErr()
-				reply(errMsg("read error: %v", rerr))
-			}
-			return
-		}
-		if s.stale(id) {
-			// A newer connection reset this worker: whatever this one still
-			// delivers was sent by a superseded router.
-			s.ingestErrs.Add(1)
-			reply(errMsg("%v", errStaleLink))
-			continue
-		}
-		if line == nil {
-			c.CountFrame()
-			if bdec == nil {
-				bdec = NewBwDecoder()
-			}
-			n, err := s.handleFrame(fr, bdec, in)
-			s.ingested.Add(uint64(n))
-			if fr.Kind == BwHello && err == nil {
-				hello = true
-			}
-			if err != nil {
-				s.ingestErrs.Add(1)
-				c.CountDecodeErr()
-				reply(errMsg("%v", err))
-			}
-			continue
-		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		c.CountLine()
-		m, err := lines.Decode(line)
-		if err != nil {
-			s.ingestErrs.Add(1)
-			c.CountDecodeErr()
-			reply(errMsg("bad line: %v", err))
-			continue
-		}
-		switch m.Kind {
-		case KindTuple:
-			n, err := s.ingestLine(m, lines, in)
-			s.ingested.Add(uint64(n))
-			if err != nil {
-				s.ingestErrs.Add(1)
-				c.CountDecodeErr()
-				reply(errMsg("%v", err))
-			}
-		case KindPing:
-			pong := Msg{Kind: KindPong}
-			if s.cl != nil {
-				pong.Version = s.cl.ringVersion()
-			}
-			reply(pong)
-		case KindJoin, KindSnap, KindPromote, KindReset, KindRelease:
-			if s.cl == nil {
-				reply(errMsg("%q requires a cluster worker (-mode worker)", m.Kind))
-				continue
-			}
-			replies, err := s.cl.handleControl(*m, id)
-			if err != nil {
-				s.ingestErrs.Add(1)
-				reply(errMsg("%v", err))
-				continue
-			}
-			for _, r := range replies {
-				reply(r)
-			}
-		case KindSub:
-			if sub != nil {
-				reply(errMsg("already subscribed"))
-				continue
-			}
-			if s.cl != nil && !hello {
-				// A worker's subscribers receive BwPart frames; only a
-				// peer that announced bwire can read them.
-				reply(errMsg("a worker's part stream needs a bwire hello first"))
-				continue
-			}
-			newSub := NewSubscriber(s.cfg.SubBuffer)
-			if !s.hub.Add(newSub) {
-				reply(errMsg("server shutting down"))
-				continue
-			}
-			// Ack while the handler still owns the writer, then hand it to
-			// the pump.
-			w.Write(mustLine(Msg{Kind: KindOK}))
-			w.Flush()
-			sub = newSub
-			go s.hub.Pump(c, w, sub)
-		case KindEnd:
-			ep := s.startedEpoch()
-			if ep == nil {
-				reply(errMsg("no epoch running"))
-				continue
-			}
-			if s.cl != nil {
-				// Mark end-of-epoch first: a promote that arrives after this
-				// line must drain its instance inline before acking.
-				s.cl.endEpoch()
-			}
-			ep.queue.Close()
-			reply(Msg{Kind: KindOK})
-		case KindCkpt:
-			if s.cl != nil {
-				// Cluster checkpoint: snapshot every hosted slot and reply
-				// one ckpt_ack per slot (the router installs them on the
-				// slots' replicas).
-				replies, err := s.cl.handleControl(*m, id)
-				if err != nil {
-					reply(errMsg("checkpoint: %v", err))
-					continue
-				}
-				for _, r := range replies {
-					reply(r)
-				}
-				continue
-			}
-			ep := s.startedEpoch()
-			if ep == nil {
-				reply(errMsg("no epoch running"))
-				continue
-			}
-			if err := s.requestCheckpoint(ep); err != nil {
-				reply(errMsg("checkpoint: %v", err))
-				continue
-			}
-			reply(Msg{Kind: KindOK})
-		default:
-			s.ingestErrs.Add(1)
-			reply(errMsg("unknown kind %q", m.Kind))
-		}
-	}
-}
-
-// handleFrame dispatches one binary frame, returning how many tuples it
-// ingested. Frame-shape problems and per-tuple semantic problems alike
-// cost one error reply; the connection keeps running.
-func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, in *connIngest) (int, error) {
-	switch fr.Kind {
-	case BwHello:
-		// The frame's arrival already marked the connection binary; the
-		// payload just has to be well-formed.
-		return 0, DecodeBwHello(fr.Payload)
-	case BwSchemaFrame:
-		_, err := bdec.AddSchema(fr.Payload)
-		return 0, err
-	case BwTuples:
-		bts, err := bdec.DecodeTuples(fr.Payload)
-		if err != nil {
-			return 0, err
-		}
-		return s.ingestTuples(bts, in)
-	case BwClose:
-		if s.cl == nil {
-			return 0, fmt.Errorf("close frames require a cluster worker (-mode worker)")
-		}
-		cm, err := DecodeBwClose(fr.Payload)
-		if err != nil {
-			return 0, err
-		}
-		return 0, s.cl.handleBwClose(cm, in.id)
-	default:
-		return 0, fmt.Errorf("unknown binary frame kind %#x", fr.Kind)
-	}
-}
-
-// ingestLine ingests one JSON tuple line exactly as a one-tuple TUPLES
-// frame: checked, then handed to ingestTuples.
-func (s *Server) ingestLine(m *Msg, lines *LineDecoder, in *connIngest) (int, error) {
-	if s.cl != nil && (m.Shard != nil || m.Replica) {
-		// Routed tuples and replica copies travel only as bwire frames; a
-		// JSON line claiming either is refused, never ingested into the own
-		// slot.
-		return 0, errors.New("routed and replica tuples must arrive as bwire frames")
-	}
-	bts, err := lines.Tuple()
-	if err != nil {
-		return 0, err
-	}
-	return s.ingestTuples(bts, in)
-}
-
-// connIngest is one connection's ingest state: its accept-order id, which
-// a worker's reset fence compares, and reused SourceTuple scratch.
+// connIngest is the server's side of one client connection (the edge's
+// ClientHandler): its accept-order id, which a worker's reset fence
+// compares, and reused SourceTuple scratch.
 type connIngest struct {
+	s       *Server
 	id      uint64
 	scratch []stream.SourceTuple
 }
 
+// CheckLine refuses, on a worker, a JSON line claiming to be a routed
+// tuple or a replica copy: those travel only as bwire frames, and are
+// never ingested into the own slot.
+func (in *connIngest) CheckLine(m *Msg) error {
+	if in.s.cl != nil && (m.Shard != nil || m.Replica) {
+		return errors.New("routed and replica tuples must arrive as bwire frames")
+	}
+	return nil
+}
+
+// Ingest ingests a batch of decoded tuples, returning how many were
+// accepted: a worker routes them by slot, a single-process server feeds
+// its plan.
+func (in *connIngest) Ingest(bts []BwTuple) (int, error) {
+	if in.s.cl != nil {
+		return in.s.cl.handleBwTuples(bts, in)
+	}
+	return in.s.ingestBatch(bts, in)
+}
+
+// Frame takes a worker's window-close frames.
+func (in *connIngest) Frame(fr BwFrame) error {
+	if fr.Kind != BwClose {
+		return ErrUnknownKind
+	}
+	if in.s.cl == nil {
+		return errors.New("close frames require a cluster worker (-mode worker)")
+	}
+	cm, err := DecodeBwClose(fr.Payload)
+	if err != nil {
+		return err
+	}
+	return in.s.cl.handleBwClose(cm, in.id)
+}
+
+// Control answers ping, sub, end, ckpt and a worker's cluster kinds.
+func (in *connIngest) Control(m *Msg) ([]Msg, error) {
+	s := in.s
+	switch m.Kind {
+	case KindPing:
+		pong := Msg{Kind: KindPong}
+		if s.cl != nil {
+			pong.Version = s.cl.ringVersion()
+		}
+		return []Msg{pong}, nil
+	case KindSub:
+		return []Msg{{Kind: KindOK}}, nil
+	case KindJoin, KindSnap, KindPromote, KindReset, KindRelease:
+		if s.cl == nil {
+			return nil, fmt.Errorf("%q requires a cluster worker (-mode worker)", m.Kind)
+		}
+		replies, err := s.cl.handleControl(*m, in.id)
+		if err != nil {
+			s.edge.ingestErrs.Add(1)
+		}
+		return replies, err
+	case KindEnd:
+		ep := s.startedEpoch()
+		if ep == nil {
+			return nil, errors.New("no epoch running")
+		}
+		if s.cl != nil {
+			// Mark end-of-epoch first: a promote that arrives after this
+			// line must drain its instance inline before acking.
+			s.cl.endEpoch()
+		}
+		ep.queue.Close()
+		return []Msg{{Kind: KindOK}}, nil
+	case KindCkpt:
+		if s.cl != nil {
+			// Cluster checkpoint: snapshot every hosted slot and reply one
+			// ckpt_ack per slot (the router installs them on the slots'
+			// replicas).
+			replies, err := s.cl.handleControl(*m, in.id)
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint: %w", err)
+			}
+			return replies, nil
+		}
+		ep := s.startedEpoch()
+		if ep == nil {
+			return nil, errors.New("no epoch running")
+		}
+		if err := s.requestCheckpoint(ep); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
+		return []Msg{{Kind: KindOK}}, nil
+	}
+	return nil, ErrUnknownKind
+}
+
 // errStaleLink refuses what a superseded connection still delivers.
 var errStaleLink = errors.New("stale link: a newer connection has reset this worker")
+
+// fence is the worker's Edge.Fence: it refuses every message a stale
+// connection still delivers.
+func (s *Server) fence(id uint64) error {
+	if s.stale(id) {
+		return errStaleLink
+	}
+	return nil
+}
 
 // stale reports whether connection id predates the worker's last reset. A
 // recovering router's reset rewinds the worker to its checkpoint cut; the
@@ -818,22 +593,11 @@ func (s *Server) stale(id uint64) bool {
 	return s.cl != nil && id < s.cl.fence.Load()
 }
 
-// ingestTuples ingests a batch of decoded tuples — a TUPLES frame, or a
-// JSON tuple line — returning how many were accepted: a worker routes them
-// by slot, a single-process server feeds its plan.
-func (s *Server) ingestTuples(bts []BwTuple, in *connIngest) (int, error) {
-	if s.cl != nil {
-		return s.cl.handleBwTuples(bts, in)
-	}
-	return s.ingestBatch(bts, in)
-}
-
 // ingestBatch feeds a batch of tuples to the running plan: a batch pays
-// one epoch lookup, one source lookup and one queue admission, not one
-// per tuple. The scratch slice is per-connection and reused —
+// one epoch lookup, one source lookup and one queue admission (offer), not
+// one per tuple. The scratch slice is per-connection and reused —
 // SourceTuples are copied into the queue's channel on send.
 func (s *Server) ingestBatch(bts []BwTuple, in *connIngest) (int, error) {
-	source := sourceName(bts[0].Schema.Source)
 	if cap(in.scratch) < len(bts) {
 		in.scratch = make([]stream.SourceTuple, len(bts))
 	}
@@ -850,9 +614,30 @@ func (s *Server) ingestBatch(bts []BwTuple, in *connIngest) (int, error) {
 		t.Seq = bts[i].Seq
 		sts[i] = stream.SourceTuple{T: t}
 	}
-	// The same between-epochs retry contract as enqueue, batched: on
-	// ErrQueueClosed mid-frame the accepted prefix stays accepted and the
-	// remainder is re-offered to the next epoch.
+	return s.offer(sourceName(bts[0].Schema.Source), sts, in.id)
+}
+
+// sourceName resolves a wire source name — either protocol — to a plan
+// input stream, defaulting to the Q1 feed.
+func sourceName(s string) string {
+	if s == "" {
+		return "locations"
+	}
+	return s
+}
+
+// enqueue delivers one carrier tuple from connection id into the current
+// epoch's ingest queue.
+func (s *Server) enqueue(source string, t *stream.Tuple, id uint64) error {
+	_, err := s.offer(source, []stream.SourceTuple{{T: t}}, id)
+	return err
+}
+
+// offer delivers tuples of one source from connection id into the current
+// epoch's ingest queue, returning how many it accepted. It waits out the
+// between-epochs gap: on ErrQueueClosed mid-batch the accepted prefix stays
+// accepted and the remainder is re-offered to the next epoch.
+func (s *Server) offer(source string, sts []stream.SourceTuple, id uint64) (int, error) {
 	deadline := time.Now().Add(5 * time.Second)
 	off := 0
 	for {
@@ -860,7 +645,7 @@ func (s *Server) ingestBatch(bts []BwTuple, in *connIngest) (int, error) {
 		if ep != nil {
 			// Checked after the epoch lookup: a reset fences before it
 			// publishes the rewound epoch, so a stale link never feeds it.
-			if s.stale(in.id) {
+			if s.stale(id) {
 				return off, errStaleLink
 			}
 			box, port, ok := ep.plan.LookupSource(source)
@@ -881,6 +666,9 @@ func (s *Server) ingestBatch(bts []BwTuple, in *connIngest) (int, error) {
 		}
 		select {
 		case <-s.done:
+			// The engine loop has exited (Once mode, or shutdown): no next
+			// epoch is coming, so waiting out the deadline would just hang
+			// the client 5 s per message.
 			return off, errors.New("engine stopped; no further streams accepted")
 		default:
 		}
@@ -889,241 +677,6 @@ func (s *Server) ingestBatch(bts []BwTuple, in *connIngest) (int, error) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// sourceName resolves a wire source name — either protocol — to a plan
-// input stream, defaulting to the Q1 feed.
-func sourceName(s string) string {
-	if s == "" {
-		return "locations"
-	}
-	return s
-}
-
-// enqueue delivers one carrier tuple from connection id into the current
-// epoch's ingest queue, waiting out the between-epochs gap.
-func (s *Server) enqueue(source string, t *stream.Tuple, id uint64) error {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ep := s.epoch()
-		if ep != nil {
-			if s.stale(id) {
-				return errStaleLink
-			}
-			box, port, ok := ep.plan.LookupSource(source)
-			if !ok {
-				return fmt.Errorf("unknown source %q", source)
-			}
-			err := ep.queue.Put(s.ctx, stream.SourceTuple{Box: box, Port: port, T: t})
-			if !errors.Is(err, ErrQueueClosed) {
-				return err
-			}
-		}
-		if s.ctx.Err() != nil {
-			return ErrQueueClosed
-		}
-		select {
-		case <-s.done:
-			// The engine loop has exited (Once mode, or shutdown): no next
-			// epoch is coming, so waiting out the deadline would just hang
-			// the client 5 s per tuple.
-			return errors.New("engine stopped; no further streams accepted")
-		default:
-		}
-		if time.Now().After(deadline) {
-			return errors.New("stream draining; retry")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// Pump owns the connection's writer after subscription: it streams queued
-// lines, flushing whenever the queue momentarily empties (the same
-// flush-on-idle rule the engine's batches follow, for the same latency
-// reason).
-func (h *Hub) Pump(c net.Conn, w *bufio.Writer, sub *Subscriber) {
-	defer h.pumps.Done()
-	for line := range sub.ch {
-		// Bound each write so a subscriber that stopped reading cannot
-		// wedge shutdown behind a full TCP buffer.
-		c.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if _, err := w.Write(line); err != nil {
-			c.Close() // wake the read loop; hub removal happens there
-			return
-		}
-		if len(sub.ch) == 0 {
-			if err := w.Flush(); err != nil {
-				c.Close()
-				return
-			}
-		}
-	}
-	w.Flush()
-}
-
-// Subscriber is one alert-stream consumer.
-type Subscriber struct {
-	ch      chan []byte
-	dropped atomic.Uint64
-	// mu guards closed and serializes bounded-wait control sends against
-	// the channel close — per subscriber, so one slow consumer can never
-	// hold a lock the engine's alert broadcast needs.
-	mu     sync.Mutex
-	closed bool
-}
-
-// NewSubscriber builds a subscriber whose queue holds buffer lines.
-func NewSubscriber(buffer int) *Subscriber {
-	return &Subscriber{ch: make(chan []byte, buffer)}
-}
-
-// Lines exposes the subscriber's queued lines for consumers that pump them
-// somewhere other than a TCP connection (the router's merge feed).
-func (sub *Subscriber) Lines() <-chan []byte { return sub.ch }
-
-// Dropped reports lines lost to this subscriber's full queue.
-func (sub *Subscriber) Dropped() uint64 { return sub.dropped.Load() }
-
-// Close closes the subscriber's channel exactly once, never while a
-// control send is in flight.
-func (sub *Subscriber) Close() {
-	sub.mu.Lock()
-	if !sub.closed {
-		sub.closed = true
-		close(sub.ch)
-	}
-	sub.mu.Unlock()
-}
-
-// Send enqueues without blocking; a slow subscriber loses alert lines
-// (counted) rather than stalling the engine.
-func (sub *Subscriber) Send(line []byte, h *Hub) {
-	select {
-	case sub.ch <- line:
-	default:
-		sub.dropped.Add(1)
-		h.dropped.Add(1)
-	}
-}
-
-// SendControl enqueues a control line ("done", "ok", "err") with a bounded
-// wait instead of the drop policy: losing an alert behind a slow reader is
-// survivable and counted, but losing "done" would leave a replay client
-// waiting forever (and losing the drop *report* with it). A subscriber
-// that cannot absorb one line within the wait is beyond saving — the
-// pump's write deadline will sever it. The wait holds only this
-// subscriber's mutex: a stalled consumer delays its own control lines,
-// never the hub lock the engine's broadcast path needs.
-func (sub *Subscriber) SendControl(line []byte, h *Hub) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if sub.closed {
-		return
-	}
-	select {
-	case sub.ch <- line:
-	case <-time.After(5 * time.Second):
-		sub.dropped.Add(1)
-		h.dropped.Add(1)
-	}
-}
-
-// Hub fans alert lines out to subscribers. The zero value is not ready:
-// use NewHub (the Server embeds one and initializes it in New).
-type Hub struct {
-	mu      sync.Mutex
-	subs    map[*Subscriber]struct{}
-	closed  bool
-	dropped atomic.Uint64
-	// pumps counts live pump goroutines. Every Add happens under mu
-	// strictly before CloseAll flips closed, so shutdown's Wait can never
-	// race a late registration.
-	pumps sync.WaitGroup
-}
-
-// NewHub builds an empty hub.
-func NewHub() *Hub {
-	return &Hub{subs: map[*Subscriber]struct{}{}}
-}
-
-// Dropped reports lines lost across all subscribers.
-func (h *Hub) Dropped() uint64 { return h.dropped.Load() }
-
-// WaitPumps blocks until every pump goroutine has exited; call after
-// CloseAll during shutdown.
-func (h *Hub) WaitPumps() { h.pumps.Wait() }
-
-// Add registers a subscriber and accounts for its pump; false once the hub
-// has shut down.
-func (h *Hub) Add(sub *Subscriber) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return false
-	}
-	h.subs[sub] = struct{}{}
-	h.pumps.Add(1)
-	return true
-}
-
-// Remove reports whether the caller took the subscriber out (and therefore
-// owns closing its channel).
-func (h *Hub) Remove(sub *Subscriber) bool {
-	h.mu.Lock()
-	_, ok := h.subs[sub]
-	delete(h.subs, sub)
-	h.mu.Unlock()
-	return ok
-}
-
-func (h *Hub) Broadcast(line []byte) {
-	h.mu.Lock()
-	for sub := range h.subs {
-		sub.Send(line, h)
-	}
-	h.mu.Unlock()
-}
-
-// BroadcastControl delivers a control line to every subscriber with the
-// bounded-wait policy. Subscribers are snapshotted under the hub lock but
-// sent to outside it: the per-subscriber mutex (SendControl vs Close)
-// makes the post-snapshot send safe, and a stalled consumer cannot hold
-// the hub lock against the engine's alert broadcasts.
-func (h *Hub) BroadcastControl(line []byte) {
-	h.mu.Lock()
-	subs := make([]*Subscriber, 0, len(h.subs))
-	for sub := range h.subs {
-		subs = append(subs, sub)
-	}
-	h.mu.Unlock()
-	for _, sub := range subs {
-		sub.SendControl(line, h)
-	}
-}
-
-// CloseAll detaches every remaining subscriber; their pumps flush queued
-// lines and exit. Called once the engine has stopped broadcasting; no
-// subscriber can register afterwards. The channel closes happen outside
-// the hub lock (the per-subscriber mutex orders them against in-flight
-// control sends).
-func (h *Hub) CloseAll() {
-	h.mu.Lock()
-	h.closed = true
-	subs := make([]*Subscriber, 0, len(h.subs))
-	for sub := range h.subs {
-		delete(h.subs, sub)
-		subs = append(subs, sub)
-	}
-	h.mu.Unlock()
-	for _, sub := range subs {
-		sub.Close()
-	}
-}
-
-func (h *Hub) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
 }
 
 // BoxStatsz is one box's row in the /statsz report.
@@ -1220,13 +773,12 @@ func (s *Server) Stats() Statsz {
 	up := time.Since(s.start).Seconds()
 	st := Statsz{
 		UptimeS:      up,
-		Ingested:     s.ingested.Load(),
-		IngestErrors: s.ingestErrs.Load(),
 		EncodeErrors: s.encodeErrs.Load(),
 		Alerts:       s.alerts.Load(),
 		Subscribers:  s.hub.Count(),
 		SubDropped:   s.hub.dropped.Load(),
 	}
+	st.Ingested, st.IngestErrors, st.Conns = s.edge.Stats()
 	if up > 0 {
 		st.TuplesPerS = float64(st.Ingested) / up
 	}
@@ -1234,11 +786,7 @@ func (s *Server) Stats() Statsz {
 	cur := s.ep
 	eps := append([]*epoch(nil), s.eps...)
 	st.QueueDropped = s.prunedDrops
-	for c := range s.conns {
-		st.Conns = append(st.Conns, c.Statsz())
-	}
 	s.mu.Unlock()
-	sort.Slice(st.Conns, func(i, j int) bool { return st.Conns[i].Remote < st.Conns[j].Remote })
 	for _, ep := range eps {
 		row := epochStatsz(ep)
 		st.Epochs = append(st.Epochs, row)
@@ -1267,11 +815,4 @@ func (s *Server) Stats() Statsz {
 		st.Cluster = s.cl.statsz()
 	}
 	return st
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Stats())
 }

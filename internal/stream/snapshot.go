@@ -358,6 +358,9 @@ func (c *windowClock) decode(r *snap.Reader) {
 	c.buffered = r.Bool()
 	c.maxTS = Time(r.Varint())
 	c.lastTS = Time(r.Varint())
+	if c.spec.Count == 0 && c.started && c.spec.boundaryOverflows(c.winStart) {
+		r.Fail("window clock start %d: next boundary overflows", c.winStart)
+	}
 }
 
 // --- windowOp ---
@@ -491,6 +494,9 @@ func (o *deltaWindowOp) Restore(data []byte) error {
 	}
 	if newStart < 0 || newStart > len(ring) {
 		return fmt.Errorf("%s: announce boundary %d outside ring of %d", o.name, newStart, len(ring))
+	}
+	if started && o.spec.boundaryOverflows(winStart) {
+		return fmt.Errorf("%s: window start %d: next boundary overflows", o.name, winStart)
 	}
 	o.started, o.winStart, o.sorted = started, winStart, sorted
 	o.ring, o.head, o.newStart = ring, 0, newStart

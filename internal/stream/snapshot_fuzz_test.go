@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/snap"
@@ -58,24 +59,93 @@ func TestPartitionRestoreRejectsOutOfRangeCursor(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesOverflowingBoundary: a time clock restored with its
+// window starting less than one step below the Time range would wrap its
+// next boundary negative, and its close loop would then never admit the
+// next tuple. Partition, window and delta-window restores refuse such a
+// start, and accept the same blob one step lower. The blobs are only
+// restored, never fed a tuple, so the test cannot hang on a build that
+// accepts them.
+func TestRestoreRefusesOverflowingBoundary(t *testing.T) {
+	spec := WindowSpec{Duration: 2000, Slide: 500}
+	clockBlob := func(w *snap.Writer, start Time) {
+		c := windowClock{spec: spec, started: true, winStart: start, buffered: true, maxTS: start, lastTS: start}
+		c.encode(w)
+	}
+	cases := []struct {
+		name string
+		op   func() Operator
+		blob func(w *snap.Writer, start Time)
+	}{
+		{"partition", func() Operator { return NewPartition("part", 2, PartitionSpec{Clock: &spec}) }, func(w *snap.Writer, start Time) {
+			w.U8(partitionSnapV1)
+			w.Varint(2)
+			clockBlob(w, start)
+			w.Varint(0) // round-robin cursor
+			w.Uvarint(0)
+			w.Varint(0) // watermark cadence
+		}},
+		{"window", func() Operator { return NewWindow("win", spec, func([]*Tuple, Time, Emit) {}) }, func(w *snap.Writer, start Time) {
+			w.U8(windowSnapV1)
+			encodeSpec(w, spec)
+			clockBlob(w, start)
+			encodeTuples(w, NewTupleCodec(), nil)
+		}},
+		{"delta window", func() Operator { return NewDeltaWindow("delta", spec, func(_, _ []*Tuple, _ Time, _ Emit) {}) }, func(w *snap.Writer, start Time) {
+			w.U8(deltaSnapV1)
+			encodeSpec(w, spec)
+			w.Bool(true) // started
+			w.Varint(int64(start))
+			w.Bool(true) // sorted
+			w.Varint(0)  // announce boundary
+			encodeTuples(w, NewTupleCodec(), nil)
+			w.Blob(nil)
+		}},
+	}
+	last := Time(math.MaxInt64 - 500) // last + 500 is the largest boundary
+	for _, c := range cases {
+		for _, start := range []Time{last, last + 1} {
+			w := &snap.Writer{}
+			c.blob(w, start)
+			err := c.op().(Snapshotter).Restore(w.Bytes())
+			if start == last && err != nil {
+				t.Errorf("%s: window start %d refused: %v", c.name, start, err)
+			}
+			if start > last && err == nil {
+				t.Errorf("%s: restore accepted a window start of %d, whose next boundary overflows", c.name, start)
+			}
+		}
+	}
+}
+
 // partitionConfigs are the operators FuzzPartitionSnapshot restores into:
-// no clock, a count clock, and a sliding time clock. Only the first two
-// are fed a tuple afterwards: a time clock restored at an arbitrary
-// boundary may owe up to 2⁶³ closes before the next tuple.
+// no clock, a count clock, and a sliding time clock.
 var partitionConfigs = []struct {
-	p     int
-	spec  func() PartitionSpec
-	route bool
+	p    int
+	spec func() PartitionSpec
 }{
-	{2, func() PartitionSpec { return PartitionSpec{Watermarks: true} }, true},
-	{3, func() PartitionSpec { return PartitionSpec{Clock: &WindowSpec{Count: 3}, Watermarks: true} }, true},
-	{2, func() PartitionSpec { return PartitionSpec{Clock: &WindowSpec{Duration: 2000, Slide: 500}} }, false},
+	{2, func() PartitionSpec { return PartitionSpec{Watermarks: true} }},
+	{3, func() PartitionSpec { return PartitionSpec{Clock: &WindowSpec{Count: 3}, Watermarks: true} }},
+	{2, func() PartitionSpec { return PartitionSpec{Clock: &WindowSpec{Duration: 2000, Slide: 500}} }},
+}
+
+// nextTS is the timestamp FuzzPartitionSnapshot feeds a restored
+// partition: a started time clock's next boundary, which closes exactly
+// one window, and 0 otherwise. A tuple at an arbitrary time could owe up
+// to 2⁶³ closes to a clock restored at an arbitrary boundary.
+func nextTS(op Operator) Time {
+	c := op.(*partitionOp).clock
+	if c.spec.Count > 0 || !c.started {
+		return 0
+	}
+	return c.winStart + c.spec.step()
 }
 
 // FuzzPartitionSnapshot: restoring arbitrary bytes never panics; an
 // accepted blob re-snapshots to a fixpoint (snapshot → restore → snapshot
 // is byte-identical); and an accepted partition routes its next unkeyed
-// tuple to exactly one arrow in [0, p).
+// tuple to exactly one arrow in [0, p), a time-clocked one at its clock's
+// next boundary.
 //
 //	go test ./internal/stream -run '^$' -fuzz FuzzPartitionSnapshot -fuzztime 15s
 func FuzzPartitionSnapshot(f *testing.F) {
@@ -115,10 +185,7 @@ func FuzzPartitionSnapshot(f *testing.F) {
 			if !bytes.Equal(s1, s2) {
 				t.Fatalf("p=%d: snapshot is not a fixpoint:\n%x\n%x", c.p, s1, s2)
 			}
-			if !c.route {
-				continue
-			}
-			if got := routeNext(again, 0); len(got) != 1 || got[0] < 0 || got[0] >= c.p {
+			if got := routeNext(again, nextTS(again)); len(got) != 1 || got[0] < 0 || got[0] >= c.p {
 				t.Fatalf("p=%d: next unkeyed tuple routed to %v, want one arrow in [0, %d)", c.p, got, c.p)
 			}
 		}

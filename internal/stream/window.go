@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -33,6 +34,23 @@ func (w WindowSpec) Validate() {
 // The window-end timestamp is provided for output stamping (Rstream
 // semantics: results carry the instant the window closed).
 type WindowFunc func(window []*Tuple, end Time, emit Emit)
+
+// step is a time window's boundary step: the slide, or the whole duration
+// for a tumbling window.
+func (w WindowSpec) step() Time {
+	if w.Slide > 0 {
+		return w.Slide
+	}
+	return w.Duration
+}
+
+// boundaryOverflows reports whether a time window whose current window
+// starts at winStart has its next boundary past the Time range. A clock
+// restored there would wrap that boundary negative, and its close loop
+// would never admit the next tuple.
+func (w WindowSpec) boundaryOverflows(winStart Time) bool {
+	return winStart > math.MaxInt64-w.step()
+}
 
 // windowClock is the window-lifecycle decision logic of windowOp, factored
 // out so a Partition box can replicate the exact close sequence of the
@@ -72,10 +90,7 @@ func (c *windowClock) observe(ts Time, ends []Time) (pre []Time, post bool) {
 	if ts > c.maxTS {
 		c.maxTS = ts
 	}
-	step := c.spec.Duration
-	if c.spec.Slide > 0 {
-		step = c.spec.Slide
-	}
+	step := c.spec.step()
 	for ts >= c.winStart+step {
 		end := c.winStart + step
 		ends = append(ends, end)

@@ -29,10 +29,6 @@ import (
 var surfaceExempt = map[string]string{
 	"repro/internal/cf.GilPelaezPDF": "(a) oracle for cf.Invert in TestGilPelaezMatchesFFTInversion",
 	"repro/internal/cf.Of":           "(a) fixture in TestFitGMMToCFBimodal and TestNumericCumulants",
-	"repro/internal/cf.GilPelaezCDF": "(e) TestGilPelaezCDFGaussian",
-	"repro/internal/cf.MeanOf":       "(e) TestMeanOfCF",
-	"repro/internal/cf.Product":      "(e) TestProductIsSumCF",
-	"repro/internal/cf.Shift":        "(e) TestScaleShiftCF",
 
 	"repro/internal/core.GroupSum":                         "(a) batch reference in uop's TestQ1GraphMatchesBatchReference",
 	"repro/internal/core.HavingGreater":                    "(a) batch reference in uop's TestQ1GraphMatchesBatchReference",
