@@ -3,8 +3,9 @@
 // A generator goroutine trickles RFID location tuples into a compiled,
 // sharded Q1 diagram running under RunLiveOpts — the channel executor fed
 // from a live source. Alerts print the moment their window closes: partial
-// transport batches flush whenever the feed idles and the partitioners
-// cover routed tuples with watermarks, so nothing waits for end-of-stream.
+// transport batches flush whenever the feed idles, the partitioner
+// broadcasts each window close to every shard, and the HAVING runs as one
+// box right after the merge, so nothing waits for end-of-stream.
 // After the trace, the source channel closes and the graph drains
 // gracefully (exactly what cmd/streamd does on "end" or SIGTERM).
 //

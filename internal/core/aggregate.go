@@ -171,88 +171,6 @@ func BernoulliGate(d dist.Dist, p float64) dist.Dist {
 	return dist.NewMixture([]float64{1 - p, p}, []dist.Dist{dist.PointMass{V: 0}, d})
 }
 
-// Avg derives the distribution of the average of independent inputs.
-func Avg(ds []dist.Dist, strat Strategy, opts AggOptions) dist.Dist {
-	if len(ds) == 0 {
-		return dist.PointMass{V: 0}
-	}
-	sum := Sum(ds, strat, opts)
-	return scaleDist(sum, 1/float64(len(ds)), opts)
-}
-
-// scaleDist returns the distribution of a·X: closed forms via dist.Scale
-// for the families the aggregation strategies produce, CF inversion for
-// anything exotic (where the moment-matched fallback would lose shape).
-func scaleDist(d dist.Dist, a float64, opts AggOptions) dist.Dist {
-	switch d.(type) {
-	case dist.Normal, *dist.Histogram, dist.PointMass, dist.Uniform, *dist.Mixture:
-		return dist.Scale(d, a)
-	default:
-		// Generic path: invert the scaled CF, φ_{aX}(t) = φ_X(at).
-		scaled := func(t float64) complex128 { return d.CF(a * t) }
-		return cf.Invert(scaled, cf.InvertOptions{N: opts.withDefaults().GridN})
-	}
-}
-
-// Max derives the distribution of the maximum of independent inputs via
-// order statistics (§5.1: "using characteristic functions and order
-// statistics to compute result distributions directly"): the CDF of the max
-// is the product of the input CDFs; the result is tabulated on a grid.
-func Max(ds []dist.Dist, gridN int) dist.Dist {
-	return orderStat(ds, gridN, func(x float64) float64 {
-		p := 1.0
-		for _, d := range ds {
-			p *= d.CDF(x)
-		}
-		return p
-	})
-}
-
-// Min derives the distribution of the minimum of independent inputs:
-// F_min(x) = 1 − ∏(1 − F_i(x)).
-func Min(ds []dist.Dist, gridN int) dist.Dist {
-	return orderStat(ds, gridN, func(x float64) float64 {
-		q := 1.0
-		for _, d := range ds {
-			q *= 1 - d.CDF(x)
-		}
-		return 1 - q
-	})
-}
-
-func orderStat(ds []dist.Dist, gridN int, cdf func(float64) float64) dist.Dist {
-	if len(ds) == 0 {
-		return dist.PointMass{V: 0}
-	}
-	if gridN <= 1 {
-		gridN = 1024
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, d := range ds {
-		dlo, dhi := d.Support()
-		if math.IsInf(dlo, -1) {
-			dlo = d.Quantile(1e-9)
-		}
-		if math.IsInf(dhi, 1) {
-			dhi = d.Quantile(1 - 1e-9)
-		}
-		lo = math.Min(lo, dlo)
-		hi = math.Max(hi, dhi)
-	}
-	if hi <= lo {
-		hi = lo + 1e-9
-	}
-	masses := make([]float64, gridN)
-	w := (hi - lo) / float64(gridN)
-	prev := cdf(lo)
-	for i := 0; i < gridN; i++ {
-		next := cdf(lo + float64(i+1)*w)
-		masses[i] = math.Max(0, next-prev)
-		prev = next
-	}
-	return dist.NewHistogram(lo, hi, masses)
-}
-
 // Count derives the distribution of the number of existing tuples in a
 // probabilistic window: a sum of independent Bernoullis (Poisson-binomial),
 // computed exactly by dynamic programming.

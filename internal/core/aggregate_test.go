@@ -123,47 +123,6 @@ func TestBernoulliGateMoments(t *testing.T) {
 	}
 }
 
-func TestAvgMatchesScaledSum(t *testing.T) {
-	ds := gaussianInputs(10, 5)
-	avg := Avg(ds, CFApprox, AggOptions{})
-	sum := Sum(ds, CFApprox, AggOptions{})
-	if math.Abs(avg.Mean()-sum.Mean()/10) > 1e-9 {
-		t.Error("avg mean wrong")
-	}
-	if math.Abs(avg.Variance()-sum.Variance()/100) > 1e-9 {
-		t.Error("avg variance wrong")
-	}
-}
-
-func TestMaxOrderStatistics(t *testing.T) {
-	// Max of n i.i.d. U(0,1) has CDF x^n: mean n/(n+1).
-	ds := []dist.Dist{dist.NewUniform(0, 1), dist.NewUniform(0, 1), dist.NewUniform(0, 1)}
-	m := Max(ds, 4096)
-	if math.Abs(m.Mean()-0.75) > 1e-3 {
-		t.Errorf("max mean = %g, want 0.75", m.Mean())
-	}
-	// CDF at 0.5 = 0.125.
-	if math.Abs(m.CDF(0.5)-0.125) > 1e-3 {
-		t.Errorf("max CDF(0.5) = %g", m.CDF(0.5))
-	}
-}
-
-func TestMinOrderStatistics(t *testing.T) {
-	ds := []dist.Dist{dist.NewUniform(0, 1), dist.NewUniform(0, 1), dist.NewUniform(0, 1)}
-	m := Min(ds, 4096)
-	if math.Abs(m.Mean()-0.25) > 1e-3 {
-		t.Errorf("min mean = %g, want 0.25", m.Mean())
-	}
-}
-
-func TestMaxDominatedByStrongest(t *testing.T) {
-	ds := []dist.Dist{dist.NewNormal(0, 1), dist.NewNormal(100, 1)}
-	m := Max(ds, 2048)
-	if math.Abs(m.Mean()-100) > 0.1 {
-		t.Errorf("max mean = %g, want ~100", m.Mean())
-	}
-}
-
 func TestCountPoissonBinomial(t *testing.T) {
 	mk := func(p float64) *UTuple {
 		u := NewUTuple(0, []string{"v"}, []dist.Dist{dist.PointMass{V: 1}})

@@ -46,17 +46,6 @@ func TestSelectLessAndBetween(t *testing.T) {
 	}
 }
 
-func TestPredicateProb(t *testing.T) {
-	u := NewUTuple(0, []string{"w"}, []dist.Dist{dist.NewNormal(200, 10)})
-	if p := PredicateProb(u, "w", 200); math.Abs(p-0.5) > 1e-9 {
-		t.Errorf("P = %g", p)
-	}
-	u.Exist = 0.5
-	if p := PredicateProb(u, "w", 200); math.Abs(p-0.25) > 1e-9 {
-		t.Errorf("P with existence = %g", p)
-	}
-}
-
 func TestEqualProbMonteCarloAgreement(t *testing.T) {
 	x := dist.NewNormal(0, 1)
 	y := dist.NewNormal(0.5, 1.5)

@@ -44,10 +44,3 @@ func SelectLess(u *UTuple, attr string, threshold, minProb float64) *UTuple {
 	}
 	return out
 }
-
-// PredicateProb returns P(attr > threshold) without modifying the tuple —
-// for callers that only need the alert confidence (the Having clause of Q1
-// reports P(sum > 200 lbs) rather than filtering hard).
-func PredicateProb(u *UTuple, attr string, threshold float64) float64 {
-	return (1 - u.Val(attr).CDF(threshold)) * u.Exist
-}

@@ -72,9 +72,10 @@ func conformScript() []conformStep {
 }
 
 // conformRun plays the script on one connection to addr, then sends a line
-// over the 1 MiB limit on a second connection, which must earn an err
-// reply and then a close. It returns every reply read, per step name; the
-// script connection stays open until the test ends.
+// over the 1 MiB limit on a second connection, and on a third that
+// subscribed first: each must earn an err reply and then a close. It
+// returns every reply read, per step name; the script connection stays
+// open until the test ends.
 func conformRun(t *testing.T, addr string, script []conformStep, want func(conformStep) []string) map[string][]string {
 	t.Helper()
 	got := map[string][]string{}
@@ -102,25 +103,44 @@ func conformRun(t *testing.T, addr string, script []conformStep, want func(confo
 		}
 		sort.Strings(got[st.name])
 	}
+	got["oversized line"] = conformOversized(t, addr, false)
+	got["oversized line after sub"] = conformOversized(t, addr, true)
+	return got
+}
 
-	big, err := net.Dial("tcp", addr)
+// conformOversized sends a line over the 1 MiB limit on a new connection,
+// subscribed first when sub is set, and returns the replies read up to the
+// close: the sub ack, if any, then the err. A subscribed connection's
+// reply rides its subscriber queue, so it arrives only if the pump drains
+// before the socket closes.
+func conformOversized(t *testing.T, addr string, sub bool) []string {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer big.Close()
-	over := append([]byte(strings.Repeat("x", 1<<20+1)), '\n')
-	go big.Write(over)
-	br := bufio.NewReader(big)
-	big.SetReadDeadline(time.Now().Add(10 * time.Second))
-	s, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("oversized line: read: %v", err)
+	defer c.Close()
+	r := bufio.NewReader(c)
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var got []string
+	if sub {
+		if _, err := c.Write([]byte(`{"kind":"sub"}` + "\n")); err != nil {
+			t.Fatalf("oversized line after sub: send sub: %v", err)
+		}
+		s, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("oversized line after sub: read the ack: %v", err)
+		}
+		got = append(got, strings.TrimSuffix(s, "\n"))
 	}
-	got["oversized line"] = []string{strings.TrimSuffix(s, "\n")}
-	if rest, err := br.ReadString('\n'); err == nil {
-		t.Errorf("oversized line: the connection stayed open and sent %q", rest)
+	go c.Write(append([]byte(strings.Repeat("x", 1<<20+1)), '\n'))
+	for {
+		s, err := r.ReadString('\n')
+		if err != nil {
+			return got
+		}
+		got = append(got, strings.TrimSuffix(s, "\n"))
 	}
-	return got
 }
 
 // TestClientProtocolConformance runs the client-protocol script against
@@ -175,6 +195,9 @@ func TestClientProtocolConformance(t *testing.T) {
 		if g := got["oversized line"]; len(g) != 1 || g[0] != oversized {
 			t.Errorf("%s, oversized line: replies %q, want %q", d.name, g, oversized)
 		}
+		if g := got["oversized line after sub"]; len(g) != 2 || replyKinds(t, g[:1]) != "ok" || g[1] != oversized {
+			t.Errorf("%s, oversized line after sub: replies %q, want the sub ack, then %q", d.name, g, oversized)
+		}
 	}
 	for _, st := range script {
 		if k := kinds[st.name]; len(k) != 2 || k[0] != k[1] {
@@ -185,7 +208,7 @@ func TestClientProtocolConformance(t *testing.T) {
 	// Counters: one tuple ingested; every refused message counts, except
 	// the router's join and leave (answered, not refused as unknown).
 	// Decode errors: three on the script connection — malformed, unknown
-	// source, bad schema — and the oversized line on its own, closed one.
+	// source, bad schema — and each oversized line on its own, closed one.
 	waitConns := func(n func() int) {
 		deadline := time.Now().Add(5 * time.Second)
 		for n() != 1 && time.Now().Before(deadline) {
@@ -195,11 +218,11 @@ func TestClientProtocolConformance(t *testing.T) {
 	waitConns(func() int { return len(sd.Stats().Conns) })
 	waitConns(func() int { return len(cl.rt.Stats().Conns) })
 	ss, rs := sd.Stats(), cl.rt.Stats()
-	if ss.Ingested != 1 || ss.IngestErrors != 6 {
-		t.Errorf("streamd: ingested %d with %d errors, want 1 with 6", ss.Ingested, ss.IngestErrors)
+	if ss.Ingested != 1 || ss.IngestErrors != 7 {
+		t.Errorf("streamd: ingested %d with %d errors, want 1 with 7", ss.Ingested, ss.IngestErrors)
 	}
-	if rs.Ingested != 1 || rs.IngestErrors != 5 {
-		t.Errorf("router: ingested %d with %d errors, want 1 with 5", rs.Ingested, rs.IngestErrors)
+	if rs.Ingested != 1 || rs.IngestErrors != 6 {
+		t.Errorf("router: ingested %d with %d errors, want 1 with 6", rs.Ingested, rs.IngestErrors)
 	}
 	for name, conns := range map[string][]server.ConnStatsz{"streamd": ss.Conns, "router": rs.Conns} {
 		if len(conns) != 1 || conns[0].DecodeErrors != 3 || conns[0].LinesIn != 11 || conns[0].FramesIn != 1 || conns[0].Proto != "bin" {

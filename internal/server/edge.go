@@ -231,11 +231,12 @@ type edgeConn struct {
 	bin                                              atomic.Bool
 
 	// w is the connection's writer: the read loop's until a sub, the
-	// subscriber pump's after.
-	w     *bufio.Writer
-	sub   *Subscriber
-	lines *LineDecoder
-	dec   *BwDecoder
+	// subscriber pump's after. pumped closes when that pump returns.
+	w      *bufio.Writer
+	sub    *Subscriber
+	pumped chan struct{}
+	lines  *LineDecoder
+	dec    *BwDecoder
 	// hello records a well-formed bwire hello on the connection.
 	hello bool
 }
@@ -266,9 +267,15 @@ func (e *Edge) serveConn(ec *edgeConn) {
 		ec.Close()
 	}()
 	defer func() {
-		if ec.sub != nil && e.Hub.remove(ec.sub) {
+		if ec.sub == nil {
+			return
+		}
+		if e.Hub.remove(ec.sub) {
 			ec.sub.Close()
 		}
+		// The pump owns the writer: let it deliver what it has queued (a
+		// read error's reply among it) before the socket closes.
+		<-ec.pumped
 	}()
 	wr := NewWireReader(ec, e.MaxLine)
 	for {
@@ -428,8 +435,11 @@ func (ec *edgeConn) subscribe(m *Msg) {
 		ec.w.Write(mustLine(ack))
 	}
 	ec.w.Flush()
-	ec.sub = sub
-	go e.Hub.pump(ec, ec.w, sub)
+	ec.sub, ec.pumped = sub, make(chan struct{})
+	go func() {
+		defer close(ec.pumped)
+		e.Hub.pump(ec, ec.w, sub)
+	}()
 }
 
 // ConnStatsz is one connection's row in the /statsz conns section.

@@ -364,16 +364,17 @@ func TestServerGracefulCloseWritesFinalCheckpoint(t *testing.T) {
 }
 
 // TestServerRecoverMismatchedPlanStartsFresh: restarting on a checkpoint
-// written by a different plan (here a changed HAVING threshold) fails the
-// restore partway, after the partition, shards and merge have taken the old
-// epoch's windows. The new epoch must run on a freshly compiled plan, so its
-// alerts are byte-identical to a server that never saw the checkpoint.
+// written by a different plan (here a 2 s window where the checkpoint holds
+// 5 s ones) fails the restore: the window snapshot's spec check refuses it
+// at every shard count. The new epoch must run on a freshly compiled plan,
+// so its alerts are byte-identical to a server that never saw the
+// checkpoint.
 func TestServerRecoverMismatchedPlanStartsFresh(t *testing.T) {
 	msgs := wireTrace(t, 30, 250)
 	cut := len(msgs) / 2
 	oldCfg := testQ1Config(2)
 	newCfg := testQ1Config(2)
-	newCfg.ThresholdLbs = 100
+	newCfg.WindowMS = 2 * stream.Second
 
 	dir := t.TempDir()
 	store1, err := NewFileStore(dir)

@@ -145,32 +145,6 @@ func TestSlidingFlushDrainsMultipleSlides(t *testing.T) {
 	}
 }
 
-func TestGroupWindowDeterministicOrder(t *testing.T) {
-	s := NewSchema("k", "v")
-	var rows []string
-	op := NewGroupWindow("g", WindowSpec{Count: 6}, func(t *Tuple) string { return t.Str("k") },
-		func(key string, group []*Tuple, end Time, emit Emit) {
-			var sum float64
-			for _, t := range group {
-				sum += t.Float("v")
-			}
-			rows = append(rows, fmt.Sprintf("%s=%g", key, sum))
-		})
-	emit := func(*Tuple) {}
-	data := []struct {
-		k string
-		v float64
-	}{{"b", 1}, {"a", 2}, {"b", 3}, {"c", 4}, {"a", 5}, {"b", 6}}
-	for i, d := range data {
-		op.Process(0, NewTuple(s, Time(i), d.k, d.v), emit)
-	}
-	op.Flush(emit)
-	want := []string{"a=7", "b=10", "c=4"}
-	if fmt.Sprint(rows) != fmt.Sprint(want) {
-		t.Errorf("rows = %v, want %v", rows, want)
-	}
-}
-
 func TestWindowSpecValidation(t *testing.T) {
 	for _, bad := range []WindowSpec{{}, {Count: 3, Duration: 5}, {Count: 2, Slide: 1}} {
 		func() {

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // WindowSpec describes a window policy. Exactly one of Count or Duration
@@ -238,31 +237,4 @@ func (o *windowOp) Flush(emit Emit) {
 	for _, end := range o.scratch {
 		o.closeWindow(end, emit)
 	}
-}
-
-// KeyFunc extracts a grouping key from a tuple.
-type KeyFunc func(*Tuple) string
-
-// GroupFunc folds one group's tuples into zero or more outputs.
-type GroupFunc func(key string, group []*Tuple, end Time, emit Emit)
-
-// NewGroupWindow builds the Group By shape of Q1: a window (by spec) whose
-// contents are partitioned by key, with fn applied per group. Groups are
-// visited in key order for deterministic output.
-func NewGroupWindow(name string, spec WindowSpec, key KeyFunc, fn GroupFunc) Operator {
-	return NewWindow(name, spec, func(window []*Tuple, end Time, emit Emit) {
-		groups := make(map[string][]*Tuple)
-		var order []string
-		for _, t := range window {
-			k := key(t)
-			if _, seen := groups[k]; !seen {
-				order = append(order, k)
-			}
-			groups[k] = append(groups[k], t)
-		}
-		sort.Strings(order)
-		for _, k := range order {
-			fn(k, groups[k], end, emit)
-		}
-	})
 }

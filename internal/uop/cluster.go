@@ -55,8 +55,9 @@ func ClusterPort(i int) string { return fmt.Sprintf("worker%d", i) }
 //     cluster scale that is a fan-out, not a partition — run joins
 //     single-process with Shards instead.
 //
-// Post-aggregate stateless stages (Having) run on the router head, after
-// the merge, exactly where the single-process plan runs them.
+// Post-aggregate stateless stages (Having) run on the router head as one
+// box each after the merge, exactly where a sharded single-process plan
+// runs them (Query.build shards no stateless stage past an aggregate).
 func (q *Query) Cluster() (*ClusterPlan, error) {
 	if q.win != nil || q.member != nil || q.dedup != "" {
 		return nil, errors.New("uop: Window/GroupBy/DedupLatest without a consuming aggregate")

@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/snap"
 	"repro/internal/stream"
 )
 
@@ -183,7 +185,11 @@ func TestDeltaMergeRestoreEveryCut(t *testing.T) {
 // holds close counts and no pending window, and its shards' blobs are the
 // delta window's version marker, so the delta merge restores it, takes its
 // live groups back from the shards' replay, and continues with the bytes of
-// an uninterrupted run.
+// an uninterrupted run. The file was written while the HAVING tail ran
+// behind its own partition (box 5) and sequence merge (box 8): as written
+// it is refused as topology drift, which is what an upgrading daemon sees;
+// without those two entries the plan that runs HAVING as one box after the
+// merge restores the rest unchanged.
 func TestRestoreFullListMergeCheckpoint(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "q3_sliding_shards2_pre_delta_merge.ckpt"))
 	if err != nil {
@@ -207,8 +213,13 @@ func TestRestoreFullListMergeCheckpoint(t *testing.T) {
 		half.Push("locations", u)
 	}
 	pre := formatUAlerts(half.Results())
+	err = mk().RestoreFrom(blob)
+	if err == nil || !strings.Contains(err.Error(), `checkpoint box 5 is "⇉2·having`) ||
+		!strings.Contains(err.Error(), "topology drift") {
+		t.Fatalf("restoring the file as written: got %v, want topology drift at box 5", err)
+	}
 	c := mk()
-	if err := c.RestoreFrom(blob); err != nil {
+	if err := c.RestoreFrom(dropCheckpointBoxes(t, blob, 5, 8)); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	for _, u := range us[len(us)/2:] {
@@ -217,4 +228,40 @@ func TestRestoreFullListMergeCheckpoint(t *testing.T) {
 	if got := pre + formatUAlerts(c.Close()); got != ref {
 		t.Fatalf("the restored plan diverges from an uninterrupted run at line %d", firstDiffLine(ref, got))
 	}
+}
+
+// dropCheckpointBoxes re-encodes a Compiled.Checkpoint blob without the
+// entries of the named box indexes.
+func dropCheckpointBoxes(t *testing.T, blob []byte, drop ...int) []byte {
+	t.Helper()
+	r := snap.NewReader(blob)
+	version, mark, n := r.U8(), r.Uvarint(), r.Len()
+	type entry struct {
+		idx  int
+		name string
+		blob []byte
+	}
+	var keep []entry
+	for i := 0; i < n; i++ {
+		e := entry{int(r.Uvarint()), r.String(), r.Blob()}
+		if !slices.Contains(drop, e.idx) {
+			keep = append(keep, e)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(keep) != n-len(drop) {
+		t.Fatalf("checkpoint holds %d entries, %d of them at %v", n, n-len(keep), drop)
+	}
+	w := &snap.Writer{}
+	w.U8(version)
+	w.Uvarint(mark)
+	w.Uvarint(uint64(len(keep)))
+	for _, e := range keep {
+		w.Uvarint(uint64(e.idx))
+		w.String(e.name)
+		w.Blob(e.blob)
+	}
+	return w.Bytes()
 }

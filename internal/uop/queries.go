@@ -35,9 +35,9 @@ type Q1Config struct {
 	SlideMS stream.Time
 	// Shards >= 1 compiles the diagram shard-parallel: the keyed group
 	// aggregate runs as that many data-parallel instances (hash of the tag
-	// dedup key) and the stateless stages replicate round-robin, with
-	// deterministic merges keeping alerts byte-identical to the unsharded
-	// plan. 0 disables the rewrite.
+	// dedup key) behind a deterministic merge that keeps alerts
+	// byte-identical to the unsharded plan, and the HAVING runs as one box
+	// after the merge. 0 disables the rewrite.
 	Shards int
 	// ThresholdLbs is the Having threshold (paper: 200 pounds).
 	ThresholdLbs float64

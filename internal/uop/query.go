@@ -40,6 +40,7 @@ type Query struct {
 	// Partition/Merge pair (see the build cases for eligibility).
 	shards int
 	// aggAttr is the attribute of the most recent aggregate, for Having.
+	// It is set on the aggregate's node and every node downstream of it.
 	aggAttr string
 }
 
@@ -77,9 +78,11 @@ func (q *Query) stage(makeOp func() stream.Operator) *Query {
 // (hash of the operator's dedup/group key; round-robin for stateless
 // stages; round-robin + broadcast for the probabilistic join's two ports)
 // and a merge box that reunifies shard outputs deterministically, so alerts
-// stay byte-identical to the unsharded plan. n <= 0 disables the rewrite;
-// n == 1 still builds the sharded topology (useful for exercising the
-// protocol).
+// stay byte-identical to the unsharded plan. A stateless stage is sharded
+// only while no aggregate or join lies between it and its source; one
+// downstream of such a stage runs as one box after its merge, as on the
+// cluster head. n <= 0 disables the rewrite; n == 1 still builds the
+// sharded topology (useful for exercising the protocol).
 func (q *Query) Shards(n int) *Query {
 	return q.with(func(c *Query) { c.shards = n })
 }
@@ -274,9 +277,12 @@ func (q *Query) Compile() *Compiled {
 //     box, whose per-key state never crosses keys) expand to their
 //     ShardPlan: key-hash (or, without a dedup key, round-robin) Partition,
 //     n shard instances, and the operator's deterministic merge;
-//   - stateless boxes (stream.StatelessOp — selects/filters) replicate
+//   - stateless boxes (stream.StatelessOp — selects/filters) with no
+//     aggregate or join between them and their source replicate
 //     round-robin behind a sequence-ordered merge that restores the
-//     pre-partition stream order exactly;
+//     pre-partition stream order exactly; one downstream of an aggregate or
+//     join (a Having) runs as one box after that stage's merge, the wiring
+//     ClusterPlan.CompileHead uses;
 //   - the probabilistic window join round-robins port 0 and broadcasts
 //     port 1 (loc_equals has no certain equi-key, so every pair must still
 //     meet in exactly one shard; a certain-key equi-join would hash both
@@ -313,7 +319,7 @@ func (q *Query) build(g *stream.Graph, sources map[string]*stream.Box, memo map[
 				b = wireShardPlan(g, pb, op.Name(), po.Shard(q.shards), q.shards)
 				break
 			}
-			if _, ok := op.(stream.StatelessOp); ok {
+			if _, ok := op.(stream.StatelessOp); ok && !q.parent.pastState() {
 				b = buildShardedStateless(g, pb, op, q.makeOp, q.shards)
 				break
 			}
@@ -323,6 +329,17 @@ func (q *Query) build(g *stream.Graph, sources map[string]*stream.Box, memo map[
 	}
 	memo[q] = b
 	return b
+}
+
+// pastState reports whether q is, or lies downstream of, a stateful stage —
+// a windowed aggregate or a join — on the way back to its source.
+func (q *Query) pastState() bool {
+	for n := q; n.source == ""; n = n.parent {
+		if n.left != nil || n.aggAttr != "" {
+			return true
+		}
+	}
+	return false
 }
 
 // wireShardPlan adds a ShardPlan's boxes — Partition, shards, merge — and

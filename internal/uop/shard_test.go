@@ -217,26 +217,94 @@ func TestQ1ShardedMissingKey(t *testing.T) {
 	}
 }
 
-// TestShardedDescribe pins the rendered sharded diagram: partition box,
-// shard instances, merge, in deterministic wiring order.
+// TestShardedReleasesPerPush pins when a sharded plan releases alerts, not
+// only which: under Push, the 2-shard Q1 and Q3 must hand Results() the same
+// bytes as their unsharded twins after every single push. A tail stage that
+// waited behind its own order-restoring merge for a watermark would release
+// some alerts a push late.
+func TestShardedReleasesPerPush(t *testing.T) {
+	lts, w := seededTrace(t, 30, 250, 0)
+	q1 := func(shards int) *Query {
+		cfg := q1ShardCfg()
+		cfg.Shards = shards
+		return BuildQ1(cfg)
+	}
+	q3 := func(shards int) *Query {
+		return BuildQ3(Q3Config{SlideMS: stream.Second, Shards: shards, AreaFt: 10})
+	}
+	for name, build := range map[string]func(int) *Query{"Q1": q1, "Q3": q3} {
+		flat, sharded := build(0).Compile(), build(2).Compile()
+		alerts, late := 0, 0
+		for i, lt := range lts {
+			u := LocationUTuple(lt, w)
+			flat.Push("locations", u)
+			sharded.Push("locations", u)
+			want, got := formatQ3(flat.Results()), formatQ3(sharded.Results())
+			alerts += strings.Count(want, "\n")
+			if got != want {
+				if late == 0 {
+					t.Errorf("%s push %d: sharded released\n%s\nunsharded released\n%s", name, i, got, want)
+				}
+				late++
+			}
+		}
+		if want, got := formatQ3(flat.Close()), formatQ3(sharded.Close()); got != want {
+			t.Errorf("%s close: sharded released\n%s\nunsharded released\n%s", name, got, want)
+		}
+		if alerts == 0 {
+			t.Fatalf("%s released no alerts before close; trace too light", name)
+		}
+		if late > 0 {
+			t.Errorf("%s: %d of %d pushes released different alerts sharded", name, late, len(lts))
+		}
+	}
+}
+
+// TestShardedDescribe pins the rendered sharded diagrams: partition box,
+// shard instances, merge, in deterministic wiring order. Q1's HAVING lies
+// past its aggregate, so it runs as one box after the merge; Q2's filters
+// lie upstream of the join's partition, so each keeps its round-robin
+// shards behind a sequence merge.
 func TestShardedDescribe(t *testing.T) {
-	cfg := q1ShardCfg()
-	cfg.Shards = 2
-	got := BuildQ1(cfg).Compile().Describe()
-	want := strings.TrimLeft(`
+	q1 := q1ShardCfg()
+	q1.Shards = 2
+	w := rfid.NewWarehouse(rfid.WarehouseConfig{NumObjects: 4, Seed: 1, MoveProb: -1})
+	for _, tc := range []struct {
+		name string
+		q    *Query
+		want string
+	}{
+		{"Q1", BuildQ1(q1), `
 [0] src:locations -> [1]:0
 [1] ⇉2·γΣ(weight) -> [2]:0 [3]:0
 [2] γΣ(weight)#0/2 -> [4]:0
 [3] γΣ(weight)#1/2 -> [4]:1
 [4] merge·γΣ(weight) -> [5]:0
-[5] ⇉2·having(P(weight>120)≥0.3) -> [6]:0 [7]:0
-[6] having(P(weight>120)≥0.3)#0/2 -> [8]:0
-[7] having(P(weight>120)≥0.3)#1/2 -> [8]:1
-[8] ⋈seq·having(P(weight>120)≥0.3) -> [9]:0
-[9] results ->
-`, "\n")
-	if got != want {
-		t.Errorf("sharded Q1 diagram mismatch:\nwant:\n%s\ngot:\n%s", want, got)
+[5] having(P(weight>120)≥0.3) -> [6]:0
+[6] results ->
+`},
+		{"Q2", BuildQ2(w, Q2Config{Shards: 2}), `
+[0] src:locations -> [1]:0
+[1] ⇉2·σ(type=flammable) -> [2]:0 [3]:0
+[2] σ(type=flammable)#0/2 -> [4]:0
+[3] σ(type=flammable)#1/2 -> [4]:1
+[4] ⋈seq·σ(type=flammable) -> [10]:0
+[5] src:temps -> [6]:0
+[6] ⇉2·σ(temp>60) -> [7]:0 [8]:0
+[7] σ(temp>60)#0/2 -> [9]:0
+[8] σ(temp>60)#1/2 -> [9]:1
+[9] ⋈seq·σ(temp>60) -> [11]:0
+[10] ⇉2·⋈(loc_equals±3) -> [13]:0 [14]:0
+[11] ⇶·⋈(loc_equals±3) -> [13]:1 [14]:1
+[12] ⋃·⋈(loc_equals±3) -> [15]:0
+[13] ⋈(loc_equals±3) -> [12]:0
+[14] ⋈(loc_equals±3) -> [12]:1
+[15] results ->
+`},
+	} {
+		if got, want := tc.q.Compile().Describe(), strings.TrimLeft(tc.want, "\n"); got != want {
+			t.Errorf("sharded %s diagram mismatch:\nwant:\n%s\ngot:\n%s", tc.name, want, got)
+		}
 	}
 }
 

@@ -39,11 +39,7 @@ var surfaceExempt = map[string]string{
 	"repro/internal/core.CondChain.SumDist":                "(c)",
 	"repro/internal/core.FinalSum":                         "(c); (d) BenchmarkFinalSumLineage",
 	"repro/internal/core.MeanCorrelatedMA":                 "(d) BenchmarkCorrelatedAggregation",
-	"repro/internal/core.Avg":                              "(e) TestAvgMatchesScaledSum",
 	"repro/internal/core.Count":                            "(e) TestCountPoissonBinomial",
-	"repro/internal/core.Max":                              "(e) TestMaxDominatedByStrongest, TestMaxOrderStatistics",
-	"repro/internal/core.Min":                              "(e) TestMinOrderStatistics",
-	"repro/internal/core.PredicateProb":                    "(e) TestPredicateProb",
 	"repro/internal/dist.BIC":                              "(a) criterion passed to SelectMixture in TestSelectMixtureAIC",
 	"repro/internal/dist.ConvolveNormals":                  "(a) oracle in cf's TestInvertGaussianSum",
 	"repro/internal/dist.Interval.Contains":                "(a) fixture in TestConfidenceIntervalAndProbs",
@@ -83,7 +79,6 @@ var surfaceExempt = map[string]string{
 	"repro/internal/stream.Millisecond":                    "(a) fixture in the daemon tests",
 	"repro/internal/stream.NewFilter":                      "(a) fixture in TestDescribeLinearChain and TestSeqMergeRestoresOrder",
 	"repro/internal/stream.Tuple.Float":                    "(a) fixture in the stream engine tests",
-	"repro/internal/stream.NewGroupWindow":                 "(e) TestGroupWindowDeterministicOrder",
 	"repro/internal/timeseries.MA.Simulate":                "(a) fixture in TestMASimulatedACFMatchesTheory; (d) BenchmarkCorrelatedAggregation",
 	"repro/internal/timeseries.MeanCLTAuto":                "(d) BenchmarkCorrelatedAggregation",
 	"repro/internal/timeseries.WhiteNoise":                 "(a) fixture in TestACFWhiteNoise",
